@@ -638,10 +638,10 @@ void write_bench_micro_json(const std::string& path, bool fast) {
 
   // incremental (schema v9): the Session what-if loop. A single retype edit
   // (and a 1%-of-gates batch) against a warm session pays apply_edit() +
-  // the dirty-cone re-sweep + cache splice; the comparator is the full
-  // re-sweep the SAME session runs when nothing spliceable is pending —
-  // identical engine, identical thread count, so incremental_vs_full is a
-  // workload ratio, not a host property. Edits toggle AND<->NAND /
+  // ser(): the dirty-cone re-sweep spliced into the result table. The
+  // comparator is a full sweep() of the SAME session, which always drives
+  // the engine over every site — identical engine, identical thread count,
+  // so incremental_vs_full is a workload ratio, not a host property. Edits toggle AND<->NAND /
   // OR<->NOR: every round is a genuine value-changing retype and the
   // circuit never grows across reps.
   //
@@ -696,7 +696,7 @@ void write_bench_micro_json(const std::string& path, bool fast) {
       Session session(
           Circuit::restore(ic.name(), std::move(nodes), ic.outputs()));
       inc_sites = error_sites(ic).size();
-      (void)session.sweep();  // warm engine + populate the splice cache
+      (void)session.sweep();  // warm engine + fill the result table
       inc_full_s = timed_min(
           [&] { benchmark::DoNotOptimize(session.sweep().size()); });
       const auto toggle_plan = [&](std::span<const NodeId> victims) {
@@ -734,7 +734,7 @@ void write_bench_micro_json(const std::string& path, bool fast) {
       }
       inc_single_s = timed_min([&] {
         session.apply_edit(toggle_plan(std::span(&victim, 1)));
-        benchmark::DoNotOptimize(session.sweep().size());
+        benchmark::DoNotOptimize(session.ser().total_ser);
       });
       const std::size_t want_gates =
           std::max<std::size_t>(1, ic.gate_count() / 100);
@@ -748,7 +748,7 @@ void write_bench_micro_json(const std::string& path, bool fast) {
       inc_pct_gates = pct.size();
       inc_pct_s = timed_min([&] {
         session.apply_edit(toggle_plan(pct));
-        benchmark::DoNotOptimize(session.sweep().size());
+        benchmark::DoNotOptimize(session.ser().total_ser);
       });
       // One more single edit, judged: the spliced answer must be
       // bit-identical to a from-scratch session of the edited circuit.

@@ -33,8 +33,9 @@ int main(int argc, char** argv) {
         epp.sinks.size());
   }
 
-  // 3. Full SER estimate: R_SEU x P_latched x P_sensitized per node. Reuses
-  // every artifact the sweep already built.
+  // 3. Full SER estimate: R_SEU x P_latched x P_sensitized per node. The
+  // sweep above already folded its records into the session's result
+  // table, so this runs no second sweep.
   const CircuitSer& ser = session.ser();
   std::printf("\nCircuit SER: %.3e failures/s (%.2f FIT)\n", ser.total_ser,
               ser.total_fit());

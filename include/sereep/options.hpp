@@ -4,7 +4,7 @@
 // key, see sereep/engine.hpp), parallelism, the SIMD runtime switch, the
 // signal-probability source and every model knob the analysis layers expose.
 // The struct replaces the scattered per-subsystem option plumbing (SpOptions
-// here, EppOptions there, SerOptions somewhere else) with ONE value that
+// here, EppOptions there, SER models somewhere else) with ONE value that
 // validates as a unit — invalid combinations fail at Session construction
 // with an actionable message, not deep inside a sweep.
 //
@@ -60,8 +60,6 @@ struct ClusterOptions {
 struct SerLayerOptions {
   SeuRateModel seu;        ///< raw upset-rate model
   LatchingModel latching;  ///< latching-window model per sink
-  /// Evenly-spaced site subsample for ser()/harden() (0 = all sites).
-  std::size_t max_sites = 0;
 };
 
 /// What the shard supervisor does when a worker FAILS mid-sweep (dies, hangs

@@ -17,6 +17,13 @@
 // tests/README.md). set_options() invalidates exactly the artifacts the
 // changed layers feed — see the table there.
 //
+// Results live in ONE per-site table per circuit generation: a NodeSer row
+// per site (P_sensitized, and the SER terms once a full-record sweep has
+// been folded in). Rows come from the table — sweep_p_sensitized(),
+// sweep_csv(), ser(), ser_csv(), harden() and harden_text() drive the engine
+// only for what the table lacks. Records come from the engine — sweep()
+// re-runs it on every call, so per-sweep diagnostics stay honest.
+//
 // Sessions are movable (artifacts live behind stable pointers) but not
 // copyable, and are NOT thread-safe: one session per thread, or external
 // synchronization. Internal sweep parallelism (Options::threads) is safe and
@@ -62,7 +69,7 @@ class Session {
     std::size_t planner = 0;
     std::size_t engine = 0;
     std::size_t multicycle = 0;
-    std::size_t ser = 0;
+    std::size_t ser = 0;  ///< SER rows folded into the result table
   };
 
   /// Convergence diagnostics of the kSequentialFixedPoint SP source —
@@ -99,7 +106,7 @@ class Session {
 
   /// Re-configures the session, validating first. Memoized artifacts are
   /// invalidated selectively: only what the changed layers feed is dropped
-  /// (e.g. a new engine key drops the engine + SER cache but keeps the
+  /// (e.g. a new engine key drops the engine + result table but keeps the
   /// compiled view, SPs and cluster plan). See tests/README.md.
   void set_options(Options options);
 
@@ -112,9 +119,9 @@ class Session {
     std::size_t edits = 0;            ///< apply_edit() batches applied
     std::size_t compiled_patched = 0; ///< in-place CSR type patches (no re-flatten)
     std::size_t sp_incremental = 0;   ///< SP tables repaired in place
-    std::size_t spliced_sweeps = 0;   ///< cache reconciliations that spliced
+    std::size_t spliced_sweeps = 0;   ///< table reconciliations that spliced
     std::size_t resweeped_sites = 0;  ///< sites recomputed across splices
-    std::size_t spliced_sites = 0;    ///< cached sites reused across splices
+    std::size_t spliced_sites = 0;    ///< table rows reused across splices
   };
 
   /// Applies an edit batch to the session's circuit and repairs the cached
@@ -124,19 +131,18 @@ class Session {
   ///     dispatcher and serve daemon key on follows the edited circuit.
   ///   * SP table — repaired by incremental_parker_mccluskey_sp when the
   ///     source is kParkerMcCluskey (dropped wholesale for other sources).
-  ///   * sweep caches — the batch's dirty cone is accumulated; the next
-  ///     sweep()/sweep_p_sensitized()/ser() re-sweeps exactly the affected
-  ///     sites (src/epp/incremental.hpp) and splices the rest through,
-  ///     bit-identical to a from-scratch rebuild + full sweep (pinned by
-  ///     tests/epp/engine_equivalence_test.cpp's edit fuzz).
+  ///   * result table — the batch's dirty cone is accumulated; the next read
+  ///     re-sweeps exactly the affected sites (src/epp/incremental.hpp), once,
+  ///     and splices them over their rows, bit-identical to a from-scratch
+  ///     rebuild + full sweep (pinned by tests/epp/engine_equivalence_test.cpp's
+  ///     edit fuzz).
   /// A session opened from a .sca artifact goes fully in-memory on its first
   /// edit: the borrowed view is re-flattened from the edited circuit and the
   /// artifact fingerprint + recorded netlist spec are dropped, so a sharded
   /// worker pool still serving the stale artifact fails the pre-dispatch
   /// fingerprint handshake instead of silently answering for the old netlist.
-  /// Throws std::runtime_error on invalid edits; ops before the failing one
-  /// stay applied (the circuit is re-indexed and consistent) and every cached
-  /// artifact is dropped wholesale — the next query rebuilds from scratch.
+  /// Batches are all-or-nothing: an invalid op throws std::runtime_error with
+  /// the circuit, every artifact and every result exactly as before the call.
   EditResult apply_edit(const EditPlan& plan);
 
   [[nodiscard]] const IncrementalStats& incremental_stats() const noexcept {
@@ -180,15 +186,21 @@ class Session {
   /// P_sensitized of one site — the fastest per-site query.
   [[nodiscard]] double p_sensitized(NodeId site);
 
-  /// Full SiteEpp records for every error site, in sites() order.
+  /// Full SiteEpp records for every error site, in sites() order, from the
+  /// engine on every call. The records are folded into the result table
+  /// when it lacks SER rows, so a ser() after a sweep() sweeps nothing.
   [[nodiscard]] std::vector<SiteEpp> sweep();
 
-  /// All-nodes P_sensitized, indexed by NodeId (non-sites 0.0).
+  /// All-nodes P_sensitized, indexed by NodeId (non-sites 0.0), from the
+  /// result table (a P_sensitized-only sweep fills an empty one).
   [[nodiscard]] std::vector<double> sweep_p_sensitized();
 
-  /// Whole-circuit SER (memoized; ser()+harden() share one sweep). Folded
-  /// from the selected engine's sweep records in bounded slices, so peak
-  /// memory is O(slice), with the SER-layer models of Options.
+  /// Whole-circuit SER with the SER-layer models of Options: the result
+  /// table itself, one row per site in sites() order (ser() + harden() share
+  /// one sweep). Rows without SER terms are filled from the engine's full
+  /// records in bounded slices, so peak memory is O(slice). The reference
+  /// stays valid until the session is moved or destroyed; edits update it in
+  /// place on the next read.
   [[nodiscard]] const CircuitSer& ser();
 
   /// Greedy hardening selection over ser().
@@ -244,14 +256,28 @@ class Session {
   /// match the session's options bit-exactly).
   void adopt_artifact(std::shared_ptr<const ArtifactView> artifact);
 
-  /// Drops the sweep/psens caches and any pending dirty frontier — the
-  /// fallback for invalidations the dirty-cone machinery cannot scope.
-  void invalidate_incremental();
+  /// What the result table holds (see table_).
+  enum class Rows { kNone, kPsens, kSer };
 
-  /// Drains the pending dirty frontier into the sweep/psens caches: computes
-  /// the exact affected-site mask on the edited compiled view and re-sweeps
-  /// only those sites, splicing the cached records through for the rest.
-  void reconcile_caches();
+  /// Drops the result table and any pending dirty frontier — the fallback
+  /// for invalidations the dirty-cone machinery cannot scope.
+  void drop_table();
+
+  /// Drains the pending dirty frontier into the result table: computes the
+  /// exact affected-site mask on the edited compiled view and re-sweeps only
+  /// those sites — full records when the rows carry SER terms, P_sensitized
+  /// otherwise — splicing the other rows through.
+  void reconcile_table();
+
+  /// Reconciles the table, then sweeps whatever it still lacks for `want`.
+  void fill_table(Rows want);
+
+  /// Folds one full record into table row `row`.
+  void fold_row(std::size_t row, const SiteEpp& epp);
+
+  /// Re-sums total_ser over the rows in site order — the order every fold
+  /// has summed in, so a total is bit-identical however its rows were filled.
+  void sum_ser();
 
   /// Mutable only through apply_edit(); stable address across moves.
   std::unique_ptr<Circuit> circuit_;
@@ -273,25 +299,17 @@ class Session {
   std::unique_ptr<PlannerCache> planner_cache_;
   std::unique_ptr<IEppEngine> engine_;
   std::unique_ptr<MultiCycleEppEngine> multicycle_;
-  std::unique_ptr<const CircuitSer> ser_;
   std::optional<std::vector<NodeId>> sites_;
 
-  // ---- incremental what-if state (apply_edit / reconcile_caches) -----------
-  // Sweep results cached by site-list index (error_sites() order; inserted
-  // nodes only ever append, so an older cache stays an aligned prefix). The
-  // pending frontier accumulates dirty sets across edits until the next
-  // sweeping query reconciles.
-  // `valid` means the cache mirrors the circuit and may back splices and the
-  // ser() fold. `fresh` additionally means an edit splice produced it since
-  // the last explicit sweep: only then may sweep()/sweep_p_sensitized()
-  // answer from it — a repeated explicit sweep on a quiet session re-drives
-  // the engine so per-sweep diagnostics (sharded respawns etc.) stay honest.
-  std::vector<SiteEpp> sweep_cache_;
-  bool sweep_cache_valid_ = false;
-  bool sweep_cache_fresh_ = false;
-  std::vector<double> psens_cache_;  ///< per-site, pre-scatter
-  bool psens_cache_valid_ = false;
-  bool psens_cache_fresh_ = false;
+  // ---- the result table (reads, sweep() folds, apply_edit splices) ---------
+  // One NodeSer row per site in sites() order: p_sensitized whenever rows_ !=
+  // kNone, the SER terms and total_ser when rows_ == kSer. Rows are pure
+  // functions of (circuit, SP, options). Inserted nodes only ever append to
+  // sites(), so after an edit the table stays an aligned prefix until the
+  // next read reconciles it; the pending frontier accumulates dirty sets
+  // across edits until then.
+  CircuitSer table_;
+  Rows rows_ = Rows::kNone;
   std::vector<NodeId> pending_seeds_;       ///< union of dirty sets
   std::vector<NodeId> pending_sp_changed_;  ///< union of bitwise-SP deltas
   bool pending_structural_ = false;

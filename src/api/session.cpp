@@ -11,7 +11,7 @@
 #include "src/netlist/bench_io.hpp"
 #include "src/netlist/benchmarks.hpp"
 #include "src/netlist/verilog_io.hpp"
-#include "src/sim/fault_injection.hpp"  // error_sites / subsample_sites
+#include "src/sim/fault_injection.hpp"  // error_sites
 #include "src/util/csv.hpp"
 #include "src/util/simd.hpp"
 #include "src/util/strings.hpp"
@@ -154,13 +154,11 @@ void Session::set_options(Options options) {
        options.sp.monte_carlo_vectors != options_.sp.monte_carlo_vectors);
   options_ = std::move(options);
   // Always dropped: the engine (binds the SP table, EPP options and — for
-  // batched — the planner), the multicycle engine (same bindings plus a
-  // model-dependent matrix) and the SER cache (folds model objects that
-  // don't support comparison). Never dropped: the compiled view and the site
+  // batched — the planner) and the multicycle engine (same bindings plus a
+  // model-dependent matrix). Never dropped: the compiled view and the site
   // list (pure functions of the immutable circuit).
   engine_.reset();
   multicycle_.reset();
-  ser_.reset();
   if (sp_changed) {
     sp_.reset();
     sp_diagnostics_.reset();
@@ -172,55 +170,34 @@ void Session::set_options(Options options) {
       planner_cache_->planner->set_default_level(options_.cluster.level);
     }
   }
-  // The sweep caches bind the full option set (EPP knobs, SER models, SP
+  // The result table binds the full option set (EPP knobs, SER models, SP
   // source); re-scoping which of those actually moved is not worth it here —
   // reconfiguration is rare, edits are the hot loop.
-  invalidate_incremental();
+  drop_table();
 }
 
-void Session::invalidate_incremental() {
-  sweep_cache_.clear();
-  sweep_cache_valid_ = false;
-  sweep_cache_fresh_ = false;
-  psens_cache_.clear();
-  psens_cache_valid_ = false;
-  psens_cache_fresh_ = false;
+void Session::drop_table() {
+  table_ = {};
+  rows_ = Rows::kNone;
   pending_seeds_.clear();
   pending_sp_changed_.clear();
   pending_structural_ = false;
 }
 
 EditResult Session::apply_edit(const EditPlan& plan) {
+  // All-or-nothing (apply_edit_plan restores the circuit when any op fails),
+  // so a throw here leaves every artifact and the table valid as they are.
+  EditResult result = apply_edit_plan(*circuit_, plan);
+  ++inc_stats_.edits;
   // An edited netlist exists only in this process: the spec recorded for
   // sharded workers (and, for .sca sessions, the artifact fingerprint the
   // serve cache and pre-dispatch handshake key on) describes the PRE-edit
-  // bits, so both are dropped up front. A sharded worker pool still serving
-  // the stale artifact then fails the fingerprint handshake instead of
-  // silently answering for the old netlist; spec-less sharded sweeps fall
-  // back in-process, which is always correct.
+  // bits, so both are dropped. A sharded worker pool still serving the stale
+  // artifact then fails the fingerprint handshake instead of silently
+  // answering for the old netlist; spec-less sharded sweeps fall back
+  // in-process, which is always correct.
   artifact_fingerprint_.reset();
   options_.shard.netlist.clear();
-
-  EditResult result;
-  try {
-    result = apply_edit_plan(*circuit_, plan);
-  } catch (...) {
-    // Ops before the failure applied eagerly (the circuit is re-indexed and
-    // consistent) but no dirty set reached us — scope is unknowable, so every
-    // derived artifact goes. The next query rebuilds from scratch.
-    engine_.reset();
-    multicycle_.reset();
-    planner_cache_.reset();
-    compiled_.reset();
-    artifact_.reset();
-    sp_.reset();
-    sp_diagnostics_.reset();
-    ser_.reset();
-    sites_.reset();
-    invalidate_incremental();
-    throw;
-  }
-  ++inc_stats_.edits;
 
   // Compiled view: a retype-only batch over owned arrays patches the type
   // table in place (the CSR layout is untouched by definition); anything
@@ -248,7 +225,7 @@ EditResult Session::apply_edit(const EditPlan& plan) {
   // SP table: repaired in place for the Parker-McCluskey source (the repair
   // returns the bitwise-changed node set P, part of the dirty frontier);
   // other sources re-derive from scratch — their deltas are unbounded, so
-  // the sweep caches go with them.
+  // the result table goes with them.
   std::vector<NodeId> sp_changed;
   if (sp_ != nullptr) {
     if (options_.sp.source == SpSource::kParkerMcCluskey) {
@@ -261,31 +238,27 @@ EditResult Session::apply_edit(const EditPlan& plan) {
     }
   }
 
-  // Accumulate the dirty frontier for the next sweeping query's reconcile.
+  // Accumulate the dirty frontier for the next read's reconcile.
   pending_seeds_.insert(pending_seeds_.end(), result.dirty.begin(),
                         result.dirty.end());
   pending_sp_changed_.insert(pending_sp_changed_.end(), sp_changed.begin(),
                              sp_changed.end());
   pending_structural_ |= result.structure_changed;
-  if (sp_ == nullptr) invalidate_incremental();  // non-PM source was dropped
+  if (sp_ == nullptr) drop_table();  // non-PM source was dropped
 
   // Engines carry per-node scratch and bind the (possibly replaced) compiled
-  // view; the SER fold binds the sweep. All cheap to rebuild next to any
-  // cone re-sweep.
+  // view. Both are cheap to rebuild next to any cone re-sweep.
   engine_.reset();
   multicycle_.reset();
-  ser_.reset();
   if (!result.inserted.empty()) sites_.reset();
   return result;
 }
 
-void Session::reconcile_caches() {
+void Session::reconcile_table() {
   if (pending_seeds_.empty()) return;
-  if (!sweep_cache_valid_ && !psens_cache_valid_) {
-    pending_seeds_.clear();
-    pending_sp_changed_.clear();
-    pending_structural_ = false;
-    return;  // nothing cached — the caller's full (re)build covers the edits
+  if (rows_ == Rows::kNone) {
+    drop_table();  // nothing to splice into — the next fill sweeps it all
+    return;
   }
   // The frontier (see src/epp/incremental.hpp): structural batches need the
   // downstream closure — topological ranks may have moved anywhere below the
@@ -317,14 +290,12 @@ void Session::reconcile_caches() {
   const std::vector<std::uint8_t> mask =
       affected_site_mask(compiled(), frontier, all, bloom);
 
-  // Inserted sites land past the cached prefix with mask 1 (they are their
+  // Inserted sites land past the table's end with mask 1 (they are their
   // own frontier); the explicit bound check covers them regardless.
   std::vector<NodeId> affected;
   std::vector<std::size_t> affected_idx;
   for (std::size_t i = 0; i < all.size(); ++i) {
-    const bool beyond = (sweep_cache_valid_ && i >= sweep_cache_.size()) ||
-                        (psens_cache_valid_ && i >= psens_cache_.size());
-    if (mask[i] != 0 || beyond) {
+    if (mask[i] != 0 || i >= table_.nodes.size()) {
       affected_idx.push_back(i);
       affected.push_back(all[i]);
     }
@@ -332,33 +303,68 @@ void Session::reconcile_caches() {
   ++inc_stats_.spliced_sweeps;
   inc_stats_.resweeped_sites += affected.size();
   inc_stats_.spliced_sites += all.size() - affected.size();
+  if (affected.empty()) return;
 
   // Re-sweep ONLY the affected sites through the session's own engine (site
   // subsets are bit-identical to the matching slice of a full sweep — pinned
-  // by the engine-equivalence suite) and splice them over the cache.
-  if (sweep_cache_valid_) {
-    sweep_cache_.resize(all.size());
-    if (!affected.empty()) {
-      std::vector<SiteEpp> fresh = engine().sweep(affected, options_.threads);
-      for (std::size_t k = 0; k < affected_idx.size(); ++k) {
-        sweep_cache_[affected_idx[k]] = std::move(fresh[k]);
-      }
+  // by the engine-equivalence suite) and write them over their rows.
+  table_.nodes.resize(all.size());
+  if (rows_ == Rows::kSer) {
+    const std::vector<SiteEpp> fresh =
+        engine().sweep(affected, options_.threads);
+    for (std::size_t k = 0; k < affected_idx.size(); ++k) {
+      fold_row(affected_idx[k], fresh[k]);
+    }
+    sum_ser();
+  } else {
+    const std::vector<double> fresh =
+        engine().sweep_p_sensitized(affected, options_.threads);
+    for (std::size_t k = 0; k < affected_idx.size(); ++k) {
+      table_.nodes[affected_idx[k]] =
+          NodeSer{.node = affected[k], .p_sensitized = fresh[k]};
     }
   }
-  if (psens_cache_valid_) {
-    psens_cache_.resize(all.size(), 0.0);
-    if (!affected.empty()) {
-      const std::vector<double> fresh =
-          engine().sweep_p_sensitized(affected, options_.threads);
-      for (std::size_t k = 0; k < affected_idx.size(); ++k) {
-        psens_cache_[affected_idx[k]] = fresh[k];
-      }
+}
+
+void Session::fill_table(Rows want) {
+  apply_simd();
+  reconcile_table();
+  if (rows_ >= want) return;
+  const std::span<const NodeId> all = sites();
+  table_.nodes.resize(all.size());
+  if (want == Rows::kPsens) {
+    const std::vector<double> psens =
+        engine().sweep_p_sensitized(all, options_.threads);
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      table_.nodes[i] = NodeSer{.node = all[i], .p_sensitized = psens[i]};
     }
+    rows_ = Rows::kPsens;
+    return;
   }
-  // The splice IS the next sweep's answer — let the sweeping queries serve
-  // it once instead of re-driving the engine over every site.
-  sweep_cache_fresh_ = sweep_cache_valid_;
-  psens_cache_fresh_ = psens_cache_valid_;
+  // SER rows fold the engine's full records in bounded slices: peak memory
+  // is O(slice) SiteEpp records, not all sites at once. A slice is far wider
+  // than any cluster-packing window, so cone sharing within it is unaffected.
+  constexpr std::size_t kFoldSlice = 8192;
+  IEppEngine& eng = engine();
+  for (std::size_t begin = 0; begin < all.size(); begin += kFoldSlice) {
+    const std::size_t count = std::min(kFoldSlice, all.size() - begin);
+    const std::vector<SiteEpp> records =
+        eng.sweep(all.subspan(begin, count), options_.threads);
+    for (std::size_t k = 0; k < count; ++k) fold_row(begin + k, records[k]);
+  }
+  sum_ser();
+  rows_ = Rows::kSer;
+  ++counts_->ser;
+}
+
+void Session::fold_row(std::size_t row, const SiteEpp& epp) {
+  table_.nodes[row] = node_ser_from_epp(*circuit_, epp, options_.ser.seu,
+                                        options_.ser.latching);
+}
+
+void Session::sum_ser() {
+  table_.total_ser = 0.0;
+  for (const NodeSer& row : table_.nodes) table_.total_ser += row.ser;
 }
 
 void Session::apply_simd() const noexcept {
@@ -455,84 +461,28 @@ double Session::p_sensitized(NodeId site) {
 
 std::vector<SiteEpp> Session::sweep() {
   apply_simd();
-  reconcile_caches();
-  // Serve a just-spliced cache (the incremental win); otherwise an explicit
-  // sweep always drives the engine — repeated sweeps are how callers refresh
-  // per-sweep diagnostics, and results are deterministic either way.
-  if (!sweep_cache_valid_ || !sweep_cache_fresh_) {
-    sweep_cache_ = engine().sweep(sites(), options_.threads);
-    sweep_cache_valid_ = true;
+  reconcile_table();
+  std::vector<SiteEpp> records = engine().sweep(sites(), options_.threads);
+  if (rows_ != Rows::kSer) {
+    table_.nodes.resize(records.size());
+    for (std::size_t i = 0; i < records.size(); ++i) fold_row(i, records[i]);
+    sum_ser();
+    rows_ = Rows::kSer;
+    ++counts_->ser;
   }
-  sweep_cache_fresh_ = false;
-  return sweep_cache_;
+  return records;
 }
 
 std::vector<double> Session::sweep_p_sensitized() {
-  apply_simd();
-  reconcile_caches();
-  const std::span<const NodeId> all = sites();
-  if (!psens_cache_valid_ || !psens_cache_fresh_) {
-    psens_cache_ = engine().sweep_p_sensitized(all, options_.threads);
-    psens_cache_valid_ = true;
-  }
-  psens_cache_fresh_ = false;
+  fill_table(Rows::kPsens);
   std::vector<double> out(circuit_->node_count(), 0.0);
-  for (std::size_t i = 0; i < all.size(); ++i) out[all[i]] = psens_cache_[i];
+  for (const NodeSer& row : table_.nodes) out[row.node] = row.p_sensitized;
   return out;
 }
 
 const CircuitSer& Session::ser() {
-  if (ser_ == nullptr) {
-    apply_simd();
-    reconcile_caches();
-    const std::span<const NodeId> all = sites();
-    const std::vector<NodeId> swept = subsample_sites(
-        std::vector<NodeId>(all.begin(), all.end()), options_.ser.max_sites);
-    CircuitSer out;
-    out.nodes.reserve(swept.size());
-    // Inside a what-if loop (a sweep cache exists, or edits have started and
-    // no subsample truncates it) the fold reads the reconciled cache — SER
-    // after an edit pays only the affected cones. Otherwise keep the bounded
-    // slice walk: peak memory O(slice) SiteEpp records, the same discipline
-    // SerEstimator::estimate() keeps (and the same slice width, so the
-    // batched engine's cluster packing matches it too).
-    const bool from_cache =
-        sweep_cache_valid_ ||
-        (inc_stats_.edits > 0 && options_.ser.max_sites == 0);
-    if (from_cache) {
-      if (!sweep_cache_valid_) {
-        sweep_cache_ = engine().sweep(all, options_.threads);
-        sweep_cache_valid_ = true;
-      }
-      for (NodeId site : swept) {
-        // sites() is ascending by construction (error_sites id order).
-        const auto it = std::lower_bound(all.begin(), all.end(), site);
-        const SiteEpp& epp = sweep_cache_[it - all.begin()];
-        out.nodes.push_back(node_ser_from_epp(*circuit_, epp,
-                                              options_.ser.seu,
-                                              options_.ser.latching));
-        out.total_ser += out.nodes.back().ser;
-      }
-    } else {
-      constexpr std::size_t kFoldSlice = 8192;
-      IEppEngine& eng = engine();
-      for (std::size_t begin = 0; begin < swept.size();
-           begin += kFoldSlice) {
-        const std::size_t count = std::min(kFoldSlice, swept.size() - begin);
-        for (const SiteEpp& epp :
-             eng.sweep(std::span(swept).subspan(begin, count),
-                       options_.threads)) {
-          out.nodes.push_back(node_ser_from_epp(*circuit_, epp,
-                                                options_.ser.seu,
-                                                options_.ser.latching));
-          out.total_ser += out.nodes.back().ser;
-        }
-      }
-    }
-    ser_ = std::make_unique<const CircuitSer>(std::move(out));
-    ++counts_->ser;
-  }
-  return *ser_;
+  fill_table(Rows::kSer);
+  return table_;
 }
 
 HardeningPlan Session::harden(double target_reduction) {
@@ -551,12 +501,12 @@ MultiCycleEpp Session::multicycle(NodeId site, std::size_t cycles) {
 }
 
 std::string Session::sweep_csv() {
-  const std::vector<double> p = sweep_p_sensitized();
+  fill_table(Rows::kPsens);
   CsvWriter csv({"node", "type", "p_sensitized"});
-  for (NodeId site : sites()) {
-    csv.add_row({circuit_->node(site).name,
-                 std::string(gate_type_name(circuit_->type(site))),
-                 round_trip(p[site])});
+  for (const NodeSer& row : table_.nodes) {
+    csv.add_row({circuit_->node(row.node).name,
+                 std::string(gate_type_name(circuit_->type(row.node))),
+                 round_trip(row.p_sensitized)});
   }
   return csv.str();
 }

@@ -10,33 +10,7 @@ MultiCycleEppEngine::MultiCycleEppEngine(const Circuit& circuit,
                                          const SignalProbabilities& sp,
                                          EppOptions options, unsigned threads,
                                          const ConeClusterPlanner* planner)
-    : circuit_(circuit), compiled_(compiled), engine_(compiled_, sp, options) {
-  build_matrix(sp, options, threads, planner);
-}
-
-MultiCycleEppEngine::MultiCycleEppEngine(const Circuit& circuit,
-                                         const SignalProbabilities& sp,
-                                         EppOptions options, unsigned threads)
-    : circuit_(circuit),
-      owned_compiled_(std::in_place, circuit),
-      compiled_(*owned_compiled_),
-      engine_(compiled_, sp, options) {
-  build_matrix(sp, options, threads, nullptr);
-}
-
-MultiCycleEppEngine::MultiCycleEppEngine(const Circuit& circuit,
-                                         EppOptions options, unsigned threads)
-    : circuit_(circuit),
-      owned_compiled_(std::in_place, circuit),
-      compiled_(*owned_compiled_),
-      owned_sp_(compiled_parker_mccluskey_sp(compiled_)),
-      engine_(compiled_, owned_sp_, options) {
-  build_matrix(owned_sp_, options, threads, nullptr);
-}
-
-void MultiCycleEppEngine::build_matrix(const SignalProbabilities& sp,
-                                       EppOptions options, unsigned threads,
-                                       const ConeClusterPlanner* planner) {
+    : circuit_(circuit), engine_(compiled, sp, options) {
   // Precompute the state-error propagation matrix: one combinational EPP per
   // flip-flop, with the FF output as the error site. FF cones overlap
   // heavily (register banks feed the same next-state logic), so the rebuild
@@ -48,9 +22,9 @@ void MultiCycleEppEngine::build_matrix(const SignalProbabilities& sp,
 
   const std::vector<SiteEpp> epps =
       planner != nullptr
-          ? compute_sites_parallel(compiled_, *planner, dffs, sp, options,
+          ? compute_sites_parallel(compiled, *planner, dffs, sp, options,
                                    threads)
-          : compute_sites_parallel(compiled_, dffs, sp, options, threads);
+          : compute_sites_parallel(compiled, dffs, sp, options, threads);
   rows_.resize(dffs.size());
   for (std::size_t k = 0; k < dffs.size(); ++k) {
     const SiteEpp& epp = epps[k];

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "src/epp/compiled_epp.hpp"
@@ -76,21 +75,6 @@ class MultiCycleEppEngine {
                       unsigned threads = 0,
                       const ConeClusterPlanner* planner = nullptr);
 
-  /// DEPRECATED shim (prefer sereep::Session, or the borrowing constructor
-  /// above): compiles a private view of `circuit`.
-  MultiCycleEppEngine(const Circuit& circuit, const SignalProbabilities& sp,
-                      EppOptions options = {}, unsigned threads = 0);
-
-  /// DEPRECATED shim (prefer sereep::Session): compiles a private view AND
-  /// owns its SP (compiled Parker-McCluskey pass over that view).
-  explicit MultiCycleEppEngine(const Circuit& circuit, EppOptions options = {},
-                               unsigned threads = 0);
-
-  // engine_ references the sibling member compiled_, so a copied or moved
-  // instance would point into the source object.
-  MultiCycleEppEngine(const MultiCycleEppEngine&) = delete;
-  MultiCycleEppEngine& operator=(const MultiCycleEppEngine&) = delete;
-
   /// Detection profile of `site` over `cycles` clock cycles.
   [[nodiscard]] MultiCycleEpp compute(NodeId site, std::size_t cycles);
 
@@ -106,14 +90,7 @@ class MultiCycleEppEngine {
   }
 
  private:
-  /// Shared tail of every constructor: the FF→{PO, FF} matrix rebuild.
-  void build_matrix(const SignalProbabilities& sp, EppOptions options,
-                    unsigned threads, const ConeClusterPlanner* planner);
-
   const Circuit& circuit_;
-  std::optional<CompiledCircuit> owned_compiled_;  ///< empty when borrowed
-  const CompiledCircuit& compiled_;
-  SignalProbabilities owned_sp_;            ///< empty when SP is borrowed
   CompiledEppEngine engine_;                ///< flat-CSR EPP hot path
   std::vector<FfRow> rows_;                 ///< indexed like circuit.dffs()
   std::vector<std::size_t> ff_index_;       ///< NodeId -> dff index

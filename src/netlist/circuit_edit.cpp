@@ -380,8 +380,10 @@ std::string to_string(const EditPlan& plan) {
   return out;
 }
 
-EditResult apply_edit_plan(Circuit& circuit, const EditPlan& plan) {
-  if (plan.ops.empty()) fail("empty edit plan");
+namespace {
+
+/// apply_edit_plan's batch, without the rollback.
+EditResult apply_ops(Circuit& circuit, const EditPlan& plan) {
   EditBatch batch = circuit.edit();
   for (const EditOp& op : plan.ops) {
     switch (op.kind) {
@@ -407,6 +409,21 @@ EditResult apply_edit_plan(Circuit& circuit, const EditPlan& plan) {
     }
   }
   return batch.commit();
+}
+
+}  // namespace
+
+EditResult apply_edit_plan(Circuit& circuit, const EditPlan& plan) {
+  if (plan.ops.empty()) fail("empty edit plan");
+  // Ops apply eagerly, so all-or-nothing means rolling back to a copy: any
+  // throw (a bad op or the commit) restores the pre-batch circuit.
+  Circuit snapshot = circuit;
+  try {
+    return apply_ops(circuit, plan);
+  } catch (...) {
+    circuit = std::move(snapshot);
+    throw;
+  }
 }
 
 }  // namespace sereep

@@ -138,10 +138,9 @@ struct EditPlan {
 [[nodiscard]] std::string to_string(const EditPlan& plan);
 
 /// Resolves names and applies `plan` to a finalized circuit as one
-/// EditBatch. Throws std::runtime_error on unknown names or invalid ops;
-/// ops BEFORE the failing one have been applied and the circuit reindexed
-/// (the batch destructor guarantees consistent frozen indexes even on the
-/// error path).
+/// EditBatch, all or nothing. Throws std::runtime_error on unknown names or
+/// invalid ops with the circuit restored to its pre-batch state (a copy
+/// taken up front), so a failed plan can be fixed and resent.
 EditResult apply_edit_plan(Circuit& circuit, const EditPlan& plan);
 
 }  // namespace sereep

@@ -6,10 +6,7 @@
 #include <sstream>
 
 #include "sereep/session.hpp"
-#include "src/epp/compiled_epp.hpp"
 #include "src/epp/epp_engine.hpp"
-#include "src/netlist/compiled.hpp"
-#include "src/util/csv.hpp"
 #include "src/netlist/stats.hpp"
 #include "src/ser/ser_estimator.hpp"
 #include "src/sim/fault_injection.hpp"
@@ -18,16 +15,6 @@
 #include "src/util/timer.hpp"
 
 namespace sereep {
-
-std::string generate_report(const Circuit& circuit,
-                            const ReportOptions& options) {
-  Options session_options;
-  if (options.sequential_sp && !circuit.dffs().empty()) {
-    session_options.sp.source = SpSource::kSequentialFixedPoint;
-  }
-  Session session(circuit, std::move(session_options));
-  return generate_report(session, options);
-}
 
 std::string generate_report(Session& session, const ReportOptions& options) {
   const Circuit& circuit = session.circuit();
@@ -151,53 +138,6 @@ std::string generate_report(Session& session, const ReportOptions& options) {
        << "% (paper reports 5.4% average).\n";
   }
   return md.str();
-}
-
-std::optional<SweepEngine> parse_sweep_engine(std::string_view name) {
-  if (name == "reference") return SweepEngine::kReference;
-  if (name == "compiled") return SweepEngine::kCompiled;
-  if (name == "batched") return SweepEngine::kBatched;
-  return std::nullopt;
-}
-
-std::string_view sweep_engine_name(SweepEngine engine) {
-  switch (engine) {
-    case SweepEngine::kReference:
-      return "reference";
-    case SweepEngine::kCompiled:
-      return "compiled";
-    case SweepEngine::kBatched:
-      return "batched";
-  }
-  return "batched";
-}
-
-std::vector<double> sweep_p_sensitized(const Circuit& circuit,
-                                       const CompiledCircuit& compiled,
-                                       const SignalProbabilities& sp,
-                                       SweepEngine engine, unsigned threads) {
-  // One dispatch, resolved through the registry — the same route the CLI's
-  // --engine flag and the Session take (bit-for-bit identical across keys).
-  EngineContext context;
-  context.circuit = &circuit;
-  context.compiled = &compiled;
-  context.sp = &sp;
-  const std::unique_ptr<IEppEngine> e =
-      EngineRegistry::instance().create(sweep_engine_name(engine), context);
-  const std::vector<NodeId> sites = error_sites(circuit);
-  const std::vector<double> per_site = e->sweep_p_sensitized(sites, threads);
-  std::vector<double> p(circuit.node_count(), 0.0);
-  for (std::size_t i = 0; i < sites.size(); ++i) p[sites[i]] = per_site[i];
-  return p;
-}
-
-std::string sweep_csv(const Circuit& circuit, unsigned threads,
-                      SweepEngine engine) {
-  Options options;
-  options.engine = std::string(sweep_engine_name(engine));
-  options.threads = threads;
-  Session session(circuit, std::move(options));
-  return session.sweep_csv();
 }
 
 }  // namespace sereep

@@ -7,18 +7,11 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
-#include <string_view>
-#include <vector>
-
-#include "src/netlist/circuit.hpp"
 
 namespace sereep {
 
-class CompiledCircuit;
 class Session;
-struct SignalProbabilities;
 
 /// Report configuration.
 struct ReportOptions {
@@ -27,60 +20,12 @@ struct ReportOptions {
   bool validate_with_simulation = false;  ///< add an EPP-vs-MC section
   std::size_t validation_sites = 40;
   std::size_t validation_vectors = 16384;
-  /// Use the sequential fixed-point SP instead of flat 0.5 FF probabilities.
-  bool sequential_sp = false;
 };
 
 /// Renders the markdown report from a Session — one compiled view, one SP
 /// pass, one sweep shared with everything else the session already built.
-/// ReportOptions::sequential_sp is honoured only through the Session's own
-/// Options (set sp.source = SpSource::kSequentialFixedPoint).
+/// The SP source is the Session's own (Options::sp.source).
 [[nodiscard]] std::string generate_report(Session& session,
                                           const ReportOptions& options = {});
-
-/// DEPRECATED shim (prefer the Session overload): builds a one-shot Session
-/// internally (mapping options.sequential_sp onto its SP source) and
-/// delegates. Note: the Session owns its circuit, so this shim deep-copies
-/// `circuit` — per-call O(nodes+edges) the Session overload never pays.
-[[nodiscard]] std::string generate_report(const Circuit& circuit,
-                                          const ReportOptions& options = {});
-
-/// DEPRECATED shim over the engine registry (sereep/engine.hpp): the
-/// registry's string keys are the real selector now; this enum survives for
-/// pre-registry callers. All built-in engines are bit-for-bit equal (the
-/// oracle hierarchy of tests/README.md), so the choice is observable only
-/// in timing.
-enum class SweepEngine { kReference, kCompiled, kBatched };
-
-/// Parses "reference" / "compiled" / "batched"; nullopt otherwise. The
-/// registry-backed vocabulary (any registered key) is
-/// EngineRegistry::instance().contains(); this shim covers the enum only.
-[[nodiscard]] std::optional<SweepEngine> parse_sweep_engine(
-    std::string_view name);
-
-/// The registry key of a SweepEngine value.
-[[nodiscard]] std::string_view sweep_engine_name(SweepEngine engine);
-
-/// All-nodes P_sensitized (indexed by NodeId, non-sites 0) through the
-/// selected engine, resolved via the engine registry. `compiled` must be a
-/// compilation of `circuit`; `threads` applies to engines with the threads
-/// capability only.
-[[nodiscard]] std::vector<double> sweep_p_sensitized(
-    const Circuit& circuit, const CompiledCircuit& compiled,
-    const SignalProbabilities& sp, SweepEngine engine, unsigned threads = 1);
-
-/// Machine-readable all-nodes P_sensitized sweep: CSV with one row per error
-/// site in error_sites() order, probabilities printed with round-trip
-/// precision (%.17g). DEPRECATED shim over Session::sweep_csv() — it
-/// deep-copies `circuit` into a one-shot Session per call. The CLI's
-/// `sweep --csv=...` and the golden-file regression tests (tests/cli/) share
-/// that one formatter, so any output or numeric drift in the sweep fails
-/// ctest instead of silently changing the Table-2 harness. `threads` only
-/// parallelizes (batched engine) and `engine` only re-routes — the text is
-/// identical for every combination (the golden tests assert all three
-/// engines).
-[[nodiscard]] std::string sweep_csv(const Circuit& circuit,
-                                    unsigned threads = 1,
-                                    SweepEngine engine = SweepEngine::kBatched);
 
 }  // namespace sereep

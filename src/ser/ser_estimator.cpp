@@ -1,9 +1,6 @@
 #include "src/ser/ser_estimator.hpp"
 
 #include <algorithm>
-#include <span>
-
-#include "src/sim/fault_injection.hpp"  // error_sites / subsample_sites
 
 namespace sereep {
 
@@ -13,33 +10,6 @@ std::vector<NodeSer> CircuitSer::ranked() const {
             [](const NodeSer& a, const NodeSer& b) { return a.ser > b.ser; });
   return sorted;
 }
-
-SerEstimator::SerEstimator(const Circuit& circuit,
-                           const SignalProbabilities& sp, SerOptions options)
-    : circuit_(circuit),
-      options_(std::move(options)),
-      compiled_(circuit),
-      sp_(sp),
-      planner_(compiled_),
-      engine_(compiled_, sp_, options_.epp) {}
-
-SerEstimator::SerEstimator(const Circuit& circuit, CompiledCircuit compiled,
-                           const SignalProbabilities& sp, SerOptions options)
-    : circuit_(circuit),
-      options_(std::move(options)),
-      compiled_(std::move(compiled)),
-      sp_(sp),
-      planner_(compiled_),
-      engine_(compiled_, sp_, options_.epp) {}
-
-SerEstimator::SerEstimator(const Circuit& circuit, SerOptions options)
-    : circuit_(circuit),
-      options_(std::move(options)),
-      compiled_(circuit),
-      owned_sp_(compiled_parker_mccluskey_sp(compiled_)),
-      sp_(owned_sp_),
-      planner_(compiled_),
-      engine_(compiled_, sp_, options_.epp) {}
 
 NodeSer node_ser_from_epp(const Circuit& circuit, const SiteEpp& epp,
                           const SeuRateModel& seu,
@@ -57,40 +27,6 @@ NodeSer node_ser_from_epp(const Circuit& circuit, const SiteEpp& epp,
       epp.p_sensitized > 0 ? latch_and_sens / epp.p_sensitized : 0.0;
   result.ser = result.r_seu * latch_and_sens;
   return result;
-}
-
-NodeSer SerEstimator::node_ser_from_epp(const SiteEpp& epp) {
-  return sereep::node_ser_from_epp(circuit_, epp, options_.seu,
-                                   options_.latching);
-}
-
-NodeSer SerEstimator::estimate_node(NodeId node) {
-  return node_ser_from_epp(engine_.compute(node));
-}
-
-CircuitSer SerEstimator::estimate() {
-  // Always the batched cone-sharing sweep — at threads == 1 it runs on the
-  // calling thread; per-node results are bit-identical to estimate_node()'s
-  // per-site path at every thread count. The sweep is folded in bounded
-  // slices so peak memory is O(slice) full SiteEpp records, not all sites
-  // at once; slices are far larger than any cluster-packing window, so cone
-  // sharing within a slice is unaffected, and the per-slice worker-engine
-  // rebuild (O(nodes)) is amortized over kFoldSlice swept cones.
-  constexpr std::size_t kFoldSlice = 8192;
-  const std::vector<NodeId> sites =
-      subsample_sites(error_sites(circuit_), options_.max_sites);
-  CircuitSer out;
-  out.nodes.reserve(sites.size());
-  for (std::size_t begin = 0; begin < sites.size(); begin += kFoldSlice) {
-    const std::size_t count = std::min(kFoldSlice, sites.size() - begin);
-    for (SiteEpp& epp : compute_sites_parallel(
-             compiled_, planner_, std::span(sites).subspan(begin, count), sp_,
-             options_.epp, options_.threads)) {
-      out.nodes.push_back(node_ser_from_epp(epp));
-      out.total_ser += out.nodes.back().ser;
-    }
-  }
-  return out;
 }
 
 HardeningPlan select_hardening(const CircuitSer& ser,

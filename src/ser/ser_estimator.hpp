@@ -6,17 +6,12 @@
 // components to be protected by soft error hardening techniques" (§4).
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
-#include "src/epp/compiled_epp.hpp"
 #include "src/epp/epp_engine.hpp"
 #include "src/netlist/circuit.hpp"
-#include "src/netlist/compiled.hpp"
-#include "src/netlist/cone_cluster.hpp"
 #include "src/ser/latching.hpp"
 #include "src/ser/seu_rate.hpp"
-#include "src/sigprob/signal_prob.hpp"
 
 namespace sereep {
 
@@ -44,85 +39,17 @@ struct CircuitSer {
   [[nodiscard]] std::vector<NodeSer> ranked() const;
 };
 
-/// Estimator configuration.
-struct SerOptions {
-  SeuRateModel seu;
-  LatchingModel latching;
-  EppOptions epp;
-  /// Evenly-spaced node subsample (0 = all nodes).
-  std::size_t max_sites = 0;
-  /// Worker threads for estimate() (1 = sequential, 0 = hardware
-  /// concurrency). Per-node results are identical at any thread count.
-  unsigned threads = 1;
-};
-
 /// Folds the SEU-rate and latching models into one site's EPP record — the
 /// one place the R(n) = R_SEU · P_latched · P_sens product is assembled.
 /// The latching term is weighted per sink (a DFF sink latches with the
 /// window probability, a PO with the observation probability):
 ///   P_latch&sens = 1 − Π_j (1 − P_latched(sink_j) · EPP_j).
-/// Shared by SerEstimator and sereep::Session::ser() (which folds the
-/// records of whichever engine its Options selected — every engine is
-/// bit-identical, so so is the fold).
+/// sereep::Session folds the records of whichever engine its Options
+/// selected — every engine is bit-identical, so so is the fold.
 [[nodiscard]] NodeSer node_ser_from_epp(const Circuit& circuit,
                                         const SiteEpp& epp,
                                         const SeuRateModel& seu,
                                         const LatchingModel& latching);
-
-/// SER estimator bound to a circuit and a signal-probability assignment.
-/// EPP runs on the compiled flat-CSR hot path (compiled_epp.hpp).
-///
-/// DEPRECATED as a public entry point: prefer sereep::Session (ser() /
-/// harden()), which shares the compiled view, SP pass and cluster plan with
-/// every other analysis of the session and routes through the configured
-/// engine. The class remains the internal implementation and the shim target
-/// for pre-Session callers.
-class SerEstimator {
- public:
-  /// Borrows a caller-held SP assignment (must outlive the estimator).
-  SerEstimator(const Circuit& circuit, const SignalProbabilities& sp,
-               SerOptions options = {});
-
-  /// DEPRECATED shim (prefer sereep::Session): adopts a CompiledCircuit the
-  /// caller already built (`compiled` must be a compilation of `circuit`) —
-  /// callers that ran the compiled SP pass must not pay a second O(V+E)
-  /// flatten.
-  SerEstimator(const Circuit& circuit, CompiledCircuit compiled,
-               const SignalProbabilities& sp, SerOptions options = {});
-
-  /// Owns its SP: compiles the circuit, then runs the compiled
-  /// Parker-McCluskey pass over the CSR view (the paper's SPT step) — the
-  /// route for callers without an existing SP assignment.
-  explicit SerEstimator(const Circuit& circuit, SerOptions options = {});
-
-  // engine_ references the sibling member compiled_, so a copied or moved
-  // instance would point into the source object.
-  SerEstimator(const SerEstimator&) = delete;
-  SerEstimator& operator=(const SerEstimator&) = delete;
-
-  /// Full-circuit estimation (parallel across sites when options.threads
-  /// != 1).
-  [[nodiscard]] CircuitSer estimate();
-
-  /// Per-node estimation.
-  [[nodiscard]] NodeSer estimate_node(NodeId node);
-
-  /// The SP assignment in use (owned or borrowed).
-  [[nodiscard]] const SignalProbabilities& sp() const noexcept { return sp_; }
-
- private:
-  /// Folds the latching model into one site's EPP record (shared by the
-  /// sequential and batched paths).
-  [[nodiscard]] NodeSer node_ser_from_epp(const SiteEpp& epp);
-
-  const Circuit& circuit_;
-  SerOptions options_;
-  CompiledCircuit compiled_;
-  SignalProbabilities owned_sp_;  ///< empty when sp_ is borrowed
-  const SignalProbabilities& sp_;
-  ConeClusterPlanner planner_;  ///< built once; estimate() sweeps reuse it
-  CompiledEppEngine engine_;
-};
 
 /// Result of a hardening selection.
 struct HardeningPlan {

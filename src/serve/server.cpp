@@ -211,11 +211,10 @@ std::string render(CachedSession& cached, const ServeRequest& req) {
     case ServeRequestKind::kEdit: {
       // The edit mutates the CACHED session in place (under its mutex), so
       // every later request against this netlist — from any connection —
-      // sees the edited circuit and splices its sweep from the incremental
-      // caches. A bad spec throws before any op applies; a mid-batch
-      // failure leaves the session consistent but fully invalidated
-      // (Session::apply_edit's contract), so the kError answer is safe to
-      // retry against.
+      // sees the edited circuit and splices its results from the session's
+      // table. Batches are all-or-nothing: a bad spec or a mid-batch failure
+      // throws with the session exactly as it was, so the kError answer is
+      // safe to retry against.
       const EditPlan plan = parse_edit_spec(req.edit);
       const EditResult result = session.apply_edit(plan);
       const Session::IncrementalStats& inc = session.incremental_stats();

@@ -1,6 +1,6 @@
 // sereep::Session — the facade's artifact-caching contract, option
-// validation/invalidation semantics, and value equivalence against the
-// pre-facade construction paths.
+// validation/invalidation semantics, value equivalence against direct engine
+// construction, and the result table's engine-call contract.
 //
 // The caching contract (see tests/README.md): every shared artifact
 // (CompiledCircuit, SignalProbabilities, ConeClusterPlanner, engine) is
@@ -16,6 +16,8 @@
 
 #include "sereep/sereep.hpp"
 #include "src/artifact/compiled_artifact.hpp"
+#include "src/epp/compiled_epp.hpp"
+#include "src/epp/epp_engine.hpp"
 #include "src/epp/multicycle.hpp"
 #include "src/netlist/benchmarks.hpp"
 #include "src/netlist/generator.hpp"
@@ -183,27 +185,31 @@ TEST(Session, SweepMatchesEverySelectedEngineExactly) {
   }
 }
 
-TEST(Session, SerMatchesSerEstimatorExactly) {
-  // Session::ser() folds engine sweep records through the same
-  // node_ser_from_epp as SerEstimator — totals and every per-node field are
-  // bit-identical to the pre-facade path.
-  const Circuit circuit = make_s27();
+TEST(Session, SerMatchesReferenceEngineFoldExactly) {
+  // Session::ser() is the result table, filled from the selected engine's
+  // records. Every row and the total must equal node_ser_from_epp over the
+  // reference engine's records, summed in site order.
+  const Circuit circuit = make_iscas89_like("s298");
   Session session{Circuit(circuit)};
   const CircuitSer& via_session = session.ser();
 
-  SerEstimator estimator(circuit, SerOptions{});
-  const CircuitSer direct = estimator.estimate();
-
-  EXPECT_EQ(via_session.total_ser, direct.total_ser);
-  ASSERT_EQ(via_session.nodes.size(), direct.nodes.size());
-  for (std::size_t i = 0; i < direct.nodes.size(); ++i) {
-    EXPECT_EQ(via_session.nodes[i].node, direct.nodes[i].node);
-    EXPECT_EQ(via_session.nodes[i].r_seu, direct.nodes[i].r_seu);
-    EXPECT_EQ(via_session.nodes[i].p_latched, direct.nodes[i].p_latched);
-    EXPECT_EQ(via_session.nodes[i].p_sensitized,
-              direct.nodes[i].p_sensitized);
-    EXPECT_EQ(via_session.nodes[i].ser, direct.nodes[i].ser);
+  const SignalProbabilities sp = parker_mccluskey_sp(circuit);
+  EppEngine reference(circuit, sp);
+  const std::vector<NodeId> sites = error_sites(circuit);
+  ASSERT_EQ(via_session.nodes.size(), sites.size());
+  double total = 0.0;
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    const NodeSer want = node_ser_from_epp(circuit, reference.compute(sites[i]),
+                                           SeuRateModel{}, LatchingModel{});
+    total += want.ser;
+    const NodeSer& got = via_session.nodes[i];
+    EXPECT_EQ(got.node, want.node);
+    EXPECT_EQ(got.r_seu, want.r_seu);
+    EXPECT_EQ(got.p_latched, want.p_latched);
+    EXPECT_EQ(got.p_sensitized, want.p_sensitized);
+    EXPECT_EQ(got.ser, want.ser);
   }
+  EXPECT_EQ(via_session.total_ser, total);
 }
 
 TEST(Session, HardenMatchesSelectHardening) {
@@ -217,7 +223,9 @@ TEST(Session, HardenMatchesSelectHardening) {
 TEST(Session, MulticycleMatchesDirectEngineExactly) {
   const Circuit circuit = make_s27();
   Session session{Circuit(circuit)};
-  MultiCycleEppEngine direct(circuit);  // owning shim ctor
+  const CompiledCircuit compiled(circuit);
+  const SignalProbabilities sp = compiled_parker_mccluskey_sp(compiled);
+  MultiCycleEppEngine direct(circuit, compiled, sp);
   for (NodeId site : error_sites(circuit)) {
     const MultiCycleEpp a = session.multicycle(site, 6);
     const MultiCycleEpp b = direct.compute(site, 6);
@@ -258,14 +266,6 @@ TEST(Session, OpenResolvesEmbeddedNames) {
   EXPECT_EQ(session.circuit().name(), "c17");
   EXPECT_TRUE(session.find("22").has_value());
   EXPECT_FALSE(session.find("no-such-node").has_value());
-}
-
-TEST(Session, SubsampledSerRespectsMaxSites) {
-  Options options;
-  options.ser.max_sites = 5;
-  Session session(make_iscas89_like("s298"), std::move(options));
-  EXPECT_EQ(session.ser().nodes.size(), 5u);
-  EXPECT_GT(session.sites().size(), 5u);  // the sweep surface is unaffected
 }
 
 // ---- the incremental what-if loop (apply_edit) ----------------------------
@@ -327,22 +327,28 @@ TEST(Session, ArtifactSessionGoesInMemoryOnFirstEdit) {
 }
 
 TEST(Session, FailedEditPlanKeepsSessionConsistent) {
-  // apply_edit_plan applies eagerly: ops before the failing one stick. The
-  // session must drop every cached artifact wholesale and keep serving
-  // results equal to a from-scratch session over the partially-edited
-  // circuit.
+  // Edit batches are all-or-nothing: the retype applies eagerly, the unknown
+  // node then throws, and the session must be left exactly as it was — the
+  // pristine circuit, its results, and an edit counter that never moved.
   Session session(make_c17());
-  (void)session.sweep();
+  const std::string sweep = session.sweep_csv();
+  const std::string ser = session.ser_csv();
   EXPECT_THROW(session.apply_edit(
                    parse_edit_spec("retype 10 AND; tmr no_such_node")),
                std::runtime_error);
-  // The retype stuck; the unknown-node op did not.
-  EXPECT_EQ(session.circuit().type(*session.find("10")), GateType::kAnd);
+  EXPECT_EQ(session.circuit().type(*session.find("10")), GateType::kNand);
+  EXPECT_EQ(session.circuit().node_count(), make_c17().node_count());
+  EXPECT_EQ(session.incremental_stats().edits, 0u);
+  EXPECT_EQ(session.sweep_csv(), sweep);
+  EXPECT_EQ(session.ser_csv(), ser);
 
+  // The same plan minus its bad op then applies cleanly on top.
+  session.apply_edit(parse_edit_spec("retype 10 AND"));
   Circuit c = make_c17();
   (void)apply_edit_plan(c, parse_edit_spec("retype 10 AND"));
   Session oracle(std::move(c));
-  EXPECT_EQ(session.sweep_p_sensitized(), oracle.sweep_p_sensitized());
+  EXPECT_EQ(session.sweep_csv(), oracle.sweep_csv());
+  EXPECT_EQ(session.ser_csv(), oracle.ser_csv());
 }
 
 TEST(Session, EditInvalidatesPerSiteAndMulticycleQueries) {
@@ -363,6 +369,117 @@ TEST(Session, EditInvalidatesPerSiteAndMulticycleQueries) {
   EXPECT_EQ(mc_after.residual_state, mc_oracle.residual_state);
   (void)before;
   (void)mc_before;
+}
+
+// ---- the result table: reads render, sweep() drives the engine -------------
+
+/// Engine calls seen by the "test-counting" engine (one process-wide
+/// registration, so the count lives outside any one instance).
+std::size_t g_counting_sweeps = 0;
+
+/// The compiled engine behind a counter on both sweep entry points.
+class CountingEngine final : public IEppEngine {
+ public:
+  explicit CountingEngine(const EngineContext& ctx)
+      : inner_(*ctx.compiled, *ctx.sp, ctx.epp) {}
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "test-counting";
+  }
+  [[nodiscard]] EngineCaps caps() const noexcept override { return {}; }
+  [[nodiscard]] SiteEpp compute(NodeId site) override {
+    return inner_.compute(site);
+  }
+  [[nodiscard]] double p_sensitized(NodeId site) override {
+    return inner_.p_sensitized(site);
+  }
+  [[nodiscard]] std::vector<SiteEpp> sweep(std::span<const NodeId> sites,
+                                           unsigned) override {
+    ++g_counting_sweeps;
+    std::vector<SiteEpp> out;
+    for (NodeId s : sites) out.push_back(inner_.compute(s));
+    return out;
+  }
+  [[nodiscard]] std::vector<double> sweep_p_sensitized(
+      std::span<const NodeId> sites, unsigned) override {
+    ++g_counting_sweeps;
+    std::vector<double> out;
+    for (NodeId s : sites) out.push_back(inner_.p_sensitized(s));
+    return out;
+  }
+
+ private:
+  CompiledEppEngine inner_;
+};
+
+Session counting_session(Circuit circuit) {
+  (void)EngineRegistry::instance().add(
+      "test-counting", {}, [](const EngineContext& ctx) {
+        return std::unique_ptr<IEppEngine>(new CountingEngine(ctx));
+      });
+  Options options;
+  options.engine = "test-counting";
+  return Session(std::move(circuit), std::move(options));
+}
+
+TEST(Session, QuietReadsRenderFromTheTableWithoutEngineCalls) {
+  Session session = counting_session(make_s27());
+  g_counting_sweeps = 0;
+  const std::string sweep = session.sweep_csv();  // psens-only sweep
+  const std::string ser = session.ser_csv();      // full-record fill
+  const std::string harden = session.harden_text(0.5);
+  EXPECT_EQ(g_counting_sweeps, 2u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(session.sweep_csv(), sweep);
+    EXPECT_EQ(session.ser_csv(), ser);
+    EXPECT_EQ(session.harden_text(0.5), harden);
+    (void)session.sweep_p_sensitized();
+  }
+  EXPECT_EQ(g_counting_sweeps, 2u);
+  // Records always come from the engine, so per-sweep diagnostics stay
+  // honest on a quiet session.
+  (void)session.sweep();
+  (void)session.sweep();
+  EXPECT_EQ(g_counting_sweeps, 4u);
+  EXPECT_EQ(session.build_counts().ser, 1u);
+}
+
+TEST(Session, SweepThenSerIsOneEngineSweep) {
+  // sweep() folds its records into the table, so ser() — and every read
+  // after it — makes no second sweep (the quickstart and the warm what-if
+  // loop rely on this).
+  Session session = counting_session(make_s27());
+  g_counting_sweeps = 0;
+  (void)session.sweep();
+  (void)session.ser();
+  (void)session.sweep_csv();
+  EXPECT_EQ(g_counting_sweeps, 1u);
+  EXPECT_EQ(session.ser_csv(), Session(make_s27()).ser_csv());
+}
+
+TEST(Session, EditResweepsAffectedSitesOnce) {
+  // Rows with SER terms splice from ONE full-record re-sweep of the
+  // affected sites; psens-only rows from one psens re-sweep. Either way the
+  // reads after it render from the table.
+  for (const bool warm_ser : {true, false}) {
+    Session session = counting_session(make_s27());
+    if (warm_ser) {
+      (void)session.ser();
+    } else {
+      (void)session.sweep_p_sensitized();
+    }
+    session.apply_edit(parse_edit_spec("retype G11 NAND"));
+    g_counting_sweeps = 0;
+    (void)session.sweep_csv();
+    if (warm_ser) (void)session.ser_csv();
+    EXPECT_EQ(g_counting_sweeps, 1u) << "warm_ser=" << warm_ser;
+    EXPECT_EQ(session.incremental_stats().spliced_sweeps, 1u);
+
+    Circuit c = make_s27();
+    (void)apply_edit_plan(c, parse_edit_spec("retype G11 NAND"));
+    Session oracle(std::move(c));
+    EXPECT_EQ(session.sweep_csv(), oracle.sweep_csv());
+    EXPECT_EQ(session.ser_csv(), oracle.ser_csv());
+  }
 }
 
 }  // namespace

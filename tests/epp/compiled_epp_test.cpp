@@ -13,7 +13,6 @@
 #include "src/netlist/benchmarks.hpp"
 #include "src/netlist/compiled.hpp"
 #include "src/netlist/generator.hpp"
-#include "src/ser/ser_estimator.hpp"
 #include "src/sim/fault_injection.hpp"
 #include "tests/epp/site_epp_testutil.hpp"
 
@@ -132,27 +131,6 @@ TEST(CompiledEppEngine, SpReuseOverloadMatchesConvenienceWrapper) {
   ASSERT_EQ(wrapper.size(), reused.size());
   for (NodeId id = 0; id < c.node_count(); ++id) {
     EXPECT_EQ(wrapper[id], reused[id]);
-  }
-}
-
-TEST(CompiledEppEngine, SerEstimatorParallelMatchesSequential) {
-  const Circuit c = make_iscas89_like("s953");
-  const SignalProbabilities sp = parker_mccluskey_sp(c);
-  SerOptions sequential_opt;
-  SerEstimator sequential(c, sp, sequential_opt);
-  SerOptions parallel_opt;
-  parallel_opt.threads = 3;
-  SerEstimator parallel(c, sp, parallel_opt);
-
-  const CircuitSer a = sequential.estimate();
-  const CircuitSer b = parallel.estimate();
-  EXPECT_EQ(b.total_ser, a.total_ser);
-  ASSERT_EQ(b.nodes.size(), a.nodes.size());
-  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
-    EXPECT_EQ(b.nodes[i].node, a.nodes[i].node);
-    EXPECT_EQ(b.nodes[i].ser, a.nodes[i].ser);
-    EXPECT_EQ(b.nodes[i].p_sensitized, a.nodes[i].p_sensitized);
-    EXPECT_EQ(b.nodes[i].p_latched, a.nodes[i].p_latched);
   }
 }
 

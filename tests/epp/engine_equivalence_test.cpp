@@ -52,16 +52,23 @@ struct SimdGuard {
 
 /// One fuzz point: a structural profile plus the generator seed. Everything
 /// downstream is a pure function of this struct.
+///
+/// gtest lists a param it cannot print as the raw bytes of the object, and
+/// ctest registers that listing as the test name. So the struct holds no
+/// pointer (an ASLR-randomised string address would rename the tests on
+/// every build) and no padding (uninitialised bytes): the tag is inline.
 struct FuzzProfile {
-  const char* tag;
-  std::size_t inputs;
-  std::size_t outputs;
-  std::size_t dffs;
-  std::size_t gates;
+  char tag[28];  ///< NUL-terminated
+  std::uint32_t inputs;
+  std::uint32_t outputs;
+  std::uint32_t dffs;
+  std::uint32_t gates;
   std::uint32_t depth;
   double reuse_bias;  ///< fanout-stem density (see GeneratorProfile)
   std::uint64_t seed;
 };
+static_assert(sizeof(FuzzProfile) == 28 + 5 * 4 + 8 + 8,
+              "FuzzProfile must have no padding bytes");
 
 // Spans the axes the engines are sensitive to: pure combinational vs
 // FF-heavy (DFF boundary + self-feedback paths), sparse vs dense fanout
@@ -103,6 +110,10 @@ TEST_P(EngineEquivalence, ComputeBitIdenticalAcrossHierarchy) {
     const SiteEpp ref = reference.compute(site);
     testutil::expect_site_epp_equal(c, ref, compiled.compute(site));
     testutil::expect_site_epp_equal(c, ref, batched.compute(site));
+    // A full record's P_sensitized IS the psens-only path's: Session serves
+    // psens reads from rows folded out of full records.
+    EXPECT_EQ(ref.p_sensitized, reference.p_sensitized(site))
+        << c.node(site).name;
     EXPECT_EQ(batched.p_sensitized(site), reference.p_sensitized(site))
         << c.node(site).name;
   }
@@ -367,38 +378,82 @@ EditPlan random_edit_plan(const Circuit& c, Rng& rng, int round) {
   return plan;
 }
 
+/// Every field of every SER row, plus the total, EXPECT_EQ.
+void expect_ser_equal(const CircuitSer& want, const CircuitSer& got,
+                      const std::string& where) {
+  EXPECT_EQ(got.total_ser, want.total_ser) << where;
+  ASSERT_EQ(got.nodes.size(), want.nodes.size()) << where;
+  for (std::size_t i = 0; i < want.nodes.size(); ++i) {
+    EXPECT_EQ(got.nodes[i].node, want.nodes[i].node) << where << " row " << i;
+    EXPECT_EQ(got.nodes[i].r_seu, want.nodes[i].r_seu) << where << " row " << i;
+    EXPECT_EQ(got.nodes[i].p_latched, want.nodes[i].p_latched)
+        << where << " row " << i;
+    EXPECT_EQ(got.nodes[i].p_sensitized, want.nodes[i].p_sensitized)
+        << where << " row " << i;
+    EXPECT_EQ(got.nodes[i].ser, want.nodes[i].ser) << where << " row " << i;
+  }
+}
+
 TEST_P(EngineEquivalence, IncrementalEditSessionsBitIdenticalToRebuild) {
   // The incremental what-if tier joins the hierarchy here: warmed Sessions
   // absorb seeded random edit batches through apply_edit() — compiled CSR
-  // patches, incremental SP repair, dirty-cone sweep splicing — and every
-  // Prob4 component must stay EXPECT_EQ to a Session rebuilt from scratch
-  // over the edited node table, across thread counts and both SIMD
+  // patches, incremental SP repair, dirty-cone splices into the result
+  // table — and every read must stay EXPECT_EQ to a Session rebuilt from
+  // scratch over the edited node table, across thread counts and both SIMD
   // configurations. A splice that misses one affected site fails here.
   const FuzzProfile& profile = GetParam();
   Rng rng(profile.seed ^ 0xed17ULL);
   SimdGuard guard;
 
   // Thread count and SIMD mode are fixed per session (reconfiguration
-  // legitimately drops the incremental caches), so the matrix runs as
-  // three warmed sessions receiving the same edits.
+  // legitimately drops the result table), so the matrix runs as three
+  // warmed sessions receiving the same edits. The 2-thread lane is warmed
+  // by sweep_p_sensitized() alone, so its first splice re-sweeps psens only;
+  // the others start from full-record rows.
   struct Lane {
     unsigned threads;
     bool simd;
+    bool warm_psens_only;
     std::unique_ptr<Session> session;
   };
-  Lane lanes[] = {{1, false, nullptr}, {2, true, nullptr}, {8, false, nullptr}};
+  Lane lanes[] = {{1, false, false, nullptr},
+                  {2, true, true, nullptr},
+                  {8, false, false, nullptr}};
   for (Lane& lane : lanes) {
     Options opt;
     opt.threads = lane.threads;
     opt.simd = lane.simd;
     lane.session =
         std::make_unique<Session>(make_fuzz_circuit(profile), std::move(opt));
-    (void)lane.session->sweep();  // warm the spliceable cache
+    if (lane.warm_psens_only) {
+      (void)lane.session->sweep_p_sensitized();
+    } else {
+      (void)lane.session->sweep();
+    }
   }
 
   for (int round = 0; round < 3; ++round) {
     const EditPlan plan =
         random_edit_plan(lanes[0].session->circuit(), rng, round);
+
+    // The same batch with a failing op at its end must leave no trace: the
+    // circuit rolls back and every read stays bit-identical.
+    EditOp bad;
+    bad.kind = EditOp::Kind::kTmr;
+    bad.node = "no_such_node";
+    EditPlan failing = plan;
+    failing.ops.push_back(std::move(bad));
+    for (Lane& lane : lanes) {
+      const CircuitFingerprint before_circuit =
+          circuit_fingerprint(lane.session->circuit());
+      const std::vector<double> before = lane.session->sweep_p_sensitized();
+      EXPECT_THROW(lane.session->apply_edit(failing), std::runtime_error);
+      EXPECT_EQ(circuit_fingerprint(lane.session->circuit()), before_circuit)
+          << profile.tag << " round " << round;
+      EXPECT_EQ(lane.session->sweep_p_sensitized(), before)
+          << profile.tag << " round " << round;
+    }
+
     for (Lane& lane : lanes) lane.session->apply_edit(plan);
 
     // From-scratch oracle over the edited node table (the restore() path
@@ -411,24 +466,27 @@ TEST_P(EngineEquivalence, IncrementalEditSessionsBitIdenticalToRebuild) {
                                   edited.outputs()));
     const std::vector<SiteEpp> want = full.sweep();
     const std::vector<double> want_psens = full.sweep_p_sensitized();
+    const CircuitSer& want_ser = full.ser();
 
     for (Lane& lane : lanes) {
+      const std::string where = std::string(profile.tag) + " round " +
+                                std::to_string(round) + " threads=" +
+                                std::to_string(lane.threads);
+      // Table reads first — they are what the splice produced — then the
+      // engine-driven records.
+      EXPECT_EQ(lane.session->sweep_p_sensitized(), want_psens) << where;
+      expect_ser_equal(want_ser, lane.session->ser(), where);
       const std::vector<SiteEpp> got = lane.session->sweep();
-      ASSERT_EQ(got.size(), want.size())
-          << profile.tag << " round " << round;
+      ASSERT_EQ(got.size(), want.size()) << where;
       for (std::size_t i = 0; i < want.size(); ++i) {
         testutil::expect_site_epp_equal(edited, want[i], got[i]);
       }
-      EXPECT_EQ(lane.session->sweep_p_sensitized(), want_psens)
-          << profile.tag << " round " << round << " threads="
-          << lane.threads;
-      EXPECT_EQ(lane.session->ser().total_ser, full.ser().total_ser)
-          << profile.tag << " round " << round;
+      // The splice must actually be incremental, not a silent full rebuild:
+      // after a warmed read, every edit routes through the spliced path.
+      EXPECT_EQ(lane.session->incremental_stats().spliced_sweeps,
+                static_cast<std::size_t>(round + 1))
+          << where;
     }
-    // The splice must actually be incremental, not a silent full rebuild:
-    // after a warmed sweep, edits route through the spliced path.
-    EXPECT_EQ(lanes[0].session->incremental_stats().spliced_sweeps,
-              static_cast<std::size_t>(round + 1));
   }
 }
 

@@ -35,7 +35,8 @@ struct PipelineFixture {
 TEST(MultiCycleEpp, PipelineLatencyIsVisible) {
   PipelineFixture f;
   const SignalProbabilities sp = parker_mccluskey_sp(f.c);
-  MultiCycleEppEngine engine(f.c, sp, {});
+  const CompiledCircuit compiled(f.c);
+  MultiCycleEppEngine engine(f.c, compiled, sp, {});
 
   const MultiCycleEpp r = engine.compute(f.g, 5);
   ASSERT_GE(r.detect_by_cycle.size(), 3u);
@@ -51,7 +52,8 @@ TEST(MultiCycleEpp, CycleOneMatchesSingleCycleEppForPoOnlyCircuit) {
   const Circuit c = make_c17();
   const SignalProbabilities sp = parker_mccluskey_sp(c);
   EppEngine single(c, sp);
-  MultiCycleEppEngine multi(c, sp, {});
+  const CompiledCircuit compiled(c);
+  MultiCycleEppEngine multi(c, compiled, sp, {});
   for (NodeId site : error_sites(c)) {
     const MultiCycleEpp r = multi.compute(site, 1);
     EXPECT_NEAR(r.detect_by_cycle[0], single.p_sensitized(site), 1e-12)
@@ -62,7 +64,8 @@ TEST(MultiCycleEpp, CycleOneMatchesSingleCycleEppForPoOnlyCircuit) {
 TEST(MultiCycleEpp, DetectionIsMonotoneInCycles) {
   const Circuit c = make_s27();
   const SignalProbabilities sp = parker_mccluskey_sp(c);
-  MultiCycleEppEngine engine(c, sp, {});
+  const CompiledCircuit compiled(c);
+  MultiCycleEppEngine engine(c, compiled, sp, {});
   for (NodeId site : error_sites(c)) {
     const MultiCycleEpp r = engine.compute(site, 12);
     for (std::size_t t = 1; t < r.detect_by_cycle.size(); ++t) {
@@ -75,7 +78,8 @@ TEST(MultiCycleEpp, DetectionIsMonotoneInCycles) {
 TEST(MultiCycleEpp, ResidualDecaysOnS27) {
   const Circuit c = make_s27();
   const SignalProbabilities sp = parker_mccluskey_sp(c);
-  MultiCycleEppEngine engine(c, sp, {});
+  const CompiledCircuit compiled(c);
+  MultiCycleEppEngine engine(c, compiled, sp, {});
   const MultiCycleEpp r = engine.compute(c.dffs()[0], 64);
   ASSERT_GE(r.residual_state.size(), 2u);
   // After many cycles the state error must have decayed substantially.
@@ -85,7 +89,8 @@ TEST(MultiCycleEpp, ResidualDecaysOnS27) {
 TEST(MultiCycleEpp, MatchesSequentialFaultInjectionOnPipeline) {
   PipelineFixture f;
   const SignalProbabilities sp = parker_mccluskey_sp(f.c);
-  MultiCycleEppEngine engine(f.c, sp, {});
+  const CompiledCircuit compiled(f.c);
+  MultiCycleEppEngine engine(f.c, compiled, sp, {});
   FaultInjector fi(f.c);
   McOptions opt;
   opt.num_vectors = 1 << 14;
@@ -101,7 +106,8 @@ TEST(MultiCycleEpp, MatchesSequentialFaultInjectionOnPipeline) {
 TEST(MultiCycleEpp, CloseToSequentialFaultInjectionOnS27) {
   const Circuit c = make_s27();
   const SignalProbabilities sp = parker_mccluskey_sp(c);
-  MultiCycleEppEngine engine(c, sp, {});
+  const CompiledCircuit compiled(c);
+  MultiCycleEppEngine engine(c, compiled, sp, {});
   FaultInjector fi(c);
   McOptions opt;
   opt.num_vectors = 1 << 14;
@@ -121,7 +127,8 @@ TEST(MultiCycleEpp, CloseToSequentialFaultInjectionOnS27) {
 TEST(MultiCycleEpp, DetectEventuallyBoundsDetectWithin) {
   const Circuit c = make_iscas89_like("s298");
   const SignalProbabilities sp = parker_mccluskey_sp(c);
-  MultiCycleEppEngine engine(c, sp, {});
+  const CompiledCircuit compiled(c);
+  MultiCycleEppEngine engine(c, compiled, sp, {});
   for (NodeId site : subsample_sites(error_sites(c), 20)) {
     const double ever = engine.detect_eventually(site, 1e-9, 500);
     const double at8 = engine.compute(site, 8).detect_within(8);
@@ -133,7 +140,8 @@ TEST(MultiCycleEpp, DetectEventuallyBoundsDetectWithin) {
 TEST(MultiCycleEpp, ZeroCyclesIsZero) {
   const Circuit c = make_s27();
   const SignalProbabilities sp = parker_mccluskey_sp(c);
-  MultiCycleEppEngine engine(c, sp, {});
+  const CompiledCircuit compiled(c);
+  MultiCycleEppEngine engine(c, compiled, sp, {});
   EXPECT_DOUBLE_EQ(engine.compute(0, 0).detect_within(0), 0.0);
 }
 
@@ -210,8 +218,9 @@ TEST(MultiCycleEpp, FfMatrixBatchedRouteMatchesSequentialOnS27) {
   const Circuit c = make_s27();
   const SignalProbabilities sp = parker_mccluskey_sp(c);
   const auto expected = sequential_ff_rows(c, sp);
+  const CompiledCircuit compiled(c);
   for (unsigned threads : {1u, 2u, 8u}) {
-    MultiCycleEppEngine engine(c, sp, {}, threads);
+    MultiCycleEppEngine engine(c, compiled, sp, {}, threads);
     expect_ff_rows_equal(expected, engine.ff_rows());
   }
 }
@@ -227,19 +236,20 @@ TEST(MultiCycleEpp, FfMatrixBatchedRouteMatchesSequentialOnGeneratedProfile) {
   const Circuit c = generate_circuit(p, 4242);
   const SignalProbabilities sp = parker_mccluskey_sp(c);
   const auto expected = sequential_ff_rows(c, sp);
-  MultiCycleEppEngine engine(c, sp, {}, 4);
+  const CompiledCircuit compiled(c);
+  MultiCycleEppEngine engine(c, compiled, sp, {}, 4);
   expect_ff_rows_equal(expected, engine.ff_rows());
 }
 
 TEST(MultiCycleEpp, FfMatrixZeroFfCircuitIsEmptyAndEngineStillWorks) {
   const Circuit c = make_c17();  // purely combinational
   const SignalProbabilities sp = parker_mccluskey_sp(c);
-  MultiCycleEppEngine engine(c, sp, {}, 2);
+  const CompiledCircuit compiled(c);
+  MultiCycleEppEngine engine(c, compiled, sp, {}, 2);
   EXPECT_TRUE(engine.ff_rows().empty());
   // With no state, detection is decided entirely in cycle 1 and nothing
   // lingers.
-  const CompiledCircuit cc(c);
-  CompiledEppEngine single(cc, sp);
+  CompiledEppEngine single(compiled, sp);
   for (NodeId site : error_sites(c)) {
     const MultiCycleEpp r = engine.compute(site, 4);
     ASSERT_GE(r.detect_by_cycle.size(), 1u);
@@ -269,8 +279,9 @@ TEST(MultiCycleEpp, FfMatrixSingleFfWithFeedback) {
   ASSERT_EQ(expected[0].to_ff.size(), 1u);  // the self-feedback entry
   EXPECT_GT(expected[0].to_ff[0].second, 0.0);
   EXPECT_GT(expected[0].to_po, 0.0);
+  const CompiledCircuit compiled(c);
   for (unsigned threads : {1u, 3u}) {
-    MultiCycleEppEngine engine(c, sp, {}, threads);
+    MultiCycleEppEngine engine(c, compiled, sp, {}, threads);
     expect_ff_rows_equal(expected, engine.ff_rows());
   }
 }

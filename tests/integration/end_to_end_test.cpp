@@ -1,15 +1,12 @@
 // Integration: the full flow (parse -> SP -> EPP -> SER -> hardening) on
-// real and generated circuits, plus cross-engine consistency checks. The
-// full-flow tests run through the public sereep::Session facade; the
-// deprecated pre-facade construction shims keep one test of their own so
-// they cannot rot silently.
+// real and generated circuits through the public sereep::Session facade,
+// plus cross-engine consistency checks.
 #include <gtest/gtest.h>
 
 #include "sereep/sereep.hpp"
 #include "src/netlist/bench_io.hpp"
 #include "src/netlist/benchmarks.hpp"
 #include "src/netlist/generator.hpp"
-#include "src/ser/ser_estimator.hpp"
 #include "src/sim/fault_injection.hpp"
 
 namespace sereep {
@@ -22,20 +19,6 @@ TEST(EndToEnd, FullFlowOnS27) {
   const HardeningPlan plan = session.harden(0.5);
   EXPECT_FALSE(plan.protect.empty());
   EXPECT_GE(plan.reduction(), 0.5);
-}
-
-TEST(EndToEnd, DeprecatedShimCtorsMatchTheFacade) {
-  // The pre-Session construction paths stay supported; their results must
-  // remain bit-identical to the facade's.
-  const Circuit c = make_s27();
-  Session session{Circuit(c)};
-  const SignalProbabilities sp = parker_mccluskey_sp(c);
-  SerEstimator borrowed_sp(c, sp, {});
-  SerEstimator owning(c, SerOptions{});
-  const CircuitSer via_borrowed = borrowed_sp.estimate();
-  const CircuitSer via_owning = owning.estimate();
-  EXPECT_EQ(via_borrowed.total_ser, session.ser().total_ser);
-  EXPECT_EQ(via_owning.total_ser, session.ser().total_ser);
 }
 
 TEST(EndToEnd, BenchFileRoundTripPreservesEpp) {
@@ -86,11 +69,9 @@ TEST(EndToEnd, EppOrderIndependentOfSiteIterationOrder) {
 TEST(EndToEnd, HardeningActuallyLowersMeasuredSer) {
   // Protect the plan's nodes (model: their contribution disappears) and
   // verify the re-estimated total drops accordingly.
-  const Circuit c = make_iscas89_like("s208");
-  const SignalProbabilities sp = parker_mccluskey_sp(c);
-  SerEstimator est(c, sp, {});
-  const CircuitSer before = est.estimate();
-  const HardeningPlan plan = select_hardening(before, 0.3);
+  Session session(make_iscas89_like("s208"));
+  const CircuitSer& before = session.ser();
+  const HardeningPlan plan = session.harden(0.3);
 
   double protected_sum = 0;
   for (NodeId n : plan.protect) {
@@ -105,12 +86,8 @@ TEST(EndToEnd, HardeningActuallyLowersMeasuredSer) {
 class KnownCircuitFlow : public testing::TestWithParam<const char*> {};
 
 TEST_P(KnownCircuitFlow, SerPipelineRuns) {
-  const Circuit c = make_circuit(GetParam());
-  const SignalProbabilities sp = parker_mccluskey_sp(c);
-  SerOptions opt;
-  opt.max_sites = 64;
-  SerEstimator est(c, sp, opt);
-  const CircuitSer ser = est.estimate();
+  Session session(make_circuit(GetParam()));
+  const CircuitSer& ser = session.ser();
   EXPECT_GT(ser.total_ser, 0.0) << GetParam();
   for (const NodeSer& n : ser.nodes) {
     EXPECT_GE(n.p_sensitized, -1e-12);

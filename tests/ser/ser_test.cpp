@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sereep/sereep.hpp"
 #include "src/netlist/benchmarks.hpp"
 #include "src/netlist/generator.hpp"
 #include "src/ser/latching.hpp"
@@ -83,22 +84,28 @@ TEST(LatchingModel, PoObservedEveryCycleByDefault) {
   EXPECT_DOUBLE_EQ(model.probability(c, *c.find("22")), 1.0);
 }
 
+// ---- SER estimation (R = R_SEU · P_latched · P_sens) via Session::ser() ----
+
+/// The SER row Session::ser() holds for `node`.
+NodeSer ser_row(Session& session, NodeId node) {
+  for (const NodeSer& row : session.ser().nodes) {
+    if (row.node == node) return row;
+  }
+  ADD_FAILURE() << "no SER row for node " << node;
+  return {};
+}
+
 TEST(SerEstimator, ProductStructureHolds) {
-  const Circuit c = make_c17();
-  const SignalProbabilities sp = parker_mccluskey_sp(c);
-  SerOptions opt;
-  SerEstimator est(c, sp, opt);
-  const NodeSer n = est.estimate_node(*c.find("11"));
+  Session session(make_c17());
+  const NodeSer n = ser_row(session, *session.find("11"));
   EXPECT_GT(n.r_seu, 0.0);
   EXPECT_GT(n.p_sensitized, 0.0);
   EXPECT_NEAR(n.ser, n.r_seu * n.p_latched * n.p_sensitized, n.ser * 1e-9);
 }
 
 TEST(SerEstimator, TotalIsSumOfNodes) {
-  const Circuit c = make_s27();
-  const SignalProbabilities sp = parker_mccluskey_sp(c);
-  SerEstimator est(c, sp, {});
-  const CircuitSer ser = est.estimate();
+  Session session(make_s27());
+  const CircuitSer& ser = session.ser();
   double sum = 0;
   for (const NodeSer& n : ser.nodes) sum += n.ser;
   EXPECT_NEAR(ser.total_ser, sum, sum * 1e-12);
@@ -114,16 +121,13 @@ TEST(SerEstimator, UnobservableNodeContributesZero) {
   const NodeId out = c.add_gate(GateType::kOr, "out", {g, c.add_input("b")});
   c.mark_output(out);
   c.finalize();
-  const SignalProbabilities sp = parker_mccluskey_sp(c);
-  SerEstimator est(c, sp, {});
-  EXPECT_DOUBLE_EQ(est.estimate_node(a).ser, 0.0);
+  Session session(std::move(c));
+  EXPECT_DOUBLE_EQ(ser_row(session, a).ser, 0.0);
 }
 
 TEST(SerEstimator, RankedIsDescending) {
-  const Circuit c = make_iscas89_like("s298");
-  const SignalProbabilities sp = parker_mccluskey_sp(c);
-  SerEstimator est(c, sp, {});
-  const auto ranked = est.estimate().ranked();
+  Session session(make_iscas89_like("s298"));
+  const auto ranked = session.ser().ranked();
   for (std::size_t i = 1; i < ranked.size(); ++i) {
     EXPECT_GE(ranked[i - 1].ser, ranked[i].ser);
   }
@@ -135,20 +139,9 @@ TEST(SerEstimator, FitConversion) {
   EXPECT_NEAR(n.fit(), 1e9, 1.0);
 }
 
-TEST(SerEstimator, SubsamplingBoundsNodeCount) {
-  const Circuit c = make_iscas89_like("s386");
-  const SignalProbabilities sp = parker_mccluskey_sp(c);
-  SerOptions opt;
-  opt.max_sites = 25;
-  SerEstimator est(c, sp, opt);
-  EXPECT_EQ(est.estimate().nodes.size(), 25u);
-}
-
 TEST(Hardening, ReachesRequestedReduction) {
-  const Circuit c = make_iscas89_like("s298");
-  const SignalProbabilities sp = parker_mccluskey_sp(c);
-  SerEstimator est(c, sp, {});
-  const CircuitSer ser = est.estimate();
+  Session session(make_iscas89_like("s298"));
+  const CircuitSer& ser = session.ser();
   const HardeningPlan plan = select_hardening(ser, 0.5);
   EXPECT_GE(plan.reduction(), 0.5);
   EXPECT_LT(plan.protect.size(), ser.nodes.size())
@@ -157,29 +150,23 @@ TEST(Hardening, ReachesRequestedReduction) {
 }
 
 TEST(Hardening, GreedyPicksHighestContributorsFirst) {
-  const Circuit c = make_s27();
-  const SignalProbabilities sp = parker_mccluskey_sp(c);
-  SerEstimator est(c, sp, {});
-  const CircuitSer ser = est.estimate();
+  Session session(make_s27());
+  const CircuitSer& ser = session.ser();
   const HardeningPlan plan = select_hardening(ser, 0.10);
   ASSERT_FALSE(plan.protect.empty());
   EXPECT_EQ(plan.protect[0], ser.ranked()[0].node);
 }
 
 TEST(Hardening, ZeroTargetNeedsNoProtection) {
-  const Circuit c = make_s27();
-  const SignalProbabilities sp = parker_mccluskey_sp(c);
-  SerEstimator est(c, sp, {});
-  const HardeningPlan plan = select_hardening(est.estimate(), 0.0);
+  Session session(make_s27());
+  const HardeningPlan plan = select_hardening(session.ser(), 0.0);
   EXPECT_TRUE(plan.protect.empty());
   EXPECT_DOUBLE_EQ(plan.reduction(), 0.0);
 }
 
 TEST(Hardening, FullTargetProtectsEverythingContributing) {
-  const Circuit c = make_s27();
-  const SignalProbabilities sp = parker_mccluskey_sp(c);
-  SerEstimator est(c, sp, {});
-  const CircuitSer ser = est.estimate();
+  Session session(make_s27());
+  const CircuitSer& ser = session.ser();
   const HardeningPlan plan = select_hardening(ser, 1.0);
   EXPECT_NEAR(plan.residual_ser, 0.0, ser.total_ser * 1e-9);
 }

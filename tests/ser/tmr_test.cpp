@@ -2,10 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "sereep/sereep.hpp"
 #include "src/epp/epp_engine.hpp"
 #include "src/netlist/benchmarks.hpp"
 #include "src/netlist/generator.hpp"
-#include "src/ser/ser_estimator.hpp"
 #include "src/sim/fault_injection.hpp"
 #include "src/sim/simulator.hpp"
 
@@ -62,9 +62,7 @@ TEST(Tmr, PreservesFunctionOnSequentialS27) {
 
 TEST(Tmr, PreservesFunctionOnGeneratedCircuit) {
   const Circuit c = make_iscas89_like("s298");
-  const SignalProbabilities sp = parker_mccluskey_sp(c);
-  SerEstimator est(c, sp, {});
-  const HardeningPlan plan = select_hardening(est.estimate(), 0.3);
+  const HardeningPlan plan = Session{Circuit(c)}.harden(0.3);
   const TmrResult tmr = apply_tmr(c, plan.protect);
   expect_equivalent(c, tmr.circuit, 13);
 }
@@ -136,9 +134,7 @@ TEST(Tmr, MeasuredSerDropsWhenProtectingTopContributors) {
   };
 
   const Circuit c = make_iscas89_like("s208");
-  const SignalProbabilities sp = parker_mccluskey_sp(c);
-  SerEstimator est(c, sp, {});
-  const HardeningPlan plan = select_hardening(est.estimate(), 0.4);
+  const HardeningPlan plan = Session{Circuit(c)}.harden(0.4);
   const TmrResult tmr = apply_tmr(c, plan.protect);
 
   const double before = mc_ser(c);

@@ -16,7 +16,9 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -281,6 +283,32 @@ TEST(Serve, BadEditSpecAnswersKErrorWithoutPoisoningTheSession) {
   // the circuit is unchanged (the failing op was the first in its batch).
   expect_response(client, make_request(ServeRequestKind::kSweepCsv, "c17"),
                   local.sweep_csv(), "post-error sweep");
+}
+
+TEST(Serve, FailedEditBatchLeavesNoTraceAndIsSafeToRetry) {
+  // The first op applies before the second names an unknown node. Batches
+  // are all-or-nothing, so both sends answer kError (a half-applied batch
+  // would make the retry TMR G10 a second time) and s27 keeps sweeping to
+  // its golden bytes.
+  ServeDaemon daemon = start_serve();
+  Client client(daemon.port);
+  ServeRequest edit = make_request(ServeRequestKind::kEdit, "s27");
+  edit.edit = "tmr G10; retype NOPE NAND";
+  for (const char* send : {"first send", "retry"}) {
+    const std::optional<ShardFrame> reply = client.round_trip(edit);
+    ASSERT_TRUE(reply.has_value()) << send;
+    ASSERT_EQ(reply->type, ShardFrameType::kError) << send;
+    EXPECT_NE(body_of(reply).find("unknown node 'NOPE'"), std::string::npos)
+        << send << ": " << body_of(reply);
+  }
+  std::ifstream golden(std::string(SEREEP_SOURCE_DIR) +
+                           "/tests/data/sweep_s27.golden.csv",
+                       std::ios::binary);
+  ASSERT_TRUE(golden.good());
+  std::ostringstream want;
+  want << golden.rdbuf();
+  expect_response(client, make_request(ServeRequestKind::kSweepCsv, "s27"),
+                  want.str(), "after the failed batch");
 }
 
 TEST(Serve, EmptyEditSpecIsAFramingLevelDefect) {

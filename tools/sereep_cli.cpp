@@ -431,7 +431,7 @@ int cmd_ser(const std::string& path, const bench::Flags& flags) {
 /// `sereep harden <netlist> --iterate=N`: the incremental what-if loop as a
 /// command. Each round re-ranks SER, TMR-protects the top-ranked still
 /// unprotected combinational gate through Session::apply_edit() — the SAME
-/// session, so the cached sweep table splices around the voter's dirty cone
+/// session, so its result table splices around the voter's dirty cone
 /// instead of recomputing — and re-evaluates. Round 0 pays the one full
 /// sweep; the per-round "re-eval ms" column is what the dirty-cone
 /// invalidation buys.
@@ -444,8 +444,7 @@ int cmd_ser(const std::string& path, const bench::Flags& flags) {
 /// cheap what-if evaluation exists to deliver before committing silicon.
 int cmd_harden_iterate(Session& session, long rounds) {
   Stopwatch sw;
-  (void)session.sweep();  // populate the spliceable sweep cache...
-  const CircuitSer* ser = &session.ser();  // ...which this fold reuses
+  const CircuitSer* ser = &session.ser();  // fills the spliceable table
   const double baseline = ser->total_ser;
   std::printf("baseline SER %.3e failures/s (%.2f FIT), full sweep %.1f ms\n",
               baseline, ser->total_fit(), sw.millis());
@@ -540,8 +539,8 @@ int cmd_harden(const std::string& path, const bench::Flags& flags) {
 int cmd_report(const std::string& path, const bench::Flags& flags) {
   Circuit circuit = load_netlist(path);
   Options sopt;
-  // Same guard as the generate_report(Circuit) shim: the fixed point only
-  // means something when there is state to iterate over.
+  // The fixed point only means something when there is state to iterate
+  // over.
   if (flags.has("seq-sp") && !circuit.dffs().empty()) {
     sopt.sp.source = SpSource::kSequentialFixedPoint;
   }
@@ -556,7 +555,6 @@ int cmd_report(const std::string& path, const bench::Flags& flags) {
   if (!target) return 1;
   opt.hardening_target = *target;
   opt.validate_with_simulation = flags.has("validate");
-  opt.sequential_sp = flags.has("seq-sp");
   const std::string report = generate_report(session, opt);
   if (flags.has("o")) {
     return write_text(report, flags.get("o", "report.md"), "report") ? 0 : 1;
