@@ -165,10 +165,10 @@ void BM_EppAllNodesBatched(benchmark::State& state) {
   const SignalProbabilities sp = parker_mccluskey_sp(c);
   const auto sites = error_sites(c);
   const auto clusters = ConeClusterPlanner(cc).plan(sites);
-  BatchedEppEngine batched(cc, sp);
+  EppOptions options;
+  options.simd = state.range(0) == 0;
+  BatchedEppEngine batched(cc, sp, options);
   CompiledEppEngine single(cc, sp);
-  const bool saved_simd = simd::enabled();
-  simd::set_enabled(state.range(0) == 0);
   for (auto _ : state) {
     double acc = 0;
     for (const ConeCluster& cl : clusters) {
@@ -177,7 +177,6 @@ void BM_EppAllNodesBatched(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(acc);
   }
-  simd::set_enabled(saved_simd);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(sites.size()));
 }
@@ -420,13 +419,13 @@ void write_bench_micro_json(const std::string& path, bool fast) {
   // Per-site results land in a scatter buffer so the bit-identity check sums
   // them in the same site order as the reference/compiled checks (the values
   // are per-site identical; only a like-ordered sum can show that).
-  const bool saved_simd = simd::enabled();
   std::vector<double> bat_by_index(sites.size(), 0.0);
   const auto run_batched = [&](bool simd_on) {
-    simd::set_enabled(simd_on);
+    EppOptions options;
+    options.simd = simd_on;
     return timed_min([&] {
       std::fill(bat_by_index.begin(), bat_by_index.end(), 0.0);
-      BatchedEppEngine batched(compiled, sp);
+      BatchedEppEngine batched(compiled, sp, options);
       CompiledEppEngine single(compiled, sp);
       for (const ConeCluster& cl : clusters) {
         run_cluster_p_sensitized(
@@ -441,11 +440,13 @@ void write_bench_micro_json(const std::string& path, bool fast) {
   const double prop_bat_scalar_s = run_batched(false);
   double check_bat_scalar = 0;
   for (double v : bat_by_index) check_bat_scalar += v;
-  // Leave SIMD forced ON for the full_sweep row below so every batched
-  // column of one JSON is measured under the same kernel path regardless of
-  // the ambient build/env default (a baseline regenerated under
-  // SEREEP_NO_SIMD=1 must not silently mix scalar and SIMD timings).
-  simd::set_enabled(true);
+  // The full_sweep and sharded rows below force SIMD on too, so every
+  // batched column of one JSON is measured under the same kernel path
+  // regardless of the build default (a baseline regenerated from a
+  // -DSEREEP_NO_SIMD=ON build must not silently mix scalar and SIMD
+  // timings).
+  EppOptions simd_on;
+  simd_on.simd = true;
 
   // full_sweep: the end-to-end all-sites product. On the reference side
   // this is exactly the propagate measurement (engine construction + every
@@ -457,7 +458,8 @@ void write_bench_micro_json(const std::string& path, bool fast) {
   const double sweep_cmp_s = timed_min(
       [&] { benchmark::DoNotOptimize(all_nodes_p_sensitized(c, sp)); });
   const double sweep_bat_s = timed_min([&] {
-    benchmark::DoNotOptimize(all_nodes_p_sensitized_parallel(c, sp, {}, 1));
+    benchmark::DoNotOptimize(
+        all_nodes_p_sensitized_parallel(c, sp, simd_on, 1));
   });
 
   // sharded full_sweep: the multi-process tier, 2 `sereep worker` processes
@@ -492,6 +494,7 @@ void write_bench_micro_json(const std::string& path, bool fast) {
       ctx.circuit = &reloaded;
       ctx.compiled = &reloaded_cc;
       ctx.sp = &reloaded_sp;
+      ctx.epp = simd_on;
       ctx.shard.shards = json_shards;
       ctx.shard.worker_path = worker;
       ctx.shard.netlist = netlist;
@@ -598,7 +601,6 @@ void write_bench_micro_json(const std::string& path, bool fast) {
     }
     std::remove(netlist.c_str());
   }
-  simd::set_enabled(saved_simd);
 
   // artifact (schema v8): the .sca mmap-load path vs the cold open it
   // replaces. cold = parse the .bench + flatten to CSR + the SP pass —
@@ -783,12 +785,12 @@ void write_bench_micro_json(const std::string& path, bool fast) {
                "\"nodes\": %zu, \"sites\": %zu, \"depth\": %u},\n"
                "  \"results_bit_identical\": %s,\n"
                // Batched rows always force SIMD on (plus the explicit
-               // *_nosimd A/B columns); default_enabled records the ambient
-               // build/env default the binary would otherwise run with.
+               // *_nosimd A/B columns); default_enabled records the build
+               // default the binary would otherwise run with.
                "  \"simd\": {\"default_enabled\": %s, \"lane_width\": %zu},\n",
                c.name().c_str(), c.gate_count(), c.node_count(), sites.size(),
                c.depth(), identical ? "true" : "false",
-               saved_simd ? "true" : "false", simd::kLaneWidth);
+               simd::enabled() ? "true" : "false", simd::kLaneWidth);
   const auto cluster_block = [&](const char* name, const ClusterStats& s,
                                  const char* trailing) {
     std::fprintf(f,

@@ -1,14 +1,14 @@
 // sereep public API — the EPP engine strategy interface and its registry.
 //
-// The three engine tiers (reference / compiled / batched — the oracle
-// hierarchy of tests/README.md) share one arithmetic contract but three
-// construction signatures; before this interface every consumer hard-wired
-// one of them through #includes. IEppEngine erases that difference behind a
-// uniform per-site + sweep surface, and EngineRegistry makes the selection
-// DATA: a string key resolved at runtime, so the CLI's --engine flag, the
-// benches' A/B loops and the equivalence fuzz all pick engines the same way,
-// and new engines (a future sharded or GPU tier) join by registering a
-// factory — no call-site edits.
+// The engine tiers (reference / compiled / batched — the oracle hierarchy of
+// tests/README.md — plus sharded, which fans batched sweeps out to worker
+// processes) share one arithmetic contract but different construction
+// signatures; before this interface every consumer hard-wired one of them
+// through #includes. IEppEngine erases that difference behind a uniform
+// per-site + sweep surface, and EngineRegistry makes the selection DATA: a
+// string key resolved at runtime, so the CLI's --engine flag, the benches'
+// A/B loops and the equivalence fuzz all pick engines the same way, and new
+// engines join by registering a factory — no call-site edits.
 //
 // Bit-for-bit contract: every registered built-in produces results exactly
 // equal (EXPECT_EQ on doubles, no tolerance) to direct construction of the
@@ -54,7 +54,7 @@ struct EngineContext {
 struct EngineCaps {
   /// Sweeps honour a thread count (engines without it run sequentially).
   bool threads = false;
-  /// Uses the lane-plane SIMD kernels (subject to the runtime switch).
+  /// Has lane-plane SIMD kernels (run when EppOptions::simd is set).
   bool simd = false;
   /// Sweeps fan out across worker PROCESSES (the sharded tier) — needs a
   /// worker binary + a loadable netlist spec (ShardOptions).
@@ -90,10 +90,10 @@ class IEppEngine {
 };
 
 /// String-keyed engine registry. The built-ins ("reference", "compiled",
-/// "batched") self-register when the library is linked; anything else can be
-/// added at runtime through add() (e.g. an experimental tier in a bench, a
-/// remote backend in a service build). Keys are unique; lookups are
-/// case-sensitive. Not thread-safe for concurrent mutation — register
+/// "batched", "sharded") self-register when the library is linked; anything
+/// else can be added at runtime through add() (e.g. an experimental tier in
+/// a bench, a remote backend in a service build). Keys are unique; lookups
+/// are case-sensitive. Not thread-safe for concurrent mutation — register
 /// engines at startup, resolve freely afterwards.
 class EngineRegistry {
  public:

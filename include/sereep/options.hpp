@@ -1,8 +1,9 @@
 // sereep public API — layered run configuration.
 //
 // One Options value configures a whole Session: engine selection (a registry
-// key, see sereep/engine.hpp), parallelism, the SIMD runtime switch, the
-// signal-probability source and every model knob the analysis layers expose.
+// key, see sereep/engine.hpp), parallelism, the signal-probability source and
+// every model knob the analysis layers expose (the SIMD kernel choice is one
+// of them: EppOptions::simd).
 // The struct replaces the scattered per-subsystem option plumbing (SpOptions
 // here, EppOptions there, SER models somewhere else) with ONE value that
 // validates as a unit — invalid combinations fail at Session construction
@@ -15,7 +16,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -181,9 +181,10 @@ struct Options {
   static constexpr unsigned kMaxShardTimeoutMs = 86'400'000;
   static constexpr unsigned kMaxShardBackoffMs = 600'000;
 
-  /// EPP engine, by registry key ("reference" | "compiled" | "batched", plus
-  /// anything registered at runtime — see EngineRegistry). All built-in
-  /// engines are bit-for-bit equal; the choice is observable only in timing.
+  /// EPP engine, by registry key ("reference" | "compiled" | "batched" |
+  /// "sharded", plus anything registered at runtime — see EngineRegistry).
+  /// All built-in engines are bit-for-bit equal; the choice is observable
+  /// only in timing.
   std::string engine = "batched";
 
   /// Worker threads for sweeps (1 = sequential, 0 = hardware concurrency).
@@ -191,15 +192,8 @@ struct Options {
   /// `threads` capability run sequentially regardless.
   unsigned threads = 1;
 
-  /// Lane-plane SIMD kernels in the batched engine: nullopt (default)
-  /// leaves the process-wide runtime switch alone (so the SEREEP_NO_SIMD
-  /// build/environment default stands); a value maps onto the switch
-  /// (simd::set_enabled) at query time. Both paths are bit-identical — the
-  /// knob exists for A/B timing.
-  std::optional<bool> simd;
-
   SpLayerOptions sp;    ///< signal-probability layer
-  EppOptions epp;       ///< EPP layer (polarity, electrical masking)
+  EppOptions epp;       ///< EPP layer (polarity, electrical masking, SIMD)
   ClusterOptions cluster;  ///< batched-sweep planning layer
   SerLayerOptions ser;  ///< SER layer (rate + latching models)
   ShardOptions shard;   ///< sharded-engine layer (worker processes)

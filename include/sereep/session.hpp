@@ -136,11 +136,11 @@ class Session {
   ///     and splices them over their rows, bit-identical to a from-scratch
   ///     rebuild + full sweep (pinned by tests/epp/engine_equivalence_test.cpp's
   ///     edit fuzz).
-  /// A session opened from a .sca artifact goes fully in-memory on its first
-  /// edit: the borrowed view is re-flattened from the edited circuit and the
-  /// artifact fingerprint + recorded netlist spec are dropped, so a sharded
-  /// worker pool still serving the stale artifact fails the pre-dispatch
-  /// fingerprint handshake instead of silently answering for the old netlist.
+  /// The edited circuit exists only in this process, so the first edit
+  /// drops the recorded netlist spec (and, for a session opened from a .sca
+  /// artifact, the artifact fingerprint; its borrowed view is re-flattened)
+  /// and sets shard.shards to 1: a sharded session sweeps in-process from
+  /// then on, never on workers that would load the old netlist.
   /// Batches are all-or-nothing: an invalid op throws std::runtime_error with
   /// the circuit, every artifact and every result exactly as before the call.
   EditResult apply_edit(const EditPlan& plan);
@@ -243,10 +243,6 @@ class Session {
   /// a deferred handle to it that survives Session moves (defined in
   /// session.cpp).
   struct PlannerCache;
-
-  /// Applies Options::simd to the process-wide runtime switch (documented on
-  /// the field) before any engine work.
-  void apply_simd() const noexcept;
 
   /// The planner cache, created (not built) on demand.
   PlannerCache& planner_cache();

@@ -13,7 +13,6 @@
 #include "src/netlist/verilog_io.hpp"
 #include "src/sim/fault_injection.hpp"  // error_sites
 #include "src/util/csv.hpp"
-#include "src/util/simd.hpp"
 #include "src/util/strings.hpp"
 
 namespace sereep {
@@ -192,12 +191,13 @@ EditResult Session::apply_edit(const EditPlan& plan) {
   // An edited netlist exists only in this process: the spec recorded for
   // sharded workers (and, for .sca sessions, the artifact fingerprint the
   // serve cache and pre-dispatch handshake key on) describes the PRE-edit
-  // bits, so both are dropped. A sharded worker pool still serving the stale
-  // artifact then fails the fingerprint handshake instead of silently
-  // answering for the old netlist; spec-less sharded sweeps fall back
-  // in-process, which is always correct.
+  // bits, so both are dropped, and no worker — pipe or TCP — could load the
+  // edited circuit. The sharded engine therefore sweeps in-process from now
+  // on (shards = 1 is its configured in-process path), which is always
+  // correct.
   artifact_fingerprint_.reset();
   options_.shard.netlist.clear();
+  options_.shard.shards = 1;
 
   // Compiled view: a retype-only batch over owned arrays patches the type
   // table in place (the CSR layout is untouched by definition); anything
@@ -327,7 +327,6 @@ void Session::reconcile_table() {
 }
 
 void Session::fill_table(Rows want) {
-  apply_simd();
   reconcile_table();
   if (rows_ >= want) return;
   const std::span<const NodeId> all = sites();
@@ -365,10 +364,6 @@ void Session::fold_row(std::size_t row, const SiteEpp& epp) {
 void Session::sum_ser() {
   table_.total_ser = 0.0;
   for (const NodeSer& row : table_.nodes) table_.total_ser += row.ser;
-}
-
-void Session::apply_simd() const noexcept {
-  if (options_.simd.has_value()) simd::set_enabled(*options_.simd);
 }
 
 const CompiledCircuit& Session::compiled() {
@@ -450,17 +445,14 @@ std::optional<NodeId> Session::find(std::string_view name) const {
 }
 
 SiteEpp Session::epp(NodeId site) {
-  apply_simd();
   return engine().compute(site);
 }
 
 double Session::p_sensitized(NodeId site) {
-  apply_simd();
   return engine().p_sensitized(site);
 }
 
 std::vector<SiteEpp> Session::sweep() {
-  apply_simd();
   reconcile_table();
   std::vector<SiteEpp> records = engine().sweep(sites(), options_.threads);
   if (rows_ != Rows::kSer) {
@@ -490,7 +482,6 @@ HardeningPlan Session::harden(double target_reduction) {
 }
 
 MultiCycleEpp Session::multicycle(NodeId site, std::size_t cycles) {
-  apply_simd();
   if (multicycle_ == nullptr) {
     multicycle_ = std::make_unique<MultiCycleEppEngine>(
         *circuit_, compiled(), sp(), options_.epp, options_.threads,

@@ -106,7 +106,7 @@ void BatchedEppEngine::propagate_cluster(std::span<const NodeId> sites,
   const double survival = options_.electrical_survival;
   // The vector kernels replay the scalar polarity-tracking arithmetic; the
   // polarity-blind ablation keeps the per-lane scalar fold.
-  const bool vector = track && simd::enabled();
+  const bool vector = track && options_.simd;
   for (const NodeId id : merged_) {
     const std::size_t slot = slot_[id];
     const auto fanin = circuit_.fanin(id);

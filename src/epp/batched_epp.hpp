@@ -40,12 +40,11 @@
 // arithmetic per lane (pinned by tests/epp/simd_kernels_test.cpp). The
 // error-site seed is a constant re-applied after the kernel writes the
 // site's slot, never a kernel output. The SIMD and scalar per-lane paths
-// are therefore interchangeable at runtime (simd::set_enabled /
-// SEREEP_NO_SIMD; the scalar path also serves the polarity-blind ablation,
-// whose 3-symbol fold is not vectorized). The engine-equivalence tests
-// assert exact equality (EXPECT_EQ, no tolerance) against both oracles and
-// with SIMD on and off: reference EppEngine -> CompiledEppEngine ->
-// BatchedEppEngine.
+// are therefore interchangeable per engine (EppOptions::simd; the scalar
+// path also serves the polarity-blind ablation, whose 3-symbol fold is not
+// vectorized). The engine-equivalence tests assert exact equality
+// (EXPECT_EQ, no tolerance) against both oracles and with SIMD on and off:
+// reference EppEngine -> CompiledEppEngine -> BatchedEppEngine.
 //
 // One engine per thread (it owns the merged-cone scratch); the underlying
 // CompiledCircuit and SignalProbabilities are read-only and safely shared.

@@ -30,6 +30,7 @@
 #include "src/netlist/circuit.hpp"
 #include "src/netlist/topo.hpp"
 #include "src/sigprob/signal_prob.hpp"
+#include "src/util/simd.hpp"
 
 namespace sereep {
 
@@ -46,6 +47,12 @@ struct EppOptions {
   /// 0/1 states according to the gate's signal probability — the standard
   /// first-order pulse-attenuation model (Shivakumar et al., DSN'02).
   double electrical_survival = 1.0;
+
+  /// Batched sweeps run the lane-plane SIMD kernels (true) or the scalar
+  /// per-lane path (false). Both are bit-identical, so this is a timing
+  /// knob only; engines without lane planes ignore it. Defaults to the
+  /// build's setting (simd::enabled(), false under -DSEREEP_NO_SIMD=ON).
+  bool simd = simd::enabled();
 };
 
 /// Per-sink EPP of one error site.

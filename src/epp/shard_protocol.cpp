@@ -161,7 +161,7 @@ std::vector<std::uint8_t> encode_job_prefix(const ShardJob& job) {
   w.u8(job.epp.track_polarity ? 1 : 0);
   w.f64(job.epp.electrical_survival);
   w.u32(job.threads);
-  w.u8(job.simd_mode);
+  w.u8(job.epp.simd ? 2 : 1);
   w.u8(job.p_only ? 1 : 0);
   w.u64(job.fingerprint.nodes);
   w.u64(job.fingerprint.digest);
@@ -191,7 +191,7 @@ ShardJob decode_job(std::span<const std::uint8_t> payload) {
   job.epp.track_polarity = r.u8() != 0;
   job.epp.electrical_survival = r.f64();
   job.threads = r.u32();
-  job.simd_mode = r.u8();
+  job.epp.simd = r.u8() == 2;
   job.p_only = r.u8() != 0;
   job.fingerprint.nodes = r.u64();
   job.fingerprint.digest = r.u64();

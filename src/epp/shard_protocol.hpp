@@ -123,11 +123,10 @@ struct ShardFrame {
 /// would change results); the netlist itself travels out of band (the
 /// worker's --netlist flag), since both sides load it deterministically.
 struct ShardJob {
+  /// The parent's EPP options. `epp.simd` travels as its own byte, 1 =
+  /// scalar path, 2 = SIMD kernels (timing only — bit-identical).
   EppOptions epp;
   unsigned threads = 1;
-  /// Options::simd tri-state: 0 = leave the worker's default, 1 = force the
-  /// scalar path, 2 = force the SIMD kernels (timing only — bit-identical).
-  std::uint8_t simd_mode = 0;
   /// True when the sweep only needs p_sensitized: workers skip per-sink
   /// record assembly and stream records with empty sink lists.
   bool p_only = false;

@@ -18,7 +18,6 @@
 #include "src/epp/fault_plan.hpp"
 #include "src/epp/shard_plan.hpp"
 #include "src/epp/shard_transport.hpp"
-#include "src/util/simd.hpp"
 
 namespace sereep {
 
@@ -315,7 +314,6 @@ std::vector<SiteEpp> ShardedEppEngine::run_sharded(
   ShardJob job;
   job.epp = epp_;
   job.threads = threads;
-  job.simd_mode = simd::enabled() ? 2 : 1;  // mirror the parent's switch
   job.p_only = p_only;
   job.fingerprint = fingerprint_;
   job.sp = sp_.p1;
@@ -572,8 +570,6 @@ int run_shard_worker(const std::string& netlist_spec,
             : CompiledCircuit(*circuit_ptr);
     SignalProbabilities sp;
     sp.p1 = std::move(job.sp);
-    if (job.simd_mode == 1) simd::set_enabled(false);
-    if (job.simd_mode == 2) simd::set_enabled(true);
 
     // Fires the fault plan's mid-stream modes at the result-frame boundary
     // `frames_done` (checked before each kResults write and once after the

@@ -27,18 +27,16 @@
 // floating-point contraction (-ffp-contract=off, see CMakeLists.txt) so
 // codegen cannot fuse a*b+c differently between the two paths.
 //
-// Switches:
-//  * compile time — configure with -DSEREEP_NO_SIMD=ON (defines the
-//    SEREEP_NO_SIMD macro) to default the engine to the scalar per-lane
-//    path; the kernels stay compiled (tests still pin them) but unused.
-//  * runtime — set_enabled(false), or environment SEREEP_NO_SIMD=1, flips
-//    the same default without rebuilding (both engine paths are
-//    bit-identical, so the switch is observable only in timing).
+// Path selection: EppOptions::simd, per engine. Its default is this build's
+// enabled() — the lane-plane kernels, unless configured with
+// -DSEREEP_NO_SIMD=ON (defines the SEREEP_NO_SIMD macro), which defaults
+// every engine to the scalar per-lane path; the kernels stay compiled
+// (tests still pin them). Both paths are bit-identical, so the setting is
+// observable only in timing.
 #pragma once
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 
 #include "src/epp/prob4.hpp"
@@ -79,31 +77,16 @@ using GroupMask = std::uint32_t;
   return g;
 }
 
-namespace detail {
-inline bool default_enabled() noexcept {
+/// The build's default kernel path, which EppOptions::simd starts from:
+/// true runs the lane-plane kernels, false the bit-identical scalar
+/// per-lane path.
+[[nodiscard]] constexpr bool enabled() noexcept {
 #ifdef SEREEP_NO_SIMD
-  bool on = false;
+  return false;
 #else
-  bool on = true;
+  return true;
 #endif
-  if (const char* env = std::getenv("SEREEP_NO_SIMD")) {
-    if (env[0] != '\0' && env[0] != '0') on = false;
-  }
-  return on;
 }
-inline bool& enabled_flag() noexcept {
-  static bool flag = default_enabled();
-  return flag;
-}
-}  // namespace detail
-
-/// True when the batched engine should run the lane-plane kernels; false
-/// falls back to the bit-identical scalar per-lane path.
-[[nodiscard]] inline bool enabled() noexcept { return detail::enabled_flag(); }
-
-/// Runtime override (tests, CLI A/B runs). Not thread-safe against engines
-/// mid-propagation; flip it between sweeps only.
-inline void set_enabled(bool on) noexcept { detail::enabled_flag() = on; }
 
 // ---- the 8-wide value type -------------------------------------------------
 

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "sereep/sereep.hpp"
@@ -19,6 +20,7 @@
 #include "src/epp/compiled_epp.hpp"
 #include "src/epp/epp_engine.hpp"
 #include "src/epp/multicycle.hpp"
+#include "src/netlist/bench_io.hpp"
 #include "src/netlist/benchmarks.hpp"
 #include "src/netlist/generator.hpp"
 #include "src/ser/ser_estimator.hpp"
@@ -185,6 +187,36 @@ TEST(Session, SweepMatchesEverySelectedEngineExactly) {
   }
 }
 
+TEST(Session, SessionsOnDifferentThreadsAreIndependent) {
+  // The SIMD kernel choice is per session (EppOptions::simd), not process
+  // state: two sessions with different settings, sweeping concurrently,
+  // each render the single-threaded session's bytes on every round. Under
+  // -fsanitize=thread this is the data-race check for that setting.
+  const Circuit circuit = make_iscas89_like("s1238");
+  Session single{Circuit(circuit)};
+  const std::string want_sweep = single.sweep_csv();
+  const std::string want_ser = single.ser_csv();
+
+  constexpr int kRounds = 4;
+  const auto run = [&](bool simd, int* matches) {
+    Options options;
+    options.epp.simd = simd;
+    Session session(Circuit(circuit), options);
+    for (int round = 0; round < kRounds; ++round) {
+      session.set_options(options);  // drops the table: every round sweeps
+      *matches += session.sweep_csv() == want_sweep;
+      *matches += session.ser_csv() == want_ser;
+    }
+  };
+  int matches[2] = {0, 0};
+  std::thread simd_on(run, true, &matches[0]);
+  std::thread simd_off(run, false, &matches[1]);
+  simd_on.join();
+  simd_off.join();
+  EXPECT_EQ(matches[0], 2 * kRounds);
+  EXPECT_EQ(matches[1], 2 * kRounds);
+}
+
 TEST(Session, SerMatchesReferenceEngineFoldExactly) {
   // Session::ser() is the result table, filled from the selected engine's
   // records. Every row and the total must equal node_ser_from_epp over the
@@ -323,6 +355,34 @@ TEST(Session, ArtifactSessionGoesInMemoryOnFirstEdit) {
   EXPECT_TRUE(session.options().shard.netlist.empty());
   // And the session keeps answering — fully in-memory now.
   EXPECT_EQ(session.sweep().size(), session.sites().size());
+  std::remove(path.c_str());
+}
+
+TEST(Session, EditedShardedSessionSweepsInProcess) {
+  // Workers load the netlist by spec, and an edited circuit exists only in
+  // this process: after apply_edit a sharded session sweeps in-process (its
+  // configured shards = 1 path, no fallback option involved) and renders
+  // the bytes of a batched session given the same edit.
+  const std::string path = ::testing::TempDir() + "sereep_edit_sharded_" +
+                           std::to_string(::getpid()) + ".bench";
+  ASSERT_TRUE(save_bench_file(make_s27(), path));
+  Options options;
+  options.engine = "sharded";
+  options.shard.shards = 2;
+  options.shard.worker_path = SEREEP_CLI_PATH;
+  Session sharded = Session::open(path, std::move(options));
+  Session batched = Session::open(path);
+  EXPECT_EQ(sharded.sweep_csv(), batched.sweep_csv());
+  ASSERT_NE(sharded.shard_diagnostics(), nullptr);
+  EXPECT_FALSE(sharded.shard_diagnostics()->in_process);  // really fans out
+
+  const EditPlan plan = parse_edit_spec("retype G11 NAND");
+  sharded.apply_edit(plan);
+  batched.apply_edit(plan);
+  EXPECT_EQ(sharded.ser_csv(), batched.ser_csv());
+  EXPECT_EQ(sharded.sweep_csv(), batched.sweep_csv());
+  ASSERT_NE(sharded.shard_diagnostics(), nullptr);
+  EXPECT_TRUE(sharded.shard_diagnostics()->in_process);
   std::remove(path.c_str());
 }
 

@@ -54,7 +54,10 @@ void write_bytes(const std::string& path,
                  const std::vector<std::uint8_t>& bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr) << path;
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  // fwrite's buffer must not be null, and an empty vector's data() may be.
+  if (!bytes.empty()) {
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
   std::fclose(f);
 }
 

@@ -38,17 +38,10 @@
 #include "src/netlist/generator.hpp"
 #include "src/sim/fault_injection.hpp"
 #include "src/util/rng.hpp"
-#include "src/util/simd.hpp"
 #include "tests/epp/site_epp_testutil.hpp"
 
 namespace sereep {
 namespace {
-
-/// Restores the process-wide SIMD runtime switch on scope exit.
-struct SimdGuard {
-  bool saved = simd::enabled();
-  ~SimdGuard() { simd::set_enabled(saved); }
-};
 
 /// One fuzz point: a structural profile plus the generator seed. Everything
 /// downstream is a pure function of this struct.
@@ -200,7 +193,7 @@ TEST_P(EngineEquivalence, SimdOnAndOffBitIdentical) {
   // The lane-plane kernels and the scalar per-lane fallback must be
   // interchangeable: same reference-exact records through planner-built
   // clusters, and the same parallel-sweep output, with SIMD forced on and
-  // forced off (whatever the build/environment default is).
+  // forced off (whatever the build default is).
   const Circuit c = make_fuzz_circuit(GetParam());
   const SignalProbabilities sp = parker_mccluskey_sp(c);
   EppEngine reference(c, sp);
@@ -208,10 +201,10 @@ TEST_P(EngineEquivalence, SimdOnAndOffBitIdentical) {
   const std::vector<NodeId> sites = error_sites(c);
   const auto clusters = ConeClusterPlanner(cc).plan(sites);
 
-  SimdGuard guard;
   for (const bool simd_on : {true, false}) {
-    simd::set_enabled(simd_on);
-    BatchedEppEngine batched(cc, sp);
+    EppOptions options;
+    options.simd = simd_on;
+    BatchedEppEngine batched(cc, sp, options);
     for (const ConeCluster& cluster : clusters) {
       std::vector<NodeId> lane_sites;
       for (std::uint32_t idx : cluster.members) {
@@ -225,7 +218,7 @@ TEST_P(EngineEquivalence, SimdOnAndOffBitIdentical) {
       }
     }
     const std::vector<double> swept =
-        all_nodes_p_sensitized_parallel(c, cc, sp, {}, 2);
+        all_nodes_p_sensitized_parallel(c, cc, sp, options, 2);
     for (NodeId site : sites) {
       EXPECT_EQ(swept[site], reference.p_sensitized(site))
           << GetParam().tag << " simd=" << simd_on << " node " << site;
@@ -403,7 +396,6 @@ TEST_P(EngineEquivalence, IncrementalEditSessionsBitIdenticalToRebuild) {
   // configurations. A splice that misses one affected site fails here.
   const FuzzProfile& profile = GetParam();
   Rng rng(profile.seed ^ 0xed17ULL);
-  SimdGuard guard;
 
   // Thread count and SIMD mode are fixed per session (reconfiguration
   // legitimately drops the result table), so the matrix runs as three
@@ -422,7 +414,7 @@ TEST_P(EngineEquivalence, IncrementalEditSessionsBitIdenticalToRebuild) {
   for (Lane& lane : lanes) {
     Options opt;
     opt.threads = lane.threads;
-    opt.simd = lane.simd;
+    opt.epp.simd = lane.simd;
     lane.session =
         std::make_unique<Session>(make_fuzz_circuit(profile), std::move(opt));
     if (lane.warm_psens_only) {

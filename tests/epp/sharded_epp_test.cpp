@@ -104,7 +104,7 @@ TEST(ShardProtocol, JobRoundTripsExactly) {
   job.epp.track_polarity = false;
   job.epp.electrical_survival = 0.97251;
   job.threads = 7;
-  job.simd_mode = 2;
+  job.epp.simd = false;
   job.p_only = true;
   job.fingerprint = {.nodes = 12345, .digest = 0x1122334455667788};
   job.sp = {0.0, 1.0, 0.5, 0.123456789012345678, 1e-300};
@@ -114,12 +114,23 @@ TEST(ShardProtocol, JobRoundTripsExactly) {
   EXPECT_EQ(back.epp.track_polarity, job.epp.track_polarity);
   EXPECT_EQ(back.epp.electrical_survival, job.epp.electrical_survival);
   EXPECT_EQ(back.threads, job.threads);
-  EXPECT_EQ(back.simd_mode, job.simd_mode);
+  EXPECT_EQ(back.epp.simd, job.epp.simd);
   EXPECT_EQ(back.p_only, job.p_only);
   EXPECT_EQ(back.fingerprint, job.fingerprint);
   EXPECT_EQ(back.sp, job.sp);
   EXPECT_EQ(back.spawn, job.spawn);
   EXPECT_EQ(back.sites, job.sites);
+
+  // The kernel choice is the byte after track_polarity (u8),
+  // electrical_survival (f64) and threads (u32): 1 = scalar, 2 = SIMD, the
+  // values every worker of this protocol version decodes.
+  constexpr std::size_t kSimdByte = 1 + 8 + 4;
+  for (const bool simd : {false, true}) {
+    job.epp.simd = simd;
+    const std::vector<std::uint8_t> bytes = encode_job(job);
+    EXPECT_EQ(bytes[kSimdByte], simd ? 2 : 1);
+    EXPECT_EQ(decode_job(bytes).epp.simd, simd);
+  }
 }
 
 TEST(ShardProtocol, HelloAndProgressRoundTrip) {

@@ -206,13 +206,5 @@ TEST(SimdKernels, SeedAndCopyAreExactDataMovement) {
   }
 }
 
-TEST(SimdKernels, RuntimeSwitchRoundTrips) {
-  const bool initial = simd::enabled();
-  simd::set_enabled(!initial);
-  EXPECT_EQ(simd::enabled(), !initial);
-  simd::set_enabled(initial);
-  EXPECT_EQ(simd::enabled(), initial);
-}
-
 }  // namespace
 }  // namespace sereep

@@ -112,9 +112,9 @@ TEST(TcpTransport, BitIdenticalToBatchedAcrossShardCountsAndSimd) {
     for (unsigned shards : {1u, 2u, 3u, 4u}) {
       for (bool simd : {false, true}) {
         Options opt = tcp_options(endpoints(workers), shards);
-        opt.simd = simd;
+        opt.epp.simd = simd;
         Options ref;
-        ref.simd = simd;
+        ref.epp.simd = simd;
         Session batched = Session::open(name, std::move(ref));
         Session tcp = Session::open(name, std::move(opt));
         expect_sweeps_equal(batched, tcp);
