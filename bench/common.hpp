@@ -18,8 +18,11 @@
 
 namespace sereep::bench {
 
-/// Minimal command-line flags: --name=value or --name value; bare --name is
-/// boolean true.
+/// Minimal command-line flags, one spelling each: --name=value, or a bare
+/// --name stored as an empty value (boolean flags test has(); an empty path
+/// means stdout where the caller writes text; numeric and get_path flags
+/// exit 2 on it). `--name value` is NOT a value: the next word stays a
+/// positional argument.
 class Flags {
  public:
   Flags(int argc, char** argv) {
@@ -31,10 +34,8 @@ class Flags {
       if (eq != std::string_view::npos) {
         kv_.emplace_back(std::string(arg.substr(0, eq)),
                          std::string(arg.substr(eq + 1)));
-      } else if (i + 1 < argc && argv[i + 1][0] != '-') {
-        kv_.emplace_back(std::string(arg), std::string(argv[++i]));
       } else {
-        kv_.emplace_back(std::string(arg), "1");
+        kv_.emplace_back(std::string(arg), std::string());
       }
     }
   }
@@ -52,6 +53,16 @@ class Flags {
       if (k == name) return v;
     }
     return fallback;
+  }
+
+  /// A path that cannot mean stdout (a netlist to write): exits 2 with a
+  /// diagnostic naming the flag when it is given bare.
+  [[nodiscard]] std::string get_path(std::string_view name,
+                                     std::string fallback) const {
+    const std::string* raw = find(name);
+    if (raw == nullptr) return fallback;
+    if (raw->empty()) die(name, *raw, "a path");
+    return *raw;
   }
 
   /// Strict integer flag: exits 2 with a diagnostic on a malformed or

@@ -157,7 +157,7 @@ BENCHMARK(BM_EppAllNodesCompiled);
 
 // The batched cone-sharing sweep on pre-planned clusters (warm planner +
 // warm engines, singleton clusters on the compiled engine — exactly the
-// per-worker loop of all_nodes_p_sensitized_parallel). Arg(0) runs the SIMD
+// per-worker loop of sweep_sites' rows sweep). Arg(0) runs the SIMD
 // lane-plane kernels, Arg(1) the bit-identical scalar per-lane fallback.
 void BM_EppAllNodesBatched(benchmark::State& state) {
   const Circuit& c = circuit_for("s953");
@@ -169,11 +169,13 @@ void BM_EppAllNodesBatched(benchmark::State& state) {
   options.simd = state.range(0) == 0;
   BatchedEppEngine batched(cc, sp, options);
   CompiledEppEngine single(cc, sp);
+  const std::vector<double> weights = LatchingModel{}.weights(c);
   for (auto _ : state) {
     double acc = 0;
     for (const ConeCluster& cl : clusters) {
-      run_cluster_p_sensitized(batched, single, cl, sites,
-                               [&](std::uint32_t, double p) { acc += p; });
+      run_cluster_rows(
+          batched, single, cl, sites, weights,
+          [&](std::uint32_t, const SiteRow& row) { acc += row.p_sensitized; });
     }
     benchmark::DoNotOptimize(acc);
   }
@@ -406,7 +408,7 @@ void write_bench_micro_json(const std::string& path, bool fast) {
   // batched propagate: the cone-sharing sweep on pre-planned clusters (warm
   // planner; engines constructed inside the clock like the other rows pay
   // their engine ctor). Singleton clusters run on the compiled engine —
-  // exactly the per-worker loop of all_nodes_p_sensitized_parallel. Old/new
+  // exactly the per-worker loop of sweep_sites' rows sweep. Old/new
   // cluster quality: the Bloom-only plan vs the two-level plan with the
   // dominator-sink singleton regroup; the sweep runs the two-level plan,
   // once with the SIMD lane-plane kernels and once on the scalar per-lane
@@ -420,6 +422,7 @@ void write_bench_micro_json(const std::string& path, bool fast) {
   // them in the same site order as the reference/compiled checks (the values
   // are per-site identical; only a like-ordered sum can show that).
   std::vector<double> bat_by_index(sites.size(), 0.0);
+  const std::vector<double> weights = LatchingModel{}.weights(c);
   const auto run_batched = [&](bool simd_on) {
     EppOptions options;
     options.simd = simd_on;
@@ -428,9 +431,10 @@ void write_bench_micro_json(const std::string& path, bool fast) {
       BatchedEppEngine batched(compiled, sp, options);
       CompiledEppEngine single(compiled, sp);
       for (const ConeCluster& cl : clusters) {
-        run_cluster_p_sensitized(
-            batched, single, cl, sites,
-            [&](std::uint32_t idx, double p) { bat_by_index[idx] = p; });
+        run_cluster_rows(batched, single, cl, sites, weights,
+                         [&](std::uint32_t idx, const SiteRow& row) {
+                           bat_by_index[idx] = row.p_sensitized;
+                         });
       }
     });
   };
@@ -451,15 +455,23 @@ void write_bench_micro_json(const std::string& path, bool fast) {
   // full_sweep: the end-to-end all-sites product. On the reference side
   // this is exactly the propagate measurement (engine construction + every
   // site), so that timing is reused rather than re-run; the compiled side
-  // additionally pays the one-shot CompiledCircuit build inside
-  // all_nodes_p_sensitized, and the batched side pays compile + cluster
-  // planning inside all_nodes_p_sensitized_parallel.
+  // additionally pays the one-shot CompiledCircuit build, and the batched
+  // side pays compile + cluster planning + the latch-weight table ahead of
+  // its one-thread rows sweep.
   const double sweep_ref_s = prop_ref_s;
-  const double sweep_cmp_s = timed_min(
-      [&] { benchmark::DoNotOptimize(all_nodes_p_sensitized(c, sp)); });
+  const double sweep_cmp_s = timed_min([&] {
+    const CompiledCircuit cc(c);
+    CompiledEppEngine engine(cc, sp);
+    std::vector<double> out(c.node_count(), 0.0);
+    for (NodeId s : sites) out[s] = engine.p_sensitized(s);
+    benchmark::DoNotOptimize(out.data());
+  });
   const double sweep_bat_s = timed_min([&] {
-    benchmark::DoNotOptimize(
-        all_nodes_p_sensitized_parallel(c, sp, simd_on, 1));
+    const CompiledCircuit cc(c);
+    std::vector<SiteRow> rows(sites.size());
+    sweep_sites(cc, ConeClusterPlanner(cc), sites, sp, simd_on, 1,
+                {.rows = rows, .latch_weights = LatchingModel{}.weights(c)});
+    benchmark::DoNotOptimize(rows.data());
   });
 
   // sharded full_sweep: the multi-process tier, 2 `sereep worker` processes
@@ -500,15 +512,23 @@ void write_bench_micro_json(const std::string& path, bool fast) {
       ctx.shard.netlist = netlist;
       const std::unique_ptr<IEppEngine> sharded =
           EngineRegistry::instance().create("sharded", ctx);
-      std::vector<double> shard_p;
+      std::vector<NodeSer> shard_rows;
       sweep_shard_s = timed_min(
-          [&] { shard_p = sharded->sweep_p_sensitized(reloaded_sites, 1); });
-      const std::vector<double> want = all_nodes_p_sensitized_parallel(
-          reloaded, reloaded_cc, reloaded_sp, {}, 1);
-      for (std::size_t i = 0; i < reloaded_sites.size(); ++i) {
-        shard_identical =
-            shard_identical && shard_p[i] == want[reloaded_sites[i]];
-      }
+          [&] { shard_rows = sharded->sweep_rows(reloaded_sites, 1); });
+      const std::vector<NodeSer> want =
+          EngineRegistry::instance()
+              .create("batched", ctx)
+              ->sweep_rows(reloaded_sites, 1);
+      const auto same_rows = [&](const std::vector<NodeSer>& got) {
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          if (got[i].p_sensitized != want[i].p_sensitized ||
+              got[i].ser != want[i].ser) {
+            return false;
+          }
+        }
+        return got.size() == want.size();
+      };
+      shard_identical = same_rows(shard_rows);
       // sharded_retry: the same sweep with the fault harness killing
       // spawn 0 after its first result frame (SEREEP_FAULT_PLAN is read by
       // the worker processes, which inherit this env). The supervisor keeps
@@ -521,14 +541,11 @@ void write_bench_micro_json(const std::string& path, bool fast) {
       const std::unique_ptr<IEppEngine> retrying =
           EngineRegistry::instance().create("sharded", ctx);
       ::setenv("SEREEP_FAULT_PLAN", "0:die-after-frames=1", 1);
-      std::vector<double> retry_p;
+      std::vector<NodeSer> retry_rows;
       sweep_shard_retry_s = timed_min(
-          [&] { retry_p = retrying->sweep_p_sensitized(reloaded_sites, 1); });
+          [&] { retry_rows = retrying->sweep_rows(reloaded_sites, 1); });
       ::unsetenv("SEREEP_FAULT_PLAN");
-      for (std::size_t i = 0; i < reloaded_sites.size(); ++i) {
-        shard_identical =
-            shard_identical && retry_p[i] == want[reloaded_sites[i]];
-      }
+      shard_identical = shard_identical && same_rows(retry_rows);
       // sharded_tcp: the same sweep over the TCP transport — two
       // pre-started `sereep worker --listen` processes on 127.0.0.1, one
       // fresh connection per dispatch. vs the pipe row this swaps
@@ -548,14 +565,10 @@ void write_bench_micro_json(const std::string& path, bool fast) {
                            "127.0.0.1:" + std::to_string(p2)};
         const std::unique_ptr<IEppEngine> tcp_sharded =
             EngineRegistry::instance().create("sharded", ctx);
-        std::vector<double> tcp_p;
-        sweep_shard_tcp_s = timed_min([&] {
-          tcp_p = tcp_sharded->sweep_p_sensitized(reloaded_sites, 1);
-        });
-        for (std::size_t i = 0; i < reloaded_sites.size(); ++i) {
-          shard_identical =
-              shard_identical && tcp_p[i] == want[reloaded_sites[i]];
-        }
+        std::vector<NodeSer> tcp_rows;
+        sweep_shard_tcp_s = timed_min(
+            [&] { tcp_rows = tcp_sharded->sweep_rows(reloaded_sites, 1); });
+        shard_identical = shard_identical && same_rows(tcp_rows);
       } catch (const std::exception& e) {
         // No loopback (sandboxed CI): skip the row rather than fail the
         // whole emitter — bench_compare treats a missing column as absent.

@@ -10,7 +10,7 @@
 //
 // Column accounting matches the paper's (per-node SysT/SimT, whole-circuit
 // SPT amortized per node in ISP — the reading under which every published
-// ISP/ESP value is self-consistent; see EXPERIMENTS.md). As in the paper,
+// ISP/ESP value is self-consistent). As in the paper,
 // "for larger circuits, a limited number of gates of the circuits are
 // simulated due to exorbitant run time of the random-simulation method":
 // --sim-sites bounds the Monte-Carlo sample, EPP always runs on ALL nodes.
@@ -168,8 +168,9 @@ int main(int argc, char** argv) {
       "4-5 orders of magnitude excluding SP time. Absolute times differ\n"
       "(different host + synthetic stand-in netlists); compare shapes.\n");
 
-  if (flags.has("csv")) {
-    const std::string path = flags.get("csv", "table2.csv");
+  if (flags.has("csv")) {  // a bare --csv writes the default file
+    std::string path = flags.get("csv", "");
+    if (path.empty()) path = "table2.csv";
     if (csv.write_file(path)) std::printf("CSV written to %s\n", path.c_str());
   }
   return 0;

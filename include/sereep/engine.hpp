@@ -5,10 +5,12 @@
 // processes) share one arithmetic contract but different construction
 // signatures; before this interface every consumer hard-wired one of them
 // through #includes. IEppEngine erases that difference behind a uniform
-// per-site + sweep surface, and EngineRegistry makes the selection DATA: a
-// string key resolved at runtime, so the CLI's --engine flag, the benches'
-// A/B loops and the equivalence fuzz all pick engines the same way, and new
-// engines join by registering a factory — no call-site edits.
+// per-site + sweep surface (two sweeps: full records, and the result
+// table's rows with the SER terms folded in the same pass), and
+// EngineRegistry makes the selection DATA: a string key resolved at
+// runtime, so the CLI's --engine flag, the benches' A/B loops and the
+// equivalence fuzz all pick engines the same way, and new engines join by
+// registering a factory — no call-site edits.
 //
 // Bit-for-bit contract: every registered built-in produces results exactly
 // equal (EXPECT_EQ on doubles, no tolerance) to direct construction of the
@@ -27,17 +29,19 @@
 #include "src/netlist/circuit.hpp"
 #include "src/netlist/compiled.hpp"
 #include "src/netlist/cone_cluster.hpp"
+#include "src/ser/ser_estimator.hpp"
 #include "src/sigprob/signal_prob.hpp"
 
 namespace sereep {
 
 /// Everything an engine factory may bind to. All pointers outlive the
 /// created engine (the Session owns them; direct users must guarantee the
-/// same). The cluster plan feeds batched sweeps only and can arrive two
-/// ways: `planner` (already built), or `planner_source` (a callable the
-/// engine invokes ON FIRST SWEEP — a session's per-site-only workloads
-/// never pay the O(V+E) planning pass). Both null/empty: sweep-capable
-/// engines build a private plan per sweep call.
+/// same). `ser` binds the SER models the rows sweep folds in. The cluster
+/// plan feeds batched sweeps only and can arrive two ways: `planner`
+/// (already built), or `planner_source` (a callable the engine invokes ON
+/// FIRST SWEEP — a session's per-site-only workloads never pay the O(V+E)
+/// planning pass). Both null/empty: sweep-capable engines build a private
+/// plan on their first sweep and keep it.
 struct EngineContext {
   const Circuit* circuit = nullptr;          ///< required
   const CompiledCircuit* compiled = nullptr; ///< required
@@ -45,6 +49,7 @@ struct EngineContext {
   const ConeClusterPlanner* planner = nullptr;  ///< optional (batched sweeps)
   std::function<const ConeClusterPlanner*()> planner_source;  ///< lazy form
   EppOptions epp;                            ///< EPP-layer options
+  SerLayerOptions ser;                       ///< SER models (rows sweeps)
   ShardOptions shard;                        ///< sharded-engine layer
 };
 
@@ -61,9 +66,10 @@ struct EngineCaps {
   bool processes = false;
 };
 
-/// Uniform EPP engine surface: per-site queries plus explicit-site-list
-/// sweeps. One instance per thread of external parallelism (engines own
-/// per-site scratch); sweep() manages its own internal parallelism where the
+/// Uniform EPP engine surface: per-site queries plus two explicit-site-list
+/// sweeps — full records, and the rows a Session's result table holds. One
+/// instance per thread of external parallelism (engines own per-site
+/// scratch); sweeps manage their own internal parallelism where the
 /// capability allows.
 class IEppEngine {
  public:
@@ -84,8 +90,11 @@ class IEppEngine {
   [[nodiscard]] virtual std::vector<SiteEpp> sweep(
       std::span<const NodeId> sites, unsigned threads) = 0;
 
-  /// P_sensitized for an explicit site list; out[i] for sites[i].
-  [[nodiscard]] virtual std::vector<double> sweep_p_sensitized(
+  /// The result-table rows for an explicit site list; out[i] for sites[i]:
+  /// P_sensitized and the SER terms of the context's SER models, folded in
+  /// the sweep itself (no per-sink records). Every field is bit-identical to
+  /// node_ser_from_epp over compute(sites[i]). `threads` as for sweep().
+  [[nodiscard]] virtual std::vector<NodeSer> sweep_rows(
       std::span<const NodeId> sites, unsigned threads) = 0;
 };
 

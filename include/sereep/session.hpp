@@ -17,12 +17,13 @@
 // tests/README.md). set_options() invalidates exactly the artifacts the
 // changed layers feed — see the table there.
 //
-// Results live in ONE per-site table per circuit generation: a NodeSer row
-// per site (P_sensitized, and the SER terms once a full-record sweep has
-// been folded in). Rows come from the table — sweep_p_sensitized(),
-// sweep_csv(), ser(), ser_csv(), harden() and harden_text() drive the engine
-// only for what the table lacks. Records come from the engine — sweep()
-// re-runs it on every call, so per-sweep diagnostics stay honest.
+// Results live in ONE per-site table per circuit generation: a full NodeSer
+// row per site (P_sensitized and the SER terms). Reads come from the table —
+// sweep_p_sensitized(), sweep_csv(), ser(), ser_csv(), harden() and
+// harden_text() fill an empty table with ONE engine rows sweep, which folds
+// the latching term beside P_sensitized in the sweep itself. Records come
+// from the engine — sweep() re-runs it on every call, so per-sweep
+// diagnostics stay honest, and folds them into an empty table.
 //
 // Sessions are movable (artifacts live behind stable pointers) but not
 // copyable, and are NOT thread-safe: one session per thread, or external
@@ -69,7 +70,7 @@ class Session {
     std::size_t planner = 0;
     std::size_t engine = 0;
     std::size_t multicycle = 0;
-    std::size_t ser = 0;  ///< SER rows folded into the result table
+    std::size_t ser = 0;  ///< result-table fills (rows sweep or sweep())
   };
 
   /// Convergence diagnostics of the kSequentialFixedPoint SP source —
@@ -187,20 +188,22 @@ class Session {
   [[nodiscard]] double p_sensitized(NodeId site);
 
   /// Full SiteEpp records for every error site, in sites() order, from the
-  /// engine on every call. The records are folded into the result table
-  /// when it lacks SER rows, so a ser() after a sweep() sweeps nothing.
+  /// engine's records sweep on every call. An empty result table is filled
+  /// from them (node_ser_from_epp), so a ser() after a sweep() sweeps
+  /// nothing.
   [[nodiscard]] std::vector<SiteEpp> sweep();
 
   /// All-nodes P_sensitized, indexed by NodeId (non-sites 0.0), from the
-  /// result table (a P_sensitized-only sweep fills an empty one).
+  /// result table (one rows sweep fills an empty one — SER terms included,
+  /// so a later ser() sweeps nothing).
   [[nodiscard]] std::vector<double> sweep_p_sensitized();
 
   /// Whole-circuit SER with the SER-layer models of Options: the result
-  /// table itself, one row per site in sites() order (ser() + harden() share
-  /// one sweep). Rows without SER terms are filled from the engine's full
-  /// records in bounded slices, so peak memory is O(slice). The reference
-  /// stays valid until the session is moved or destroyed; edits update it in
-  /// place on the next read.
+  /// table itself, one row per site in sites() order (every read shares one
+  /// sweep). An empty table is filled by one engine rows sweep, which folds
+  /// the latching term in the sweep and keeps no per-sink records, so peak
+  /// memory is O(sites). The reference stays valid until the session is
+  /// moved or destroyed; edits update it in place on the next read.
   [[nodiscard]] const CircuitSer& ser();
 
   /// Greedy hardening selection over ser().
@@ -252,26 +255,21 @@ class Session {
   /// match the session's options bit-exactly).
   void adopt_artifact(std::shared_ptr<const ArtifactView> artifact);
 
-  /// What the result table holds (see table_).
-  enum class Rows { kNone, kPsens, kSer };
-
   /// Drops the result table and any pending dirty frontier — the fallback
   /// for invalidations the dirty-cone machinery cannot scope.
   void drop_table();
 
   /// Drains the pending dirty frontier into the result table: computes the
-  /// exact affected-site mask on the edited compiled view and re-sweeps only
-  /// those sites — full records when the rows carry SER terms, P_sensitized
-  /// otherwise — splicing the other rows through.
+  /// exact affected-site mask on the edited compiled view, re-sweeps only
+  /// those sites' rows (one engine rows sweep) and splices the other rows
+  /// through.
   void reconcile_table();
 
-  /// Reconciles the table, then sweeps whatever it still lacks for `want`.
-  void fill_table(Rows want);
+  /// Reconciles the table, then fills it with one engine rows sweep when it
+  /// is empty.
+  void fill_table();
 
-  /// Folds one full record into table row `row`.
-  void fold_row(std::size_t row, const SiteEpp& epp);
-
-  /// Re-sums total_ser over the rows in site order — the order every fold
+  /// Re-sums total_ser over the rows in site order — the order every fill
   /// has summed in, so a total is bit-identical however its rows were filled.
   void sum_ser();
 
@@ -298,14 +296,13 @@ class Session {
   std::optional<std::vector<NodeId>> sites_;
 
   // ---- the result table (reads, sweep() folds, apply_edit splices) ---------
-  // One NodeSer row per site in sites() order: p_sensitized whenever rows_ !=
-  // kNone, the SER terms and total_ser when rows_ == kSer. Rows are pure
-  // functions of (circuit, SP, options). Inserted nodes only ever append to
-  // sites(), so after an edit the table stays an aligned prefix until the
-  // next read reconciles it; the pending frontier accumulates dirty sets
-  // across edits until then.
+  // Once filled, one full NodeSer row per site in sites() order plus
+  // total_ser. The rows are pure functions of (circuit, SP, options). Inserted
+  // nodes only ever append to sites(), so after an edit the table stays an
+  // aligned prefix until the next read reconciles it; the pending frontier
+  // accumulates dirty sets across edits until then.
   CircuitSer table_;
-  Rows rows_ = Rows::kNone;
+  bool table_filled_ = false;
   std::vector<NodeId> pending_seeds_;       ///< union of dirty sets
   std::vector<NodeId> pending_sp_changed_;  ///< union of bitwise-SP deltas
   bool pending_structural_ = false;

@@ -3,16 +3,18 @@
 // Each adapter wraps one tier of the oracle hierarchy (see tests/README.md)
 // behind IEppEngine. The wrappers add NO arithmetic — per-site calls forward
 // verbatim and sweeps either loop the per-site path (sequential engines) or
-// forward to the planner-reusing parallel routes (batched), so registry
+// forward to the planner-reusing sweep driver (batched), so registry
 // resolution is bit-for-bit equal to direct construction by construction;
-// tests/api/engine_registry_test.cpp pins it anyway.
+// tests/api/engine_registry_test.cpp pins it anyway. The sequential
+// engines' rows are the reference fold itself (node_ser_from_epp over their
+// records).
 #include "sereep/engine.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "src/epp/batched_epp.hpp"
 #include "src/epp/compiled_epp.hpp"
 #include "src/epp/sharded_epp.hpp"
 
@@ -20,14 +22,23 @@ namespace sereep {
 
 namespace {
 
-/// "reference": the paper-shaped EppEngine over Circuit node structs.
-class ReferenceEngine final : public IEppEngine {
+/// "reference" (the paper-shaped EppEngine over Circuit node structs) and
+/// "compiled" (the flat-CSR single-site hot path): sequential engines whose
+/// sweeps loop the per-site path and whose rows are the reference fold of
+/// each site's record. `view` is what Engine is built over.
+template <typename Engine>
+class SequentialEngine final : public IEppEngine {
  public:
-  explicit ReferenceEngine(const EngineContext& ctx)
-      : engine_(*ctx.circuit, *ctx.sp, ctx.epp) {}
+  template <typename View>
+  SequentialEngine(std::string_view name, const EngineContext& ctx,
+                   const View& view)
+      : name_(name),
+        circuit_(*ctx.circuit),
+        ser_(ctx.ser),
+        engine_(view, *ctx.sp, ctx.epp) {}
 
   [[nodiscard]] std::string_view name() const noexcept override {
-    return "reference";
+    return name_;
   }
   [[nodiscard]] EngineCaps caps() const noexcept override { return {}; }
 
@@ -44,66 +55,40 @@ class ReferenceEngine final : public IEppEngine {
     for (NodeId site : sites) out.push_back(engine_.compute(site));
     return out;
   }
-  [[nodiscard]] std::vector<double> sweep_p_sensitized(
+  [[nodiscard]] std::vector<NodeSer> sweep_rows(
       std::span<const NodeId> sites, unsigned /*threads*/) override {
-    std::vector<double> out;
+    std::vector<NodeSer> out;
     out.reserve(sites.size());
-    for (NodeId site : sites) out.push_back(engine_.p_sensitized(site));
+    for (NodeId site : sites) {
+      out.push_back(node_ser_from_epp(circuit_, engine_.compute(site),
+                                      ser_.seu, ser_.latching));
+    }
     return out;
   }
 
  private:
-  EppEngine engine_;
-};
-
-/// "compiled": the flat-CSR single-site hot path.
-class CompiledEngine final : public IEppEngine {
- public:
-  explicit CompiledEngine(const EngineContext& ctx)
-      : engine_(*ctx.compiled, *ctx.sp, ctx.epp) {}
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "compiled";
-  }
-  [[nodiscard]] EngineCaps caps() const noexcept override { return {}; }
-
-  [[nodiscard]] SiteEpp compute(NodeId site) override {
-    return engine_.compute(site);
-  }
-  [[nodiscard]] double p_sensitized(NodeId site) override {
-    return engine_.p_sensitized(site);
-  }
-  [[nodiscard]] std::vector<SiteEpp> sweep(std::span<const NodeId> sites,
-                                           unsigned /*threads*/) override {
-    std::vector<SiteEpp> out;
-    out.reserve(sites.size());
-    for (NodeId site : sites) out.push_back(engine_.compute(site));
-    return out;
-  }
-  [[nodiscard]] std::vector<double> sweep_p_sensitized(
-      std::span<const NodeId> sites, unsigned /*threads*/) override {
-    std::vector<double> out;
-    out.reserve(sites.size());
-    for (NodeId site : sites) out.push_back(engine_.p_sensitized(site));
-    return out;
-  }
-
- private:
-  CompiledEppEngine engine_;
+  std::string_view name_;
+  const Circuit& circuit_;
+  SerLayerOptions ser_;
+  Engine engine_;
 };
 
 /// "batched": cone-sharing clusters + lane-plane SIMD kernels; sweeps run
-/// the work-stealing parallel routes, reusing the context's cluster planner
-/// when one is provided (the Session always provides its memoized one).
+/// the sweep driver, reusing the context's cluster planner when one is
+/// provided (the Session always provides its memoized one). Per-site queries
+/// run a compiled engine (a 1-lane cluster is bit-identical to it), built on
+/// the first one: sweep-only sessions, which rebuild their engine after
+/// every edit, never pay for its per-node scratch.
 class BatchedEngine final : public IEppEngine {
  public:
   explicit BatchedEngine(const EngineContext& ctx)
-      : compiled_(*ctx.compiled),
+      : circuit_(*ctx.circuit),
+        compiled_(*ctx.compiled),
         sp_(*ctx.sp),
         epp_(ctx.epp),
+        ser_(ctx.ser),
         planner_(ctx.planner),
-        planner_source_(ctx.planner_source),
-        engine_(*ctx.compiled, *ctx.sp, ctx.epp) {}
+        planner_source_(ctx.planner_source) {}
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return "batched";
@@ -113,46 +98,62 @@ class BatchedEngine final : public IEppEngine {
   }
 
   [[nodiscard]] SiteEpp compute(NodeId site) override {
-    return engine_.compute(site);  // a 1-lane cluster — bit-identical
+    return single().compute(site);
   }
   [[nodiscard]] double p_sensitized(NodeId site) override {
-    return engine_.p_sensitized(site);
+    return single().p_sensitized(site);
   }
   [[nodiscard]] std::vector<SiteEpp> sweep(std::span<const NodeId> sites,
                                            unsigned threads) override {
-    if (const ConeClusterPlanner* planner = resolve_planner()) {
-      return compute_sites_parallel(compiled_, *planner, sites, sp_, epp_,
-                                    threads);
-    }
-    return compute_sites_parallel(compiled_, sites, sp_, epp_, threads);
+    std::vector<SiteEpp> out(sites.size());
+    sweep_sites(compiled_, planner(), sites, sp_, epp_, threads,
+                {.records = out});
+    return out;
   }
-  [[nodiscard]] std::vector<double> sweep_p_sensitized(
-      std::span<const NodeId> sites, unsigned threads) override {
-    if (const ConeClusterPlanner* planner = resolve_planner()) {
-      return p_sensitized_sites_parallel(compiled_, *planner, sites, sp_,
-                                         epp_, threads);
+  [[nodiscard]] std::vector<NodeSer> sweep_rows(std::span<const NodeId> sites,
+                                                unsigned threads) override {
+    const std::vector<double> weights = ser_.latching.weights(circuit_);
+    std::vector<SiteRow> rows(sites.size());
+    sweep_sites(compiled_, planner(), sites, sp_, epp_, threads,
+                {.rows = rows, .latch_weights = weights});
+    std::vector<NodeSer> out;
+    out.reserve(rows.size());
+    for (const SiteRow& row : rows) {
+      out.push_back(node_ser_from_row(circuit_, row, ser_.seu));
     }
-    return p_sensitized_sites_parallel(compiled_, ConeClusterPlanner(compiled_),
-                                       sites, sp_, epp_, threads);
+    return out;
   }
 
  private:
   /// The context's plan, resolved lazily: per-site queries never trigger a
-  /// deferred planner_source; sweeps resolve it once and keep it.
-  [[nodiscard]] const ConeClusterPlanner* resolve_planner() {
+  /// deferred planner_source; sweeps resolve it once and keep it (or build
+  /// and keep a private one when the context gave neither form).
+  [[nodiscard]] const ConeClusterPlanner& planner() {
     if (planner_ == nullptr && planner_source_) {
       planner_ = planner_source_();
       planner_source_ = nullptr;
     }
-    return planner_;
+    if (planner_ == nullptr) {
+      owned_planner_ = std::make_unique<ConeClusterPlanner>(compiled_);
+      planner_ = owned_planner_.get();
+    }
+    return *planner_;
   }
 
+  [[nodiscard]] CompiledEppEngine& single() {
+    if (!single_) single_.emplace(compiled_, sp_, epp_);
+    return *single_;
+  }
+
+  const Circuit& circuit_;
   const CompiledCircuit& compiled_;
   const SignalProbabilities& sp_;
   EppOptions epp_;
-  const ConeClusterPlanner* planner_;  ///< may be null (see resolve_planner)
+  SerLayerOptions ser_;
+  const ConeClusterPlanner* planner_;  ///< may be null (see planner())
   std::function<const ConeClusterPlanner*()> planner_source_;
-  BatchedEppEngine engine_;
+  std::unique_ptr<ConeClusterPlanner> owned_planner_;
+  std::optional<CompiledEppEngine> single_;  ///< see single()
 };
 
 void require_context(const EngineContext& context) {
@@ -171,10 +172,12 @@ EngineRegistry& EngineRegistry::instance() {
   static EngineRegistry registry = [] {
     EngineRegistry r;
     r.add("reference", {}, [](const EngineContext& ctx) {
-      return std::unique_ptr<IEppEngine>(new ReferenceEngine(ctx));
+      return std::unique_ptr<IEppEngine>(
+          new SequentialEngine<EppEngine>("reference", ctx, *ctx.circuit));
     });
     r.add("compiled", {}, [](const EngineContext& ctx) {
-      return std::unique_ptr<IEppEngine>(new CompiledEngine(ctx));
+      return std::unique_ptr<IEppEngine>(new SequentialEngine<CompiledEppEngine>(
+          "compiled", ctx, *ctx.compiled));
     });
     r.add("batched", {.threads = true, .simd = true},
           [](const EngineContext& ctx) {

@@ -17,17 +17,6 @@
 
 namespace sereep {
 
-namespace {
-
-/// %.17g — the round-trip precision every golden CSV is pinned at.
-std::string round_trip(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
-}
-
-}  // namespace
-
 Circuit load_netlist(const std::string& spec) {
   for (const std::string& name : known_circuit_names()) {
     if (spec == name) return make_circuit(spec);
@@ -177,7 +166,7 @@ void Session::set_options(Options options) {
 
 void Session::drop_table() {
   table_ = {};
-  rows_ = Rows::kNone;
+  table_filled_ = false;
   pending_seeds_.clear();
   pending_sp_changed_.clear();
   pending_structural_ = false;
@@ -256,7 +245,7 @@ EditResult Session::apply_edit(const EditPlan& plan) {
 
 void Session::reconcile_table() {
   if (pending_seeds_.empty()) return;
-  if (rows_ == Rows::kNone) {
+  if (!table_filled_) {
     drop_table();  // nothing to splice into — the next fill sweeps it all
     return;
   }
@@ -305,60 +294,25 @@ void Session::reconcile_table() {
   inc_stats_.spliced_sites += all.size() - affected.size();
   if (affected.empty()) return;
 
-  // Re-sweep ONLY the affected sites through the session's own engine (site
-  // subsets are bit-identical to the matching slice of a full sweep — pinned
-  // by the engine-equivalence suite) and write them over their rows.
+  // Re-sweep ONLY the affected sites' rows through the session's own engine
+  // (site subsets are bit-identical to the matching slice of a full sweep —
+  // pinned by the engine-equivalence suite) and write them over their rows.
   table_.nodes.resize(all.size());
-  if (rows_ == Rows::kSer) {
-    const std::vector<SiteEpp> fresh =
-        engine().sweep(affected, options_.threads);
-    for (std::size_t k = 0; k < affected_idx.size(); ++k) {
-      fold_row(affected_idx[k], fresh[k]);
-    }
-    sum_ser();
-  } else {
-    const std::vector<double> fresh =
-        engine().sweep_p_sensitized(affected, options_.threads);
-    for (std::size_t k = 0; k < affected_idx.size(); ++k) {
-      table_.nodes[affected_idx[k]] =
-          NodeSer{.node = affected[k], .p_sensitized = fresh[k]};
-    }
-  }
-}
-
-void Session::fill_table(Rows want) {
-  reconcile_table();
-  if (rows_ >= want) return;
-  const std::span<const NodeId> all = sites();
-  table_.nodes.resize(all.size());
-  if (want == Rows::kPsens) {
-    const std::vector<double> psens =
-        engine().sweep_p_sensitized(all, options_.threads);
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      table_.nodes[i] = NodeSer{.node = all[i], .p_sensitized = psens[i]};
-    }
-    rows_ = Rows::kPsens;
-    return;
-  }
-  // SER rows fold the engine's full records in bounded slices: peak memory
-  // is O(slice) SiteEpp records, not all sites at once. A slice is far wider
-  // than any cluster-packing window, so cone sharing within it is unaffected.
-  constexpr std::size_t kFoldSlice = 8192;
-  IEppEngine& eng = engine();
-  for (std::size_t begin = 0; begin < all.size(); begin += kFoldSlice) {
-    const std::size_t count = std::min(kFoldSlice, all.size() - begin);
-    const std::vector<SiteEpp> records =
-        eng.sweep(all.subspan(begin, count), options_.threads);
-    for (std::size_t k = 0; k < count; ++k) fold_row(begin + k, records[k]);
+  const std::vector<NodeSer> fresh =
+      engine().sweep_rows(affected, options_.threads);
+  for (std::size_t k = 0; k < affected_idx.size(); ++k) {
+    table_.nodes[affected_idx[k]] = fresh[k];
   }
   sum_ser();
-  rows_ = Rows::kSer;
-  ++counts_->ser;
 }
 
-void Session::fold_row(std::size_t row, const SiteEpp& epp) {
-  table_.nodes[row] = node_ser_from_epp(*circuit_, epp, options_.ser.seu,
-                                        options_.ser.latching);
+void Session::fill_table() {
+  reconcile_table();
+  if (table_filled_) return;
+  table_.nodes = engine().sweep_rows(sites(), options_.threads);
+  sum_ser();
+  table_filled_ = true;
+  ++counts_->ser;
 }
 
 void Session::sum_ser() {
@@ -428,6 +382,7 @@ IEppEngine& Session::engine() {
       };
     }
     context.epp = options_.epp;
+    context.ser = options_.ser;
     context.shard = options_.shard;
     engine_ = EngineRegistry::instance().create(options_.engine, context);
     ++counts_->engine;
@@ -455,25 +410,29 @@ double Session::p_sensitized(NodeId site) {
 std::vector<SiteEpp> Session::sweep() {
   reconcile_table();
   std::vector<SiteEpp> records = engine().sweep(sites(), options_.threads);
-  if (rows_ != Rows::kSer) {
+  if (!table_filled_) {
     table_.nodes.resize(records.size());
-    for (std::size_t i = 0; i < records.size(); ++i) fold_row(i, records[i]);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      table_.nodes[i] = node_ser_from_epp(*circuit_, records[i],
+                                          options_.ser.seu,
+                                          options_.ser.latching);
+    }
     sum_ser();
-    rows_ = Rows::kSer;
+    table_filled_ = true;
     ++counts_->ser;
   }
   return records;
 }
 
 std::vector<double> Session::sweep_p_sensitized() {
-  fill_table(Rows::kPsens);
+  fill_table();
   std::vector<double> out(circuit_->node_count(), 0.0);
   for (const NodeSer& row : table_.nodes) out[row.node] = row.p_sensitized;
   return out;
 }
 
 const CircuitSer& Session::ser() {
-  fill_table(Rows::kSer);
+  fill_table();
   return table_;
 }
 
@@ -492,12 +451,12 @@ MultiCycleEpp Session::multicycle(NodeId site, std::size_t cycles) {
 }
 
 std::string Session::sweep_csv() {
-  fill_table(Rows::kPsens);
+  fill_table();
   CsvWriter csv({"node", "type", "p_sensitized"});
   for (const NodeSer& row : table_.nodes) {
     csv.add_row({circuit_->node(row.node).name,
                  std::string(gate_type_name(circuit_->type(row.node))),
-                 round_trip(row.p_sensitized)});
+                 format_round_trip(row.p_sensitized)});
   }
   return csv.str();
 }
@@ -509,8 +468,8 @@ std::string Session::ser_csv() {
   for (const NodeSer& n : circuit_ser.nodes) {
     csv.add_row({circuit_->node(n.node).name,
                  std::string(gate_type_name(circuit_->type(n.node))),
-                 round_trip(n.r_seu), round_trip(n.p_latched),
-                 round_trip(n.p_sensitized), round_trip(n.ser)});
+                 format_round_trip(n.r_seu), format_round_trip(n.p_latched),
+                 format_round_trip(n.p_sensitized), format_round_trip(n.ser)});
   }
   return csv.str();
 }

@@ -321,25 +321,34 @@ void BatchedEppEngine::compute_cluster(std::span<const NodeId> sites,
   }
 }
 
-void BatchedEppEngine::p_sensitized_cluster(std::span<const NodeId> sites,
-                                            std::span<double> out) {
+void BatchedEppEngine::rows_cluster(std::span<const NodeId> sites,
+                                    std::span<const double> latch_weights,
+                                    std::span<SiteRow> out) {
   assert(out.size() >= sites.size());
+  assert(latch_weights.size() == circuit_.node_count());
   propagate_cluster(sites, /*with_reconvergence=*/false);
 
   std::size_t seen = 0;
   for (const NodeId sink : circuit_.sinks_by_rank()) {
     if (stamp_[sink] != epoch_) continue;
     const std::size_t slot = slot_[sink];
+    const double weight = latch_weights[sink];
     std::uint64_t work = mask_[slot];
     while (work != 0) {
       const int l = std::countr_zero(work);
       work &= work - 1;
-      folds_[l].miss *=
-          1.0 - lane_prob4(slot, static_cast<std::size_t>(l)).error_mass();
+      const double mass =
+          lane_prob4(slot, static_cast<std::size_t>(l)).error_mass();
+      folds_[l].miss *= 1.0 - mass;
+      folds_[l].miss_latched *= 1.0 - weight * mass;
     }
     if (++seen == merged_sink_count_) break;
   }
-  for (std::size_t l = 0; l < sites.size(); ++l) out[l] = 1.0 - folds_[l].miss;
+  for (std::size_t l = 0; l < sites.size(); ++l) {
+    out[l] = {.site = sites[l],
+              .p_sensitized = 1.0 - folds_[l].miss,
+              .latched = 1.0 - folds_[l].miss_latched};
+  }
 }
 
 SiteEpp BatchedEppEngine::compute(NodeId site) {
@@ -348,9 +357,10 @@ SiteEpp BatchedEppEngine::compute(NodeId site) {
   return out;
 }
 
-double BatchedEppEngine::p_sensitized(NodeId site) {
-  double out = 0.0;
-  p_sensitized_cluster({&site, 1}, {&out, 1});
+SiteRow BatchedEppEngine::row(NodeId site,
+                              std::span<const double> latch_weights) {
+  SiteRow out;
+  rows_cluster({&site, 1}, latch_weights, {&out, 1});
   return out;
 }
 

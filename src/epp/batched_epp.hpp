@@ -36,8 +36,10 @@
 // order — the merged bucket order restricted to one lane's cone is a valid
 // topological order of that cone, same-bucket nodes never read each other,
 // per-lane sinks fold in the same rank-filtered sequence the compiled and
-// reference engines use, and each simd kernel replays the scalar gate_rules
-// arithmetic per lane (pinned by tests/epp/simd_kernels_test.cpp). The
+// reference engines use (so does rows_cluster's latch-weighted product, in
+// the sequence node_ser_from_epp walks), and each simd kernel replays the
+// scalar gate_rules arithmetic per lane (pinned by
+// tests/epp/simd_kernels_test.cpp). The
 // error-site seed is a constant re-applied after the kernel writes the
 // site's slot, never a kernel output. The SIMD and scalar per-lane paths
 // are therefore interchangeable per engine (EppOptions::simd; the scalar
@@ -82,15 +84,17 @@ class BatchedEppEngine {
   /// record. `sites` must hold 1..kMaxLanes distinct sites.
   void compute_cluster(std::span<const NodeId> sites, std::span<SiteEpp> out);
 
-  /// P_sensitized only — skips per-sink record assembly and the
-  /// reconvergent-gate count. out[i] receives sites[i]'s value.
-  void p_sensitized_cluster(std::span<const NodeId> sites,
-                            std::span<double> out);
+  /// SiteRow output (P_sensitized and the latch-weighted fold beside it,
+  /// `latch_weights` one weight per node) — skips per-sink record assembly
+  /// and the reconvergent-gate count. out[i] receives sites[i]'s row.
+  void rows_cluster(std::span<const NodeId> sites,
+                    std::span<const double> latch_weights,
+                    std::span<SiteRow> out);
 
   /// Single-site conveniences (a 1-lane cluster); used by tests to pin the
   /// degenerate case against CompiledEppEngine.
   [[nodiscard]] SiteEpp compute(NodeId site);
-  [[nodiscard]] double p_sensitized(NodeId site);
+  [[nodiscard]] SiteRow row(NodeId site, std::span<const double> latch_weights);
 
   [[nodiscard]] const CompiledCircuit& circuit() const noexcept {
     return circuit_;
@@ -144,6 +148,7 @@ class BatchedEppEngine {
   // Per-lane fold state, filled by propagate_cluster.
   struct LaneFold {
     double miss = 1.0;
+    double miss_latched = 1.0;  ///< rows_cluster's latch-weighted product
     double max_mass = 0.0;
     double sum_mass = 0.0;
     std::size_t cone_size = 0;
@@ -159,25 +164,25 @@ class BatchedEppEngine {
 // engine for 1-member clusters, where the lane machinery buys nothing (both
 // are bit-identical, so the split is invisible) — and hand each member's
 // result to `emit(member_index, value)`, with member_index the site's index
-// into `sites` (= the planner's input order). Shared by the work-stealing
-// sweeps in epp_engine.cpp and the bench harnesses.
+// into `sites` (= the planner's input order). Shared by the sweep driver
+// in epp_engine.cpp (sweep_sites) and the bench harnesses.
 
 template <typename Emit>
-void run_cluster_p_sensitized(BatchedEppEngine& batched,
-                              CompiledEppEngine& single,
-                              const ConeCluster& cluster,
-                              std::span<const NodeId> sites, Emit&& emit) {
+void run_cluster_rows(BatchedEppEngine& batched, CompiledEppEngine& single,
+                      const ConeCluster& cluster, std::span<const NodeId> sites,
+                      std::span<const double> latch_weights, Emit&& emit) {
   const std::size_t m = cluster.members.size();
   if (m == 1) {
-    emit(cluster.members[0], single.p_sensitized(sites[cluster.members[0]]));
+    emit(cluster.members[0],
+         single.row(sites[cluster.members[0]], latch_weights));
     return;
   }
   NodeId lane_sites[BatchedEppEngine::kMaxLanes];
-  double lane_out[BatchedEppEngine::kMaxLanes];
+  SiteRow lane_out[BatchedEppEngine::kMaxLanes];
   for (std::size_t k = 0; k < m; ++k) {
     lane_sites[k] = sites[cluster.members[k]];
   }
-  batched.p_sensitized_cluster({lane_sites, m}, {lane_out, m});
+  batched.rows_cluster({lane_sites, m}, latch_weights, {lane_out, m});
   for (std::size_t k = 0; k < m; ++k) emit(cluster.members[k], lane_out[k]);
 }
 

@@ -129,4 +129,21 @@ double CompiledEppEngine::p_sensitized(NodeId site) {
   return 1.0 - miss;
 }
 
+SiteRow CompiledEppEngine::row(NodeId site,
+                               std::span<const double> latch_weights) {
+  assert(site < circuit_.node_count());
+  assert(latch_weights.size() == circuit_.node_count());
+  const Cone& cone = propagate(site, /*with_reconvergence=*/false);
+  double miss = 1.0;
+  double miss_latched = 1.0;
+  for (NodeId sink : cone.reachable_sinks) {
+    const double mass = dist_[sink].error_mass();
+    miss *= 1.0 - mass;
+    miss_latched *= 1.0 - latch_weights[sink] * mass;
+  }
+  return {.site = site,
+          .p_sensitized = 1.0 - miss,
+          .latched = 1.0 - miss_latched};
+}
+
 }  // namespace sereep

@@ -53,6 +53,10 @@ class CompiledEppEngine {
   /// reconvergent-gate scan.
   [[nodiscard]] double p_sensitized(NodeId site);
 
+  /// p_sensitized() plus the latch-weighted fold over the same sinks
+  /// (`latch_weights` one weight per node) — one site's rows-sweep row.
+  [[nodiscard]] SiteRow row(NodeId site, std::span<const double> latch_weights);
+
   /// The distribution derived for an on-path node in the most recent
   /// compute()/p_sensitized() call (valid for that site's cone only).
   [[nodiscard]] const Prob4& last_distribution(NodeId node) const {

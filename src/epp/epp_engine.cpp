@@ -128,29 +128,6 @@ std::vector<SiteEpp> EppEngine::compute_all(std::size_t max_sites) {
   return results;
 }
 
-std::vector<double> all_nodes_p_sensitized(const Circuit& circuit) {
-  return all_nodes_p_sensitized(circuit, parker_mccluskey_sp(circuit));
-}
-
-std::vector<double> all_nodes_p_sensitized(const Circuit& circuit,
-                                           const SignalProbabilities& sp,
-                                           EppOptions options) {
-  return all_nodes_p_sensitized(circuit, CompiledCircuit(circuit), sp,
-                                options);
-}
-
-std::vector<double> all_nodes_p_sensitized(const Circuit& circuit,
-                                           const CompiledCircuit& compiled,
-                                           const SignalProbabilities& sp,
-                                           EppOptions options) {
-  CompiledEppEngine engine(compiled, sp, options);
-  std::vector<double> out(circuit.node_count(), 0.0);
-  for (NodeId site : error_sites(circuit)) {
-    out[site] = engine.p_sensitized(site);
-  }
-  return out;
-}
-
 namespace {
 
 /// Minimum sites per cursor grab. Chunks are cluster-granular (a cluster is
@@ -159,64 +136,63 @@ namespace {
 /// skewed tail, large enough to amortize the atomic.
 constexpr std::size_t kSweepChunk = 32;
 
-/// The planned sweep: cone-sharing clusters in descending mass order
-/// (biggest first, so no thread idles on a late giant) plus cluster-index
-/// chunk boundaries for the work-stealing cursor.
-struct SweepPlan {
-  std::vector<ConeCluster> clusters;
-  std::vector<std::size_t> chunk_bounds;  ///< chunk i = [bounds[i], bounds[i+1])
+}  // namespace
 
-  [[nodiscard]] std::size_t chunk_count() const noexcept {
-    return chunk_bounds.empty() ? 0 : chunk_bounds.size() - 1;
-  }
-};
-
-SweepPlan plan_sweep(const ConeClusterPlanner& planner,
-                     std::span<const NodeId> sites) {
-  SweepPlan plan;
-  plan.clusters = planner.plan(sites);
-  std::size_t i = 0;
-  while (i < plan.clusters.size()) {
-    plan.chunk_bounds.push_back(i);
-    std::size_t count = 0;
-    while (i < plan.clusters.size() && count < kSweepChunk) {
-      count += plan.clusters[i++].members.size();
+void sweep_sites(const CompiledCircuit& compiled,
+                 const ConeClusterPlanner& planner,
+                 std::span<const NodeId> sites, const SignalProbabilities& sp,
+                 const EppOptions& options, unsigned threads,
+                 const SweepOutput& out) {
+  const bool records = !out.records.empty();
+  assert(records ? out.records.size() == sites.size()
+                 : out.rows.size() == sites.size() &&
+                       out.latch_weights.size() == compiled.node_count());
+  // Clusters come in descending mass order (biggest first, so no thread
+  // idles on a late giant); chunk i is clusters [bounds[i], bounds[i+1]).
+  const std::vector<ConeCluster> clusters = planner.plan(sites);
+  std::vector<std::size_t> bounds;
+  for (std::size_t i = 0; i < clusters.size();) {
+    bounds.push_back(i);
+    for (std::size_t n = 0; i < clusters.size() && n < kSweepChunk;) {
+      n += clusters[i++].members.size();
     }
   }
-  plan.chunk_bounds.push_back(plan.clusters.size());
-  return plan;
-}
+  if (bounds.empty()) return;  // before any O(n) engine build
+  bounds.push_back(clusters.size());
+  const std::size_t chunks = bounds.size() - 1;
 
-/// Runs `per_cluster(batched, single, cluster)` for every cluster,
-/// distributing chunks via an atomic cursor (dynamic work stealing).
-/// Each worker owns one BatchedEppEngine plus one CompiledEppEngine — the
-/// latter serves 1-member clusters, where the lane machinery buys nothing
-/// (both produce bit-identical results, so the split is invisible).
-/// `threads` <= 1 runs the same chunked loop on the calling thread.
-template <typename PerClusterFn>
-void run_sweep(const CompiledCircuit& compiled, const SignalProbabilities& sp,
-               const EppOptions& options, const SweepPlan& plan,
-               unsigned threads, PerClusterFn per_cluster) {
-  if (plan.chunk_count() == 0) return;  // before any O(n) engine build
   // One off-path table for the whole sweep; every worker's engine pair
-  // borrows it instead of building identical per-engine copies.
+  // borrows it instead of building identical per-engine copies. Each worker
+  // owns one BatchedEppEngine plus one CompiledEppEngine — the latter serves
+  // 1-member clusters, where the lane machinery buys nothing (both produce
+  // bit-identical results, so the split is invisible) — and pulls chunks
+  // from an atomic cursor (dynamic work stealing).
   const std::vector<Prob4> off_path = build_off_path_table(sp);
   std::atomic<std::size_t> cursor{0};
   const auto worker = [&] {
     BatchedEppEngine batched(compiled, sp, off_path, options);
     CompiledEppEngine single(compiled, sp, off_path, options);
-    for (;;) {
-      const std::size_t chunk = cursor.fetch_add(1);
-      if (chunk >= plan.chunk_count()) break;
-      for (std::size_t c = plan.chunk_bounds[chunk];
-           c < plan.chunk_bounds[chunk + 1]; ++c) {
-        per_cluster(batched, single, plan.clusters[c]);
+    for (std::size_t chunk; (chunk = cursor.fetch_add(1)) < chunks;) {
+      for (std::size_t c = bounds[chunk]; c < bounds[chunk + 1]; ++c) {
+        if (records) {
+          run_cluster_compute(batched, single, clusters[c], sites,
+                              [&](std::uint32_t idx, SiteEpp&& epp) {
+                                out.records[idx] = std::move(epp);
+                              });
+        } else {
+          run_cluster_rows(batched, single, clusters[c], sites,
+                           out.latch_weights,
+                           [&](std::uint32_t idx, const SiteRow& row) {
+                             out.rows[idx] = row;
+                           });
+        }
       }
     }
   };
-  // Never spawn more workers than there are chunks to hand out.
-  threads = static_cast<unsigned>(std::min<std::size_t>(
-      threads == 0 ? 1 : threads, plan.chunk_count()));
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
+  // Never spawn more workers than there are chunks to hand out; one worker
+  // runs the same chunked loop on the calling thread.
+  threads = static_cast<unsigned>(std::min<std::size_t>(threads, chunks));
   if (threads <= 1) {
     worker();
     return;
@@ -225,93 +201,6 @@ void run_sweep(const CompiledCircuit& compiled, const SignalProbabilities& sp,
   pool.reserve(threads);
   for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
   for (std::thread& th : pool) th.join();
-}
-
-unsigned resolve_threads(unsigned threads) {
-  return threads == 0 ? std::max(1u, std::thread::hardware_concurrency())
-                      : threads;
-}
-
-}  // namespace
-
-std::vector<double> all_nodes_p_sensitized_parallel(
-    const Circuit& circuit, const SignalProbabilities& sp, EppOptions options,
-    unsigned threads) {
-  return all_nodes_p_sensitized_parallel(circuit, CompiledCircuit(circuit),
-                                         sp, options, threads);
-}
-
-std::vector<double> all_nodes_p_sensitized_parallel(
-    const Circuit& circuit, const CompiledCircuit& compiled,
-    const SignalProbabilities& sp, EppOptions options, unsigned threads) {
-  const std::vector<NodeId> sites = error_sites(circuit);
-  const std::vector<double> per_site = p_sensitized_sites_parallel(
-      compiled, ConeClusterPlanner(compiled), sites, sp, options, threads);
-  std::vector<double> out(circuit.node_count(), 0.0);
-  for (std::size_t i = 0; i < sites.size(); ++i) out[sites[i]] = per_site[i];
-  return out;
-}
-
-std::vector<double> p_sensitized_sites_parallel(
-    const CompiledCircuit& compiled, const ConeClusterPlanner& planner,
-    std::span<const NodeId> sites, const SignalProbabilities& sp,
-    EppOptions options, unsigned threads) {
-  const SweepPlan plan = plan_sweep(planner, sites);
-  std::vector<double> out(sites.size(), 0.0);
-  run_sweep(compiled, sp, options, plan, resolve_threads(threads),
-            [&](BatchedEppEngine& batched, CompiledEppEngine& single,
-                const ConeCluster& cluster) {
-              run_cluster_p_sensitized(
-                  batched, single, cluster, sites,
-                  [&](std::uint32_t idx, double p) { out[idx] = p; });
-            });
-  return out;
-}
-
-std::vector<SiteEpp> compute_sites_parallel(const CompiledCircuit& compiled,
-                                            std::span<const NodeId> sites,
-                                            const SignalProbabilities& sp,
-                                            EppOptions options,
-                                            unsigned threads) {
-  return compute_sites_parallel(compiled, ConeClusterPlanner(compiled), sites,
-                                sp, options, threads);
-}
-
-std::vector<SiteEpp> compute_sites_parallel(const CompiledCircuit& compiled,
-                                            const ConeClusterPlanner& planner,
-                                            std::span<const NodeId> sites,
-                                            const SignalProbabilities& sp,
-                                            EppOptions options,
-                                            unsigned threads) {
-  const SweepPlan plan = plan_sweep(planner, sites);
-  std::vector<SiteEpp> out(sites.size());
-  run_sweep(compiled, sp, options, plan, resolve_threads(threads),
-            [&](BatchedEppEngine& batched, CompiledEppEngine& single,
-                const ConeCluster& cluster) {
-              run_cluster_compute(batched, single, cluster, sites,
-                                  [&](std::uint32_t idx, SiteEpp&& epp) {
-                                    out[idx] = std::move(epp);
-                                  });
-            });
-  return out;
-}
-
-std::vector<SiteEpp> compute_all_parallel(const Circuit& circuit,
-                                          const SignalProbabilities& sp,
-                                          EppOptions options, unsigned threads,
-                                          std::size_t max_sites) {
-  return compute_all_parallel(circuit, CompiledCircuit(circuit), sp, options,
-                              threads, max_sites);
-}
-
-std::vector<SiteEpp> compute_all_parallel(const Circuit& circuit,
-                                          const CompiledCircuit& compiled,
-                                          const SignalProbabilities& sp,
-                                          EppOptions options, unsigned threads,
-                                          std::size_t max_sites) {
-  const std::vector<NodeId> sites =
-      subsample_sites(error_sites(circuit), max_sites);
-  return compute_sites_parallel(compiled, sites, sp, options, threads);
 }
 
 }  // namespace sereep

@@ -132,92 +132,46 @@ class EppEngine {
   std::vector<Prob4> fanin_scratch_;
 };
 
-/// Convenience one-shot: P_sensitized for every node of `circuit` with
-/// Parker-McCluskey SP, default options. Runs the compiled hot path.
-[[nodiscard]] std::vector<double> all_nodes_p_sensitized(
-    const Circuit& circuit);
+/// One site of a rows sweep — the row form of SiteEpp: P_sensitized and,
+/// folded over the same sinks in the same rank order beside it, the
+/// latch-weighted sensitization
+///   latched = 1 − Π_j (1 − w(sink_j) · EPP_j),
+/// w being the per-node latch-weight table the sweep was given
+/// (LatchingModel::weights). These are the operations node_ser_from_epp
+/// performs over a full record, so the SER row assembled from a SiteRow
+/// (node_ser_from_row) is bit-identical to the reference fold.
+struct SiteRow {
+  NodeId site = kInvalidNode;
+  double p_sensitized = 0.0;
+  double latched = 0.0;
+};
 
-/// Same, with a caller-provided SP assignment — sweeps that already computed
-/// signal probabilities (the SER estimator, the Table-2 harness) must not
-/// pay a redundant Parker-McCluskey pass per call.
-[[nodiscard]] std::vector<double> all_nodes_p_sensitized(
-    const Circuit& circuit, const SignalProbabilities& sp,
-    EppOptions options = {});
+/// What one sweep writes, out[i] for sites[i]: rows (`rows` sized like the
+/// site list, `latch_weights` one weight per node) or, when `records` is
+/// non-empty, full SiteEpp records (per-sink distributions, cone metadata).
+struct SweepOutput {
+  std::span<SiteRow> rows{};
+  std::span<const double> latch_weights{};
+  std::span<SiteEpp> records{};
+};
 
 class CompiledCircuit;
-
-/// Same, additionally reusing a CompiledCircuit the caller already built
-/// (`compiled` must be a compilation of `circuit`) — callers that ran the
-/// compiled SP pass hold the view already and must not pay a second O(V+E)
-/// flatten.
-[[nodiscard]] std::vector<double> all_nodes_p_sensitized(
-    const Circuit& circuit, const CompiledCircuit& compiled,
-    const SignalProbabilities& sp, EppOptions options = {});
-
-/// Multi-threaded all-nodes computation over the batched cone-sharing path:
-/// sites are grouped into cone-sharing clusters (ConeClusterPlanner), each
-/// worker owns a private BatchedEppEngine (plus a CompiledEppEngine for
-/// 1-member clusters) and pulls cluster chunks from a shared atomic cursor
-/// (dynamic work stealing), biggest clusters first so no thread idles on a
-/// skewed tail. `threads` == 0 picks std::thread::hardware_concurrency().
-/// Results are bit-identical to the sequential reference path at every
-/// thread count (pure computation, no accumulation order effects; the
-/// batched lanes replay the reference arithmetic exactly).
-[[nodiscard]] std::vector<double> all_nodes_p_sensitized_parallel(
-    const Circuit& circuit, const SignalProbabilities& sp,
-    EppOptions options = {}, unsigned threads = 0);
-
 class ConeClusterPlanner;
 
-/// Same, reusing a CompiledCircuit the caller already built (`compiled` must
-/// be a compilation of `circuit`) — callers that ran the compiled SP pass
-/// already hold the view and must not pay a second O(V+E) flatten.
-[[nodiscard]] std::vector<double> all_nodes_p_sensitized_parallel(
-    const Circuit& circuit, const CompiledCircuit& compiled,
-    const SignalProbabilities& sp, EppOptions options = {},
-    unsigned threads = 0);
-
-/// P_sensitized over an explicit site list (out[i] for sites[i]), reusing a
-/// ConeClusterPlanner the caller already built (`planner` must be a planner
-/// over `compiled`). The cheap sibling of compute_sites_parallel for callers
-/// that only need the scalar — the registry's batched engine routes its
-/// sweep_p_sensitized here.
-[[nodiscard]] std::vector<double> p_sensitized_sites_parallel(
-    const CompiledCircuit& compiled, const ConeClusterPlanner& planner,
-    std::span<const NodeId> sites, const SignalProbabilities& sp,
-    EppOptions options = {}, unsigned threads = 0);
-
-/// Batched parallel compute() over an explicit site list: full SiteEpp
-/// records, out[i] for sites[i]. The cluster planner + work-stealing
-/// scheduler of all_nodes_p_sensitized_parallel, for callers sweeping a
-/// subset (the multicycle engine's FF matrix, sampled studies).
-[[nodiscard]] std::vector<SiteEpp> compute_sites_parallel(
-    const CompiledCircuit& compiled, std::span<const NodeId> sites,
-    const SignalProbabilities& sp, EppOptions options = {},
-    unsigned threads = 0);
-
-/// Same, reusing a ConeClusterPlanner the caller already built (`planner`
-/// must be a planner over `compiled`) — holders of a long-lived compiled
-/// view that sweep repeatedly (the SER estimator) must not pay a second
-/// O(V+E) signature pass per call.
-[[nodiscard]] std::vector<SiteEpp> compute_sites_parallel(
-    const CompiledCircuit& compiled, const ConeClusterPlanner& planner,
-    std::span<const NodeId> sites, const SignalProbabilities& sp,
-    EppOptions options = {}, unsigned threads = 0);
-
-/// Batched parallel compute(): full SiteEpp records for every error site (or
-/// an evenly spaced subsample when max_sites > 0), in error_sites() order.
-/// Same dynamic scheduler as all_nodes_p_sensitized_parallel.
-[[nodiscard]] std::vector<SiteEpp> compute_all_parallel(
-    const Circuit& circuit, const SignalProbabilities& sp,
-    EppOptions options = {}, unsigned threads = 0, std::size_t max_sites = 0);
-
-/// Same, reusing a CompiledCircuit the caller already built (`compiled` must
-/// be a compilation of `circuit`) — holders of a long-lived compiled view
-/// (the SER estimator) must not pay a second O(V+E) flatten per sweep.
-[[nodiscard]] std::vector<SiteEpp> compute_all_parallel(
-    const Circuit& circuit, const CompiledCircuit& compiled,
-    const SignalProbabilities& sp, EppOptions options = {},
-    unsigned threads = 0, std::size_t max_sites = 0);
+/// The sweep driver — every whole-circuit or site-subset sweep runs here.
+/// `planner` (a planner over `compiled`) groups `sites` into cone-sharing
+/// clusters; each worker owns a private BatchedEppEngine (plus a
+/// CompiledEppEngine for 1-member clusters) and pulls cluster chunks from a
+/// shared atomic cursor (dynamic work stealing), biggest clusters first so
+/// no thread idles on a skewed tail. `threads` == 0 picks
+/// std::thread::hardware_concurrency(). Results are bit-identical to the
+/// reference engine at every thread count (pure per-site computation, no
+/// accumulation order effects; the batched lanes replay the reference
+/// arithmetic exactly).
+void sweep_sites(const CompiledCircuit& compiled,
+                 const ConeClusterPlanner& planner,
+                 std::span<const NodeId> sites, const SignalProbabilities& sp,
+                 const EppOptions& options, unsigned threads,
+                 const SweepOutput& out);
 
 }  // namespace sereep

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 namespace sereep {
 
@@ -20,11 +21,11 @@ MultiCycleEppEngine::MultiCycleEppEngine(const Circuit& circuit,
   ff_index_.assign(circuit_.node_count(), static_cast<std::size_t>(-1));
   for (std::size_t k = 0; k < dffs.size(); ++k) ff_index_[dffs[k]] = k;
 
-  const std::vector<SiteEpp> epps =
-      planner != nullptr
-          ? compute_sites_parallel(compiled, *planner, dffs, sp, options,
-                                   threads)
-          : compute_sites_parallel(compiled, dffs, sp, options, threads);
+  std::optional<ConeClusterPlanner> own_plan;
+  if (planner == nullptr) planner = &own_plan.emplace(compiled);
+  std::vector<SiteEpp> epps(dffs.size());
+  sweep_sites(compiled, *planner, dffs, sp, options, threads,
+              {.records = epps});
   rows_.resize(dffs.size());
   for (std::size_t k = 0; k < dffs.size(); ++k) {
     const SiteEpp& epp = epps[k];

@@ -156,17 +156,19 @@ std::uint32_t shard_crc32(std::span<const std::uint8_t> data) {
 
 std::vector<std::uint8_t> encode_job_prefix(const ShardJob& job) {
   std::vector<std::uint8_t> out;
-  out.reserve(32 + job.sp.size() * 8);
+  out.reserve(40 + (job.sp.size() + job.latch_weights.size()) * 8);
   ByteWriter w(out);
   w.u8(job.epp.track_polarity ? 1 : 0);
   w.f64(job.epp.electrical_survival);
   w.u32(job.threads);
   w.u8(job.epp.simd ? 2 : 1);
-  w.u8(job.p_only ? 1 : 0);
+  w.u8(static_cast<std::uint8_t>(job.output));
   w.u64(job.fingerprint.nodes);
   w.u64(job.fingerprint.digest);
   w.u64(job.sp.size());
   for (double p : job.sp) w.f64(p);
+  w.u64(job.latch_weights.size());
+  for (double weight : job.latch_weights) w.f64(weight);
   return out;
 }
 
@@ -192,11 +194,19 @@ ShardJob decode_job(std::span<const std::uint8_t> payload) {
   job.epp.electrical_survival = r.f64();
   job.threads = r.u32();
   job.epp.simd = r.u8() == 2;
-  job.p_only = r.u8() != 0;
+  const std::uint8_t output = r.u8();
+  if (output != static_cast<std::uint8_t>(ShardOutput::kRow) &&
+      output != static_cast<std::uint8_t>(ShardOutput::kRecord)) {
+    throw std::runtime_error("shard protocol: unknown job output kind " +
+                             std::to_string(output));
+  }
+  job.output = static_cast<ShardOutput>(output);
   job.fingerprint.nodes = r.u64();
   job.fingerprint.digest = r.u64();
   job.sp.resize(r.count(r.u64(), 8));
   for (double& p : job.sp) p = r.f64();
+  job.latch_weights.resize(r.count(r.u64(), 8));
+  for (double& weight : job.latch_weights) weight = r.f64();
   job.spawn = r.u32();
   job.sites.resize(r.count(r.u64(), 4));
   for (NodeId& site : job.sites) site = r.u32();
@@ -247,6 +257,31 @@ std::vector<SiteEpp> decode_results(std::span<const std::uint8_t> payload) {
   }
   r.expect_end();
   return records;
+}
+
+std::vector<std::uint8_t> encode_rows(std::span<const SiteRow> rows) {
+  std::vector<std::uint8_t> out;
+  out.reserve(4 + rows.size() * 20);
+  ByteWriter w(out);
+  w.u32(static_cast<std::uint32_t>(rows.size()));
+  for (const SiteRow& row : rows) {
+    w.u32(row.site);
+    w.f64(row.p_sensitized);
+    w.f64(row.latched);
+  }
+  return out;
+}
+
+std::vector<SiteRow> decode_rows(std::span<const std::uint8_t> payload) {
+  ByteReader r(payload);
+  std::vector<SiteRow> rows(r.count(r.u32(), 20));
+  for (SiteRow& row : rows) {
+    row.site = r.u32();
+    row.p_sensitized = r.f64();
+    row.latched = r.f64();
+  }
+  r.expect_end();
+  return rows;
 }
 
 std::vector<std::uint8_t> encode_done(std::uint64_t total) {
@@ -310,18 +345,19 @@ std::optional<ShardFrame> read_shard_frame(int fd, int timeout_ms,
     throw std::runtime_error(
         "shard protocol: bad frame magic (not a sereep frame stream?)");
   }
-  if (const std::uint16_t version = r.u16();
-      version < kMinShardProtocolVersion || version > kShardProtocolVersion) {
-    // v4 only ADDED frame types over v3, so a one-version-older peer still
-    // frames identically and stays accepted; anything outside the window is
-    // a mismatched binary.
+  ShardFrame frame;
+  frame.version = r.u16();
+  if (frame.version < kMinShardProtocolVersion ||
+      frame.version > kShardProtocolVersion) {
+    // v4..v6 frame identically to v3 (only the job payload moved, and the
+    // worker checks that itself), so older peers stay accepted; anything
+    // outside the window is a mismatched binary.
     throw std::runtime_error(
         "shard protocol: version mismatch (peer speaks v" +
-        std::to_string(version) + ", this side accepts v" +
+        std::to_string(frame.version) + ", this side accepts v" +
         std::to_string(kMinShardProtocolVersion) + "..v" +
         std::to_string(kShardProtocolVersion) + ")");
   }
-  ShardFrame frame;
   frame.type = static_cast<ShardFrameType>(r.u16());
   const std::uint64_t size = r.u64();
   const std::uint32_t crc = r.u32();

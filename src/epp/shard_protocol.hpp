@@ -19,18 +19,27 @@
 // result stream the supervisor treats it like any corrupt frame (distrust
 // the attempt, recompute the shard).
 //
-// Conversation (one per worker; v3):
-//   parent -> worker   kJob       EPP options, the PARENT netlist's
-//                                 fingerprint, SP table, assigned site list
+// Conversation (one per worker; v6):
+//   parent -> worker   kJob       EPP options, the output kind, the PARENT
+//                                 netlist's fingerprint, SP table, latch
+//                                 weights (row jobs), assigned site list
 //   worker -> parent   kProgress  ack: job decoded (count 0) — flows before
 //                                 the (possibly slow) netlist load
 //   worker -> parent   kHello     handshake: the fingerprint of the netlist
 //                                 the WORKER loaded, echoed back
 //   worker -> parent   kProgress  cumulative record count, before each
 //                                 compute slice (supervisor deadline food)
-//   worker -> parent   kResults   a batch of SiteEpp records (repeated)
+//   worker -> parent   kRowBatch  row jobs: a batch of SiteRow entries, 20
+//                    / kResults   bytes each; record jobs: a batch of SiteEpp
+//                                 records (repeated)
 //   worker -> parent   kDone      total record count (completeness check)
 //   worker -> parent   kError     human-readable failure message
+//
+// Table fills (Session's result table) send row jobs: the worker folds the
+// latch-weighted term beside P_sensitized inside its sweep and streams
+// P_sensitized plus that term per site; the parent assembles the NodeSer
+// rows. Session::sweep() and the multicycle matrix need per-sink
+// distributions and send record jobs.
 //
 // The fingerprint handshake exists because a .bench reload is NOT
 // node-id-identical to in-memory generator output: a worker that loads a
@@ -68,15 +77,21 @@ inline constexpr std::uint32_t kShardMagic = 0x53'52'50'46;  // "SRPF"
 /// kRequest/kResponse pair for the `sereep serve` daemon. v4: the kBusy
 /// overload-shed frame and the serve kStats request kind. v5: the serve
 /// kEdit request kind (the edit-spec string travels only for that kind, so
-/// every pre-existing payload layout is untouched). All bumps since v3 are
-/// purely ADDITIVE, so readers accept
-/// kMinShardProtocolVersion..kShardProtocolVersion (a v3 client talking to
-/// a v5 daemon keeps working; anything older is rejected loudly by the
-/// version check).
-inline constexpr std::uint16_t kShardProtocolVersion = 5;
-/// Oldest peer version read_shard_frame still accepts. v3..v5 frames differ
-/// only in which types/kinds they can carry, never in layout.
+/// every pre-existing payload layout is untouched). v6: the job's output
+/// kind (the byte v5 spent on a P_sensitized-only flag), the latch-weight
+/// table after the SP table, and the kRowBatch frame. Every other layout is
+/// v3's, so read_shard_frame accepts
+/// kMinShardProtocolVersion..kShardProtocolVersion (a v3 serve client
+/// talking to a v6 daemon keeps working; anything older is rejected loudly
+/// by the version check); workers decode jobs only from v6+ frames
+/// (kMinShardJobVersion).
+inline constexpr std::uint16_t kShardProtocolVersion = 6;
+/// Oldest peer version read_shard_frame still accepts. v3..v6 frames differ
+/// only in which types/kinds they can carry, never in layout — kJob aside.
 inline constexpr std::uint16_t kMinShardProtocolVersion = 3;
+/// Oldest kJob frame version a worker decodes: v6 changed the job layout, so
+/// a pre-v6 parent's job is refused with a kError naming both versions.
+inline constexpr std::uint16_t kMinShardJobVersion = 6;
 
 /// Frame kinds (the `type` header field).
 enum class ShardFrameType : std::uint16_t {
@@ -93,6 +108,7 @@ enum class ShardFrameType : std::uint16_t {
   /// closes right after; the client's move is bounded retry with backoff
   /// (`sereep client --retries`) — v4.
   kBusy = 9,
+  kRowBatch = 10,  ///< worker -> parent: SiteRow entries (row jobs) — v6
 };
 
 /// CRC-32 (IEEE 802.3 / zlib polynomial, reflected) of `data` — the value
@@ -115,7 +131,14 @@ using NetlistFingerprint = CircuitFingerprint;
 /// One decoded frame.
 struct ShardFrame {
   ShardFrameType type = ShardFrameType::kError;
+  std::uint16_t version = kShardProtocolVersion;  ///< the sender's version
   std::vector<std::uint8_t> payload;
+};
+
+/// What a job's worker streams back.
+enum class ShardOutput : std::uint8_t {
+  kRow = 1,     ///< one SiteRow per site, in kRowBatch frames
+  kRecord = 2,  ///< one full SiteEpp record per site, in kResults frames
 };
 
 /// Everything a worker needs to compute its shard. The SP table is the
@@ -127,14 +150,17 @@ struct ShardJob {
   /// scalar path, 2 = SIMD kernels (timing only — bit-identical).
   EppOptions epp;
   unsigned threads = 1;
-  /// True when the sweep only needs p_sensitized: workers skip per-sink
-  /// record assembly and stream records with empty sink lists.
-  bool p_only = false;
+  /// A table fill's SiteRow entries or full records; one byte on the wire.
+  ShardOutput output = ShardOutput::kRecord;
   /// The PARENT circuit's fingerprint: the worker rejects its own load on a
   /// mismatch (diagnostic naming both) instead of streaming wrong-site
   /// records.
   NetlistFingerprint fingerprint;
   std::vector<double> sp;       ///< per-node P(1), indexed by NodeId
+  /// Row jobs: the parent's per-node latch weights (LatchingModel::weights,
+  /// indexed by NodeId), so workers need no SER model of their own. Empty
+  /// for record jobs.
+  std::vector<double> latch_weights;
   /// The supervisor's dispatch ordinal (initial fan-out and every retry
   /// respawn count up the same sequence). Pipe workers also get it as
   /// --spawn argv; TCP workers are long-lived processes with no per-job
@@ -163,6 +189,12 @@ void append_job_dispatch(std::vector<std::uint8_t>& payload,
 [[nodiscard]] std::vector<std::uint8_t> encode_results(
     std::span<const SiteEpp> records);
 [[nodiscard]] std::vector<SiteEpp> decode_results(
+    std::span<const std::uint8_t> payload);
+
+/// A row batch carries 20 bytes per site (site, P_sensitized, latched).
+[[nodiscard]] std::vector<std::uint8_t> encode_rows(
+    std::span<const SiteRow> rows);
+[[nodiscard]] std::vector<SiteRow> decode_rows(
     std::span<const std::uint8_t> payload);
 
 [[nodiscard]] std::vector<std::uint8_t> encode_done(std::uint64_t total);

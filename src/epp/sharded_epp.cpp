@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "sereep/session.hpp"  // load_netlist — the worker's input vocabulary
@@ -63,16 +64,22 @@ struct DrainOutcome {
   std::string error;                 ///< failure description (when !ok)
 };
 
-/// Drains one worker's stream, validating every record against the expected
-/// plan-order site and scattering it into out[slots[k]] as it arrives — so
-/// whatever a dying worker DID deliver is already merged (and keepable when
-/// trust_prefix holds). Never throws; every failure mode is a classified
-/// DrainOutcome.
+/// A sweep whose output is `Rec` = SiteEpp sends record jobs (kResults
+/// frames come back); `Rec` = SiteRow sends row jobs (kRowBatch frames).
+template <typename Rec>
+constexpr bool kRecordJob = std::is_same_v<Rec, SiteEpp>;
+
+/// Drains one worker's stream, validating every record (or row) against the
+/// expected plan-order site and scattering it into out[slots[k]] as it
+/// arrives — so whatever a dying worker DID deliver is already merged (and
+/// keepable when trust_prefix holds). Never throws; every failure mode is a
+/// classified DrainOutcome.
+template <typename Rec>
 DrainOutcome drain_attempt(int fd, int timeout_ms,
                            std::span<const NodeId> expected,
                            std::span<const std::uint32_t> slots,
                            const NetlistFingerprint& parent_fp,
-                           std::vector<SiteEpp>& out) {
+                           std::vector<Rec>& out) {
   DrainOutcome r;
   bool hello_seen = false;
   try {
@@ -100,14 +107,25 @@ DrainOutcome drain_attempt(int fd, int timeout_ms,
           hello_seen = true;
           break;
         }
-        case ShardFrameType::kResults: {
+        case ShardFrameType::kResults:
+        case ShardFrameType::kRowBatch: {
           if (!hello_seen) {
             r.trust_prefix = false;
             r.error = "results arrived before the fingerprint handshake";
             return r;
           }
-          std::vector<SiteEpp> batch = decode_results(frame->payload);
-          for (SiteEpp& rec : batch) {
+          if (kRecordJob<Rec> != (frame->type == ShardFrameType::kResults)) {
+            r.trust_prefix = false;
+            r.error = "result frame of the wrong kind for this job";
+            return r;
+          }
+          std::vector<Rec> batch;
+          if constexpr (kRecordJob<Rec>) {
+            batch = decode_results(frame->payload);
+          } else {
+            batch = decode_rows(frame->payload);
+          }
+          for (Rec& rec : batch) {
             if (r.verified >= expected.size() ||
                 rec.site != expected[r.verified]) {
               r.trust_prefix = false;
@@ -176,9 +194,11 @@ void backoff_sleep(const ShardRetryOptions& retry, unsigned failures) {
 }  // namespace
 
 ShardedEppEngine::ShardedEppEngine(const EngineContext& context)
-    : compiled_(*context.compiled),
+    : circuit_(*context.circuit),
+      compiled_(*context.compiled),
       sp_(*context.sp),
       epp_(context.epp),
+      ser_(context.ser),
       shard_(context.shard),
       fingerprint_(netlist_fingerprint(*context.circuit)),
       planner_(context.planner),
@@ -199,15 +219,18 @@ const ConeClusterPlanner* ShardedEppEngine::resolve_planner() {
 
 std::vector<SiteEpp> ShardedEppEngine::sweep(std::span<const NodeId> sites,
                                              unsigned threads) {
-  return run(sites, threads, /*p_only=*/false);
+  return run<SiteEpp>(sites, threads, {});
 }
 
-std::vector<double> ShardedEppEngine::sweep_p_sensitized(
+std::vector<NodeSer> ShardedEppEngine::sweep_rows(
     std::span<const NodeId> sites, unsigned threads) {
-  const std::vector<SiteEpp> records = run(sites, threads, /*p_only=*/true);
-  std::vector<double> out;
-  out.reserve(records.size());
-  for (const SiteEpp& rec : records) out.push_back(rec.p_sensitized);
+  const std::vector<double> weights = ser_.latching.weights(circuit_);
+  const std::vector<SiteRow> rows = run<SiteRow>(sites, threads, weights);
+  std::vector<NodeSer> out;
+  out.reserve(rows.size());
+  for (const SiteRow& row : rows) {
+    out.push_back(node_ser_from_row(circuit_, row, ser_.seu));
+  }
   return out;
 }
 
@@ -223,8 +246,10 @@ void ShardedEppEngine::reset_sweep_diagnostics() {
   diagnostics_.transport = "in-process";
 }
 
-std::vector<SiteEpp> ShardedEppEngine::run(std::span<const NodeId> sites,
-                                           unsigned threads, bool p_only) {
+template <typename Rec>
+std::vector<Rec> ShardedEppEngine::run(std::span<const NodeId> sites,
+                                       unsigned threads,
+                                       std::span<const double> latch_weights) {
   ++diagnostics_.sweeps;
   reset_sweep_diagnostics();
   // shards == 1 and degenerate site counts are CONFIGURED in-process runs,
@@ -235,9 +260,13 @@ std::vector<SiteEpp> ShardedEppEngine::run(std::span<const NodeId> sites,
     // checked by the fingerprint handshake), so hosts alone suffice.
     if (!shard_.hosts.empty() ||
         (!shard_.worker_path.empty() && !shard_.netlist.empty())) {
-      return run_sharded(sites, threads, p_only);
-    }
-    if (!shard_.fallback_to_in_process) {
+      const std::vector<Shard> shards =
+          plan_shards(resolve_planner()->plan(sites), shard_.shards);
+      // One cluster == one shard: fanning out buys nothing, skip the forks.
+      if (shards.size() > 1) {
+        return run_sharded<Rec>(sites, shards, threads, latch_weights);
+      }
+    } else if (!shard_.fallback_to_in_process) {
       throw std::runtime_error(
           "sharded engine: sharding unavailable — Options::shard." +
           std::string(shard_.worker_path.empty() ? "worker_path" : "netlist") +
@@ -247,39 +276,30 @@ std::vector<SiteEpp> ShardedEppEngine::run(std::span<const NodeId> sites,
           "shard.fallback_to_in_process.");
     }
   }
-  return run_in_process(sites, threads, p_only);
-}
-
-std::vector<SiteEpp> ShardedEppEngine::run_in_process(
-    std::span<const NodeId> sites, unsigned threads, bool p_only) {
   diagnostics_.shard_sites.assign(1, sites.size());
   diagnostics_.in_process = true;
-  diagnostics_.transport = "in-process";
-  const ConeClusterPlanner* planner = resolve_planner();
-  if (!p_only) {
-    return compute_sites_parallel(compiled_, *planner, sites, sp_, epp_,
-                                  threads);
-  }
-  const std::vector<double> p =
-      p_sensitized_sites_parallel(compiled_, *planner, sites, sp_, epp_,
-                                  threads);
-  std::vector<SiteEpp> out(sites.size());
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    out[i].site = sites[i];
-    out[i].p_sensitized = p[i];
+  return sweep_in_process<Rec>(sites, threads, latch_weights);
+}
+
+template <typename Rec>
+std::vector<Rec> ShardedEppEngine::sweep_in_process(
+    std::span<const NodeId> sites, unsigned threads,
+    std::span<const double> latch_weights) {
+  std::vector<Rec> out(sites.size());
+  if constexpr (kRecordJob<Rec>) {
+    sweep_sites(compiled_, *resolve_planner(), sites, sp_, epp_, threads,
+                {.records = out});
+  } else {
+    sweep_sites(compiled_, *resolve_planner(), sites, sp_, epp_, threads,
+                {.rows = out, .latch_weights = latch_weights});
   }
   return out;
 }
 
-std::vector<SiteEpp> ShardedEppEngine::run_sharded(
-    std::span<const NodeId> sites, unsigned threads, bool p_only) {
-  const std::vector<ConeCluster> clusters = resolve_planner()->plan(sites);
-  const std::vector<Shard> shards = plan_shards(clusters, shard_.shards);
-  if (shards.size() <= 1) {
-    // One cluster == one shard: fanning out buys nothing, skip the forks.
-    return run_in_process(sites, threads, p_only);
-  }
-
+template <typename Rec>
+std::vector<Rec> ShardedEppEngine::run_sharded(
+    std::span<const NodeId> sites, std::span<const Shard> shards,
+    unsigned threads, std::span<const double> latch_weights) {
   // Pre-dispatch refusal for artifact-fed fleets: the .sca header carries
   // the fingerprint, so a shard.netlist pointing at the WRONG artifact is
   // detectable for the cost of one 128-byte read — before a single worker
@@ -314,13 +334,14 @@ std::vector<SiteEpp> ShardedEppEngine::run_sharded(
   ShardJob job;
   job.epp = epp_;
   job.threads = threads;
-  job.p_only = p_only;
+  job.output = kRecordJob<Rec> ? ShardOutput::kRecord : ShardOutput::kRow;
   job.fingerprint = fingerprint_;
   job.sp = sp_.p1;
-  // One prefix (options + the full SP table — the bulk of the bytes) for
-  // the whole sweep; only the dispatch ordinal and the site list vary per
-  // shard AND per retry (residuals are a subset), so every dispatch is
-  // prefix + append_job_dispatch.
+  job.latch_weights.assign(latch_weights.begin(), latch_weights.end());
+  // One prefix (options + the full SP and weight tables — the bulk of the
+  // bytes) for the whole sweep; only the dispatch ordinal and the site list
+  // vary per shard AND per retry (residuals are a subset), so every
+  // dispatch is prefix + append_job_dispatch.
   const std::vector<std::uint8_t> prefix = encode_job_prefix(job);
 
   const auto dispatch =
@@ -353,7 +374,7 @@ std::vector<SiteEpp> ShardedEppEngine::run_sharded(
   // Phase 2 — supervise: drain shards in plan order (deterministic merge no
   // matter how workers interleave in time); each shard runs its own
   // retry/re-dispatch loop against the failure policy.
-  std::vector<SiteEpp> out(sites.size());
+  std::vector<Rec> out(sites.size());
   for (std::size_t i = 0; i < shards.size(); ++i) {
     std::vector<NodeId>& exp = expected[i];
     std::vector<std::uint32_t>& slot = slots[i];
@@ -430,20 +451,10 @@ std::vector<SiteEpp> ShardedEppEngine::run_sharded(
           // Budget exhausted: finish the residual in-process with the
           // batched engine — bit-identical by the purity argument, at
           // in-process speed for just this remainder.
-          const ConeClusterPlanner* planner = resolve_planner();
-          if (p_only) {
-            const std::vector<double> p = p_sensitized_sites_parallel(
-                compiled_, *planner, exp, sp_, epp_, threads);
-            for (std::size_t k = 0; k < exp.size(); ++k) {
-              out[slot[k]].site = exp[k];
-              out[slot[k]].p_sensitized = p[k];
-            }
-          } else {
-            std::vector<SiteEpp> records = compute_sites_parallel(
-                compiled_, *planner, exp, sp_, epp_, threads);
-            for (std::size_t k = 0; k < exp.size(); ++k) {
-              out[slot[k]] = std::move(records[k]);
-            }
+          std::vector<Rec> residual =
+              sweep_in_process<Rec>(exp, threads, latch_weights);
+          for (std::size_t k = 0; k < exp.size(); ++k) {
+            out[slot[k]] = std::move(residual[k]);
           }
           ++diagnostics_.degraded_shards;
           diagnostics_.redispatched_sites += exp.size();
@@ -508,6 +519,13 @@ int run_shard_worker(const std::string& netlist_spec,
     if (!frame.has_value() || frame->type != ShardFrameType::kJob) {
       throw std::runtime_error("expected a job frame on stdin");
     }
+    if (frame->version < kMinShardJobVersion) {
+      throw std::runtime_error(
+          "job frame speaks shard protocol v" +
+          std::to_string(frame->version) + ", this worker decodes v" +
+          std::to_string(kMinShardJobVersion) + "+ jobs only — parent and "
+          "worker are different sereep builds");
+    }
     ShardJob job = decode_job(frame->payload);
     if (!cli_spawn.has_value()) {
       fault = fault_plan.for_spawn(job.spawn);
@@ -555,9 +573,12 @@ int run_shard_worker(const std::string& netlist_spec,
           "' loaded as " + to_string(fp) +
           " — point shard.netlist at the exact netlist the parent opened");
     }
-    if (job.sp.size() != node_count) {
+    const bool rows = job.output == ShardOutput::kRow;
+    if (job.sp.size() != node_count ||
+        job.latch_weights.size() != (rows ? node_count : 0)) {
       throw std::runtime_error(
-          "SP table covers " + std::to_string(job.sp.size()) +
+          "SP / latch-weight tables cover " + std::to_string(job.sp.size()) +
+          " / " + std::to_string(job.latch_weights.size()) +
           " nodes but '" + netlist_spec + "' has " +
           std::to_string(node_count) +
           " — parent and worker loaded different netlists");
@@ -619,22 +640,22 @@ int run_shard_worker(const std::string& netlist_spec,
       // starve across a long cluster extraction.
       write_shard_frame(out_fd, ShardFrameType::kProgress,
                         encode_progress(streamed));
-      std::vector<SiteEpp> records;
-      if (job.p_only) {
-        const std::vector<double> p = p_sensitized_sites_parallel(
-            compiled, planner, slice, sp, job.epp, job.threads);
-        records.resize(count);
-        for (std::size_t k = 0; k < count; ++k) {
-          records[k].site = slice[k];
-          records[k].p_sensitized = p[k];
-        }
+      std::vector<std::uint8_t> payload;
+      if (rows) {
+        std::vector<SiteRow> batch(count);
+        sweep_sites(compiled, planner, slice, sp, job.epp, job.threads,
+                    {.rows = batch, .latch_weights = job.latch_weights});
+        payload = encode_rows(batch);
       } else {
-        records = compute_sites_parallel(compiled, planner, slice, sp,
-                                         job.epp, job.threads);
+        std::vector<SiteEpp> records(count);
+        sweep_sites(compiled, planner, slice, sp, job.epp, job.threads,
+                    {.records = records});
+        payload = encode_results(records);
       }
       fault_gate(result_frames);
-      write_shard_frame(out_fd, ShardFrameType::kResults,
-                        encode_results(records));
+      write_shard_frame(out_fd, rows ? ShardFrameType::kRowBatch
+                                     : ShardFrameType::kResults,
+                        payload);
       ++result_frames;
       streamed += count;
     }

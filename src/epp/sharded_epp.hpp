@@ -1,6 +1,6 @@
 // ShardedEppEngine — the multi-process sweep tier ("sharded" registry key).
 //
-// sweep()/sweep_p_sensitized() partition the cone-cluster plan into N shards
+// sweep()/sweep_rows() partition the cone-cluster plan into N shards
 // (shard_plan.hpp — whole clusters, biggest mass first, the same cost model
 // the in-process work stealer uses) and fan them out to worker processes
 // over a ShardTransport (shard_transport.hpp): pipes to locally-forked
@@ -8,10 +8,11 @@
 // `sereep worker --listen=PORT` hosts named in ShardOptions::hosts. Either
 // way each worker receives its assignment as one kJob frame
 // (shard_protocol.hpp — the parent's SP table travels with it, so workers
-// never recompute SPs), sweeps its sites with the batched engine, and
-// streams SiteEpp records back. The parent scatters every record into the
-// caller's site order, so the merged result is BIT-FOR-BIT identical to an
-// in-process batched sweep
+// never recompute SPs, and so do the latch weights of a rows sweep), sweeps
+// its sites with the batched engine, and streams compact rows (sweep_rows)
+// or SiteEpp records (sweep) back. The parent scatters every row or record
+// into the caller's site order, so the merged result is BIT-FOR-BIT
+// identical to an in-process batched sweep
 // — per-site values are pure functions of (circuit, SP, EPP options),
 // independent of clustering, threading and sharding; the engine-equivalence
 // tests pin this with EXPECT_EQ.
@@ -55,6 +56,7 @@
 
 #include "sereep/engine.hpp"
 #include "src/epp/compiled_epp.hpp"
+#include "src/epp/shard_plan.hpp"
 #include "src/epp/shard_protocol.hpp"
 
 namespace sereep {
@@ -114,27 +116,35 @@ class ShardedEppEngine final : public IEppEngine {
 
   [[nodiscard]] std::vector<SiteEpp> sweep(std::span<const NodeId> sites,
                                            unsigned threads) override;
-  [[nodiscard]] std::vector<double> sweep_p_sensitized(
-      std::span<const NodeId> sites, unsigned threads) override;
+  [[nodiscard]] std::vector<NodeSer> sweep_rows(std::span<const NodeId> sites,
+                                                unsigned threads) override;
 
   [[nodiscard]] const Diagnostics& last_sweep() const noexcept {
     return diagnostics_;
   }
 
  private:
-  /// The common sweep body; p_only drops per-sink payloads on the wire.
-  [[nodiscard]] std::vector<SiteEpp> run(std::span<const NodeId> sites,
-                                         unsigned threads, bool p_only);
+  /// The common sweep body, out[i] for sites[i]. `Rec` is SiteEpp (a
+  /// record job) or SiteRow (a row job, weighed by `latch_weights`).
+  template <typename Rec>
+  [[nodiscard]] std::vector<Rec> run(std::span<const NodeId> sites,
+                                     unsigned threads,
+                                     std::span<const double> latch_weights);
 
-  /// Fans `sites` out across worker processes (the tentpole path), retrying
-  /// per the failure policy. Throws on unrecovered worker failure.
-  [[nodiscard]] std::vector<SiteEpp> run_sharded(std::span<const NodeId> sites,
-                                                 unsigned threads,
-                                                 bool p_only);
+  /// Fans `sites` out across worker processes, one per planned shard (two
+  /// or more), retrying per the failure policy. Throws on unrecovered
+  /// worker failure.
+  template <typename Rec>
+  [[nodiscard]] std::vector<Rec> run_sharded(
+      std::span<const NodeId> sites, std::span<const Shard> shards,
+      unsigned threads, std::span<const double> latch_weights);
 
-  /// In-process batched sweep — the fallback and the shards==1 path.
-  [[nodiscard]] std::vector<SiteEpp> run_in_process(
-      std::span<const NodeId> sites, unsigned threads, bool p_only);
+  /// In-process batched sweep — the fallback, the shards==1 path and the
+  /// kDegrade residual.
+  template <typename Rec>
+  [[nodiscard]] std::vector<Rec> sweep_in_process(
+      std::span<const NodeId> sites, unsigned threads,
+      std::span<const double> latch_weights);
 
   /// The single per-sweep reset point for every non-cumulative Diagnostics
   /// field — called by run() before dispatch so no path (sharded,
@@ -144,9 +154,11 @@ class ShardedEppEngine final : public IEppEngine {
 
   [[nodiscard]] const ConeClusterPlanner* resolve_planner();
 
+  const Circuit& circuit_;
   const CompiledCircuit& compiled_;
   const SignalProbabilities& sp_;
   EppOptions epp_;
+  SerLayerOptions ser_;
   ShardOptions shard_;
   /// The parent circuit's identity — sent in every job so workers reject a
   /// divergent load, and checked against every kHello echo.
@@ -163,10 +175,12 @@ class ShardedEppEngine final : public IEppEngine {
 /// accept loop parses once and forks per connection), verifies the loaded
 /// circuit's fingerprint against the job's (kError naming both sides on
 /// mismatch), echoes its fingerprint in a kHello frame, computes the
-/// assigned sites with the batched engine, and streams
-/// kProgress/kResults/kDone frames to `out_fd` (kError + non-zero return on
-/// failure). `sereep worker --netlist=SPEC --spawn=N` is a thin wrapper
-/// over this; `sereep worker --listen=PORT` serves it per connection.
+/// assigned sites with the batched engine, and streams kProgress, then
+/// kRowBatch or kResults (the job's output kind), then kDone frames to
+/// `out_fd` (kError + non-zero return on failure, including a job frame
+/// older than kMinShardJobVersion). `sereep worker --netlist=SPEC
+/// --spawn=N` is a thin wrapper over this; `sereep worker --listen=PORT`
+/// serves it per connection.
 ///
 /// The dispatch ordinal keys SEREEP_FAULT_PLAN (src/epp/fault_plan.hpp)
 /// structured fault injection, so tests can target "the first worker" vs

@@ -9,6 +9,8 @@
 // configured otherwise.
 #pragma once
 
+#include <vector>
+
 #include "src/netlist/circuit.hpp"
 
 namespace sereep {
@@ -34,6 +36,14 @@ class LatchingModel {
       return p < 0.0 ? 0.0 : (p > 1.0 ? 1.0 : p);
     }
     return po_probability_;
+  }
+
+  /// probability() for every node, indexed by NodeId — the per-node table a
+  /// rows sweep weighs each sink's error mass by (only sinks are read).
+  [[nodiscard]] std::vector<double> weights(const Circuit& circuit) const {
+    std::vector<double> out(circuit.node_count(), po_probability_);
+    for (NodeId ff : circuit.dffs()) out[ff] = probability(circuit, ff);
+    return out;
   }
 
  private:

@@ -14,18 +14,26 @@ std::vector<NodeSer> CircuitSer::ranked() const {
 NodeSer node_ser_from_epp(const Circuit& circuit, const SiteEpp& epp,
                           const SeuRateModel& seu,
                           const LatchingModel& latching) {
-  NodeSer result;
-  result.node = epp.site;
-  result.r_seu = seu.rate(circuit, epp.site);
-  result.p_sensitized = epp.p_sensitized;
   double miss = 1.0;
   for (const SinkEpp& s : epp.sinks) {
     miss *= 1.0 - latching.probability(circuit, s.sink) * s.error_mass;
   }
-  const double latch_and_sens = 1.0 - miss;
+  return node_ser_from_row(circuit,
+                           {.site = epp.site,
+                            .p_sensitized = epp.p_sensitized,
+                            .latched = 1.0 - miss},
+                           seu);
+}
+
+NodeSer node_ser_from_row(const Circuit& circuit, const SiteRow& row,
+                          const SeuRateModel& seu) {
+  NodeSer result;
+  result.node = row.site;
+  result.r_seu = seu.rate(circuit, row.site);
+  result.p_sensitized = row.p_sensitized;
   result.p_latched =
-      epp.p_sensitized > 0 ? latch_and_sens / epp.p_sensitized : 0.0;
-  result.ser = result.r_seu * latch_and_sens;
+      row.p_sensitized > 0 ? row.latched / row.p_sensitized : 0.0;
+  result.ser = result.r_seu * row.latched;
   return result;
 }
 

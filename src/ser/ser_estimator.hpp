@@ -39,17 +39,24 @@ struct CircuitSer {
   [[nodiscard]] std::vector<NodeSer> ranked() const;
 };
 
-/// Folds the SEU-rate and latching models into one site's EPP record — the
-/// one place the R(n) = R_SEU · P_latched · P_sens product is assembled.
-/// The latching term is weighted per sink (a DFF sink latches with the
-/// window probability, a PO with the observation probability):
+/// The reference fold: the SEU-rate and latching models over one site's full
+/// EPP record. The latching term is weighted per sink (a DFF sink latches
+/// with the window probability, a PO with the observation probability):
 ///   P_latch&sens = 1 − Π_j (1 − P_latched(sink_j) · EPP_j).
-/// sereep::Session folds the records of whichever engine its Options
-/// selected — every engine is bit-identical, so so is the fold.
+/// Session::sweep() folds its records with it; table fills instead take the
+/// same product inside the sweep (SiteRow) and finish with node_ser_from_row,
+/// and the tests pin the two EXPECT_EQ against each other.
 [[nodiscard]] NodeSer node_ser_from_epp(const Circuit& circuit,
                                         const SiteEpp& epp,
                                         const SeuRateModel& seu,
                                         const LatchingModel& latching);
+
+/// One site's NodeSer from its rows-sweep row — the one place the
+/// R(n) = R_SEU · P_latched · P_sens product is assembled (node_ser_from_epp
+/// ends here too).
+[[nodiscard]] NodeSer node_ser_from_row(const Circuit& circuit,
+                                        const SiteRow& row,
+                                        const SeuRateModel& seu);
 
 /// Result of a hardening selection.
 struct HardeningPlan {

@@ -64,7 +64,7 @@ struct SpOptions {
 /// in fanin order; node visit order cannot matter — each SP is a pure
 /// function of final fanin SPs), asserted EXPECT_EQ by
 /// tests/sigprob/signal_prob_test.cpp. This is the production SP route: the
-/// SER estimator, the multicycle engine, `sereep sweep` and the benches all
+/// Session, the multicycle engine, `sereep sweep` and the benches all
 /// call it with the compiled view they already hold.
 [[nodiscard]] SignalProbabilities compiled_parker_mccluskey_sp(
     const CompiledCircuit& circuit, const SpOptions& options = {});

@@ -1,6 +1,7 @@
 #include "src/util/strings.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -105,6 +106,13 @@ std::optional<double> parse_double_strict(std::string_view text) noexcept {
   if (errno == ERANGE && !std::isfinite(value)) return std::nullopt;
   if (!std::isfinite(value)) return std::nullopt;  // explicit inf/nan input
   return value;
+}
+
+std::string format_round_trip(double value) {
+  char buf[32];  // the longest %.17g form, "-1.2345678901234567e-308", is 24
+  const std::to_chars_result r = std::to_chars(
+      buf, buf + sizeof buf, value, std::chars_format::general, 17);
+  return std::string(buf, r.ptr);
 }
 
 std::string format_fixed(double value, int decimals) {

@@ -42,6 +42,11 @@ namespace sereep {
 [[nodiscard]] std::optional<double> parse_double_strict(
     std::string_view text) noexcept;
 
+/// The round-trip form every golden CSV is pinned at: the characters of
+/// printf("%.17g"), printed by std::to_chars (which the standard specifies
+/// to produce them) at a fraction of snprintf's cost.
+[[nodiscard]] std::string format_round_trip(double value);
+
 /// printf-style float with fixed decimals, used by table rendering.
 [[nodiscard]] std::string format_fixed(double value, int decimals);
 

@@ -1,8 +1,7 @@
 // ASCII table rendering for the benchmark harnesses.
 //
 // Every bench binary prints its results with this formatter so the rows of
-// our Table-2 reproduction line up with the paper's layout and EXPERIMENTS.md
-// can paste them verbatim.
+// our Table-2 reproduction line up with the paper's layout.
 #pragma once
 
 #include <string>

@@ -122,24 +122,43 @@ TEST(EngineRegistry, EnginesMatchDirectConstructionBitForBit) {
   }
 }
 
+/// Every NodeSer field, EXPECT_EQ.
+void expect_rows_eq(const std::vector<NodeSer>& want,
+                    const std::vector<NodeSer>& got, const char* key) {
+  ASSERT_EQ(got.size(), want.size()) << key;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].node, want[i].node) << key;
+    EXPECT_EQ(got[i].r_seu, want[i].r_seu) << key;
+    EXPECT_EQ(got[i].p_latched, want[i].p_latched) << key;
+    EXPECT_EQ(got[i].p_sensitized, want[i].p_sensitized) << key;
+    EXPECT_EQ(got[i].ser, want[i].ser) << key;
+  }
+}
+
 TEST(EngineRegistry, SweepsMatchPerSiteCallsAndThreadCounts) {
   const Artifacts art(make_iscas89_like("s344"));
   for (const char* key : {"reference", "compiled", "batched"}) {
     const std::unique_ptr<IEppEngine> engine =
         EngineRegistry::instance().create(key, art.context(&art.planner));
-    const std::vector<double> swept =
-        engine->sweep_p_sensitized(art.sites, 1);
-    ASSERT_EQ(swept.size(), art.sites.size());
+    const std::vector<NodeSer> rows = engine->sweep_rows(art.sites, 1);
+    ASSERT_EQ(rows.size(), art.sites.size());
     for (std::size_t i = 0; i < art.sites.size(); ++i) {
-      EXPECT_EQ(swept[i], engine->p_sensitized(art.sites[i])) << key;
+      EXPECT_EQ(rows[i].node, art.sites[i]) << key;
+      EXPECT_EQ(rows[i].p_sensitized, engine->p_sensitized(art.sites[i]))
+          << key;
     }
     // Threaded sweeps are bit-identical (a no-op for sequential engines).
-    EXPECT_EQ(engine->sweep_p_sensitized(art.sites, 4), swept) << key;
+    expect_rows_eq(rows, engine->sweep_rows(art.sites, 4), key);
     const std::vector<SiteEpp> records = engine->sweep(art.sites, 2);
     ASSERT_EQ(records.size(), art.sites.size());
-    for (std::size_t i = 0; i < art.sites.size(); ++i) {
-      EXPECT_EQ(records[i].p_sensitized, swept[i]) << key;
+    std::vector<NodeSer> folded;
+    for (const SiteEpp& rec : records) {
+      folded.push_back(node_ser_from_epp(art.circuit, rec, SeuRateModel{},
+                                         LatchingModel{}));
     }
+    // The rows sweep folds in the sweep what the reference fold takes over
+    // the records.
+    expect_rows_eq(folded, rows, key);
   }
 }
 
@@ -149,8 +168,8 @@ TEST(EngineRegistry, BatchedWithoutPlannerBuildsItsOwnPlan) {
       EngineRegistry::instance().create("batched", art.context(&art.planner));
   const std::unique_ptr<IEppEngine> without =
       EngineRegistry::instance().create("batched", art.context());
-  EXPECT_EQ(without->sweep_p_sensitized(art.sites, 1),
-            with_planner->sweep_p_sensitized(art.sites, 1));
+  expect_rows_eq(with_planner->sweep_rows(art.sites, 1),
+                 without->sweep_rows(art.sites, 1), "batched");
 }
 
 TEST(EngineRegistry, CapabilityDriftBetweenRegistrationAndImplThrows) {
@@ -170,8 +189,8 @@ TEST(EngineRegistry, CapabilityDriftBetweenRegistrationAndImplThrows) {
                                              unsigned) override {
       return {};
     }
-    [[nodiscard]] std::vector<double> sweep_p_sensitized(
-        std::span<const NodeId>, unsigned) override {
+    [[nodiscard]] std::vector<NodeSer> sweep_rows(std::span<const NodeId>,
+                                                  unsigned) override {
       return {};
     }
   };
@@ -189,7 +208,7 @@ TEST(EngineRegistry, RuntimeRegistrationExtendsTheVocabulary) {
   EngineRegistry& registry = EngineRegistry::instance();
   struct ShimEngine final : IEppEngine {
     explicit ShimEngine(const EngineContext& ctx)
-        : inner(*ctx.compiled, *ctx.sp, ctx.epp) {}
+        : circuit(*ctx.circuit), ser(ctx.ser), inner(*ctx.compiled, *ctx.sp, ctx.epp) {}
     [[nodiscard]] std::string_view name() const noexcept override {
       return "test-shim";
     }
@@ -206,12 +225,17 @@ TEST(EngineRegistry, RuntimeRegistrationExtendsTheVocabulary) {
       for (NodeId s : sites) out.push_back(inner.compute(s));
       return out;
     }
-    [[nodiscard]] std::vector<double> sweep_p_sensitized(
+    [[nodiscard]] std::vector<NodeSer> sweep_rows(
         std::span<const NodeId> sites, unsigned) override {
-      std::vector<double> out;
-      for (NodeId s : sites) out.push_back(inner.p_sensitized(s));
+      std::vector<NodeSer> out;
+      for (NodeId s : sites) {
+        out.push_back(node_ser_from_epp(circuit, inner.compute(s), ser.seu,
+                                        ser.latching));
+      }
       return out;
     }
+    const Circuit& circuit;
+    SerLayerOptions ser;
     CompiledEppEngine inner;
   };
   const bool added =

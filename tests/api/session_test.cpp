@@ -218,30 +218,68 @@ TEST(Session, SessionsOnDifferentThreadsAreIndependent) {
 }
 
 TEST(Session, SerMatchesReferenceEngineFoldExactly) {
-  // Session::ser() is the result table, filled from the selected engine's
-  // records. Every row and the total must equal node_ser_from_epp over the
-  // reference engine's records, summed in site order.
-  const Circuit circuit = make_iscas89_like("s298");
-  Session session{Circuit(circuit)};
-  const CircuitSer& via_session = session.ser();
-
+  // Session::ser() is the result table, filled by the selected engine's rows
+  // sweep. For every registered engine, thread count, SIMD setting and
+  // latching model, every row and the total must equal node_ser_from_epp
+  // over the reference engine's records, summed in site order. The
+  // non-default model weighs POs at 0.5: under the default one a PO weighs
+  // exactly 1, so a kernel applying a wrong weight to PO sinks would pass.
+  const std::string path = ::testing::TempDir() + "sereep_ser_fold_" +
+                           std::to_string(::getpid()) + ".bench";
+  ASSERT_TRUE(save_bench_file(make_iscas89_like("s298"), path));
+  const Circuit circuit = load_netlist(path);  // the workers' node ids
   const SignalProbabilities sp = parker_mccluskey_sp(circuit);
   EppEngine reference(circuit, sp);
-  const std::vector<NodeId> sites = error_sites(circuit);
-  ASSERT_EQ(via_session.nodes.size(), sites.size());
-  double total = 0.0;
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    const NodeSer want = node_ser_from_epp(circuit, reference.compute(sites[i]),
-                                           SeuRateModel{}, LatchingModel{});
-    total += want.ser;
-    const NodeSer& got = via_session.nodes[i];
-    EXPECT_EQ(got.node, want.node);
-    EXPECT_EQ(got.r_seu, want.r_seu);
-    EXPECT_EQ(got.p_latched, want.p_latched);
-    EXPECT_EQ(got.p_sensitized, want.p_sensitized);
-    EXPECT_EQ(got.ser, want.ser);
+  std::vector<SiteEpp> records;
+  for (NodeId site : error_sites(circuit)) {
+    records.push_back(reference.compute(site));
   }
-  EXPECT_EQ(via_session.total_ser, total);
+
+  LatchingModel nondefault(1.5, 0.1, 0.2);
+  nondefault.set_po_probability(0.5);
+  for (const LatchingModel& latching : {LatchingModel{}, nondefault}) {
+    std::vector<NodeSer> want;
+    double total = 0.0;
+    for (const SiteEpp& rec : records) {
+      want.push_back(
+          node_ser_from_epp(circuit, rec, SeuRateModel{}, latching));
+      total += want.back().ser;
+    }
+    for (const std::string& key : EngineRegistry::instance().names()) {
+      if (key.starts_with("test-")) continue;  // engines other tests add
+      for (const unsigned threads : {1u, 2u, 8u}) {
+        for (const bool simd : {true, false}) {
+          Options options;
+          options.engine = key;
+          options.threads = threads;
+          options.epp.simd = simd;
+          options.ser.latching = latching;
+          options.shard.shards = 2;
+          options.shard.worker_path = SEREEP_CLI_PATH;
+          Session session = Session::open(path, std::move(options));
+          const CircuitSer& got = session.ser();
+          const std::string where = key + " threads=" +
+                                    std::to_string(threads) +
+                                    " simd=" + std::to_string(simd);
+          ASSERT_EQ(got.nodes.size(), want.size()) << where;
+          for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got.nodes[i].node, want[i].node) << where;
+            EXPECT_EQ(got.nodes[i].r_seu, want[i].r_seu) << where;
+            EXPECT_EQ(got.nodes[i].p_latched, want[i].p_latched) << where;
+            EXPECT_EQ(got.nodes[i].p_sensitized, want[i].p_sensitized)
+                << where;
+            EXPECT_EQ(got.nodes[i].ser, want[i].ser) << where;
+          }
+          EXPECT_EQ(got.total_ser, total) << where;
+          if (key == "sharded") {  // the rows really crossed the wire
+            ASSERT_NE(session.shard_diagnostics(), nullptr);
+            EXPECT_FALSE(session.shard_diagnostics()->in_process) << where;
+          }
+        }
+      }
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Session, HardenMatchesSelectHardening) {
@@ -433,15 +471,17 @@ TEST(Session, EditInvalidatesPerSiteAndMulticycleQueries) {
 
 // ---- the result table: reads render, sweep() drives the engine -------------
 
-/// Engine calls seen by the "test-counting" engine (one process-wide
-/// registration, so the count lives outside any one instance).
-std::size_t g_counting_sweeps = 0;
+/// Engine calls seen by the "test-counting" engine, per sweep kind (one
+/// process-wide registration, so the counts live outside any one instance).
+std::size_t g_records_sweeps = 0;
+std::size_t g_rows_sweeps = 0;
 
 /// The compiled engine behind a counter on both sweep entry points.
 class CountingEngine final : public IEppEngine {
  public:
   explicit CountingEngine(const EngineContext& ctx)
-      : inner_(*ctx.compiled, *ctx.sp, ctx.epp) {}
+      : circuit_(*ctx.circuit), ser_(ctx.ser),
+        inner_(*ctx.compiled, *ctx.sp, ctx.epp) {}
   [[nodiscard]] std::string_view name() const noexcept override {
     return "test-counting";
   }
@@ -454,20 +494,25 @@ class CountingEngine final : public IEppEngine {
   }
   [[nodiscard]] std::vector<SiteEpp> sweep(std::span<const NodeId> sites,
                                            unsigned) override {
-    ++g_counting_sweeps;
+    ++g_records_sweeps;
     std::vector<SiteEpp> out;
     for (NodeId s : sites) out.push_back(inner_.compute(s));
     return out;
   }
-  [[nodiscard]] std::vector<double> sweep_p_sensitized(
-      std::span<const NodeId> sites, unsigned) override {
-    ++g_counting_sweeps;
-    std::vector<double> out;
-    for (NodeId s : sites) out.push_back(inner_.p_sensitized(s));
+  [[nodiscard]] std::vector<NodeSer> sweep_rows(std::span<const NodeId> sites,
+                                                unsigned) override {
+    ++g_rows_sweeps;
+    std::vector<NodeSer> out;
+    for (NodeId s : sites) {
+      out.push_back(node_ser_from_epp(circuit_, inner_.compute(s), ser_.seu,
+                                      ser_.latching));
+    }
     return out;
   }
 
  private:
+  const Circuit& circuit_;
+  SerLayerOptions ser_;
   CompiledEppEngine inner_;
 };
 
@@ -478,28 +523,34 @@ Session counting_session(Circuit circuit) {
       });
   Options options;
   options.engine = "test-counting";
+  g_records_sweeps = 0;
+  g_rows_sweeps = 0;
   return Session(std::move(circuit), std::move(options));
 }
 
 TEST(Session, QuietReadsRenderFromTheTableWithoutEngineCalls) {
+  // One rows sweep fills the whole table — P_sensitized and the SER terms —
+  // so the cold sweep_csv() + ser_csv() + harden_text() trio is ONE engine
+  // call, and every read after it renders from the table.
   Session session = counting_session(make_s27());
-  g_counting_sweeps = 0;
-  const std::string sweep = session.sweep_csv();  // psens-only sweep
-  const std::string ser = session.ser_csv();      // full-record fill
+  const std::string sweep = session.sweep_csv();
+  const std::string ser = session.ser_csv();
   const std::string harden = session.harden_text(0.5);
-  EXPECT_EQ(g_counting_sweeps, 2u);
+  EXPECT_EQ(g_rows_sweeps, 1u);
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(session.sweep_csv(), sweep);
     EXPECT_EQ(session.ser_csv(), ser);
     EXPECT_EQ(session.harden_text(0.5), harden);
     (void)session.sweep_p_sensitized();
   }
-  EXPECT_EQ(g_counting_sweeps, 2u);
+  EXPECT_EQ(g_rows_sweeps, 1u);
+  EXPECT_EQ(g_records_sweeps, 0u);  // no table fill asks for records
   // Records always come from the engine, so per-sweep diagnostics stay
   // honest on a quiet session.
   (void)session.sweep();
   (void)session.sweep();
-  EXPECT_EQ(g_counting_sweeps, 4u);
+  EXPECT_EQ(g_records_sweeps, 2u);
+  EXPECT_EQ(g_rows_sweeps, 1u);
   EXPECT_EQ(session.build_counts().ser, 1u);
 }
 
@@ -508,30 +559,32 @@ TEST(Session, SweepThenSerIsOneEngineSweep) {
   // after it — makes no second sweep (the quickstart and the warm what-if
   // loop rely on this).
   Session session = counting_session(make_s27());
-  g_counting_sweeps = 0;
   (void)session.sweep();
   (void)session.ser();
   (void)session.sweep_csv();
-  EXPECT_EQ(g_counting_sweeps, 1u);
+  EXPECT_EQ(g_records_sweeps, 1u);
+  EXPECT_EQ(g_rows_sweeps, 0u);
   EXPECT_EQ(session.ser_csv(), Session(make_s27()).ser_csv());
 }
 
 TEST(Session, EditResweepsAffectedSitesOnce) {
-  // Rows with SER terms splice from ONE full-record re-sweep of the
-  // affected sites; psens-only rows from one psens re-sweep. Either way the
+  // An edit splices ONE rows re-sweep of the affected sites into the table,
+  // whether its rows came from a rows fill or from sweep()'s records; the
   // reads after it render from the table.
-  for (const bool warm_ser : {true, false}) {
+  for (const bool warm_records : {true, false}) {
     Session session = counting_session(make_s27());
-    if (warm_ser) {
-      (void)session.ser();
+    if (warm_records) {
+      (void)session.sweep();
     } else {
       (void)session.sweep_p_sensitized();
     }
     session.apply_edit(parse_edit_spec("retype G11 NAND"));
-    g_counting_sweeps = 0;
+    g_records_sweeps = 0;
+    g_rows_sweeps = 0;
     (void)session.sweep_csv();
-    if (warm_ser) (void)session.ser_csv();
-    EXPECT_EQ(g_counting_sweeps, 1u) << "warm_ser=" << warm_ser;
+    (void)session.ser_csv();
+    EXPECT_EQ(g_rows_sweeps, 1u) << "warm_records=" << warm_records;
+    EXPECT_EQ(g_records_sweeps, 0u) << "warm_records=" << warm_records;
     EXPECT_EQ(session.incremental_stats().spliced_sweeps, 1u);
 
     Circuit c = make_s27();

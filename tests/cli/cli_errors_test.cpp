@@ -24,9 +24,11 @@ struct CliResult {
   std::string output;  ///< stdout + stderr interleaved
 };
 
-CliResult run_cli(const std::string& args) {
-  const std::string command =
-      std::string(SEREEP_CLI_PATH) + " " + args + " 2>&1";
+/// Runs `sereep ARGS`, inside directory `cwd` when one is given.
+CliResult run_cli(const std::string& args, const std::string& cwd = "") {
+  const std::string command = (cwd.empty() ? "" : "cd " + cwd + " && ") +
+                              std::string(SEREEP_CLI_PATH) + " " + args +
+                              " 2>&1";
   CliResult result;
   std::FILE* pipe = ::popen(command.c_str(), "r");
   if (pipe == nullptr) {
@@ -378,6 +380,67 @@ TEST(CliErrors, CorruptArtifactRejectedThroughTheCli) {
       << r.output;
   EXPECT_NE(r.output.find("truncated header"), std::string::npos) << r.output;
   std::remove(sca.c_str());
+}
+
+// ---- one spelling per flag -------------------------------------------------
+
+std::string slurp(const std::string& path) {
+  std::string out;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return out;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out.append(buf, n);
+  std::fclose(f);
+  return out;
+}
+
+TEST(CliErrors, SpaceSeparatedValueNeverEatsTheNetlist) {
+  // `--csv FILE` is not a spelling of --csv=FILE: the next word stays the
+  // positional netlist. It used to be taken as the CSV path, so the netlist
+  // was loaded and then overwritten with the SER CSV.
+  const std::string path = write_temp_netlist(
+      "space_form", ".bench",
+      "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n");
+  const std::string before = slurp(path);
+  const CliResult r = run_cli("ser --csv " + path);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(r.output.rfind("node,type,r_seu,p_latched,p_sensitized,ser\n", 0),
+            0u)
+      << "the CSV belongs on stdout, printed:\n"
+      << r.output;
+  EXPECT_EQ(slurp(path), before) << "the netlist's bytes changed";
+  std::remove(path.c_str());
+}
+
+TEST(CliErrors, BareOutputFlagWritesStdoutNotAFileNamedOne) {
+  // A bare flag used to store "1", so `ser s953 --csv` wrote a file named
+  // `1` in the working directory. Bare --csv and --o mean stdout.
+  std::string dir = ::testing::TempDir() + "sereep_cli_bareXXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  for (const char* args :
+       {"ser s953 --csv", "sweep c17 --csv", "report c17 --o"}) {
+    const CliResult r = run_cli(args, dir);
+    EXPECT_EQ(r.exit_code, 0) << args << ":\n" << r.output;
+    EXPECT_EQ(r.output.find("written to"), std::string::npos)
+        << args << ":\n" << r.output;
+    EXPECT_NE(::access((dir + "/1").c_str(), F_OK), 0)
+        << args << " wrote a file named 1";
+  }
+  EXPECT_EQ(::rmdir(dir.c_str()), 0) << "the run left files behind in " << dir;
+}
+
+TEST(CliErrors, BareValueFlagsExitTwoNamingTheFlag) {
+  for (const char* args :
+       {"sweep c17 --threads", "ser c17 --top", "harden c17 --target",
+        "harden c17 --emit", "gen --o"}) {
+    const CliResult r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 2) << args << ":\n" << r.output;
+    const std::string flag = std::string(args).substr(
+        std::string(args).rfind("--"));
+    EXPECT_NE(r.output.find("error: " + flag), std::string::npos)
+        << args << ":\n" << r.output;
+  }
 }
 
 // ---- valid usage must still work -------------------------------------------

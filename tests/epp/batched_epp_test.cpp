@@ -214,11 +214,12 @@ TEST(BatchedEppEngine, SingleSiteMatchesCompiledOnEmbedded) {
     const CompiledCircuit cc(c);
     CompiledEppEngine compiled(cc, sp);
     BatchedEppEngine batched(cc, sp);
+    const std::vector<double> weights = LatchingModel{}.weights(c);
     for (NodeId site : error_sites(c)) {
       testutil::expect_site_epp_equal(c, compiled.compute(site),
                                       batched.compute(site));
-      EXPECT_EQ(batched.p_sensitized(site), compiled.p_sensitized(site))
-          << c.name() << " " << c.node(site).name;
+      testutil::expect_row_equal(c, compiled.row(site, weights),
+                                 batched.row(site, weights));
     }
   }
 }
@@ -302,12 +303,16 @@ TEST(BatchedEppEngine, GeneratedProfileSweepMatchesCompiled) {
   p.target_depth = 14;
   const Circuit c = generate_circuit(p, 2024);
   const SignalProbabilities sp = parker_mccluskey_sp(c);
-  const std::vector<double> compiled_sweep = all_nodes_p_sensitized(c, sp);
-  const std::vector<double> batched_sweep =
-      all_nodes_p_sensitized_parallel(c, sp, {}, 1);
-  ASSERT_EQ(batched_sweep.size(), compiled_sweep.size());
-  for (NodeId id = 0; id < c.node_count(); ++id) {
-    EXPECT_EQ(batched_sweep[id], compiled_sweep[id]) << "node " << id;
+  const CompiledCircuit cc(c);
+  CompiledEppEngine compiled(cc, sp);
+  const std::vector<NodeId> sites = error_sites(c);
+  const std::vector<double> weights = LatchingModel{}.weights(c);
+  const std::vector<SiteRow> batched_sweep =
+      testutil::swept_rows(c, sites, sp, {}, 1);
+  ASSERT_EQ(batched_sweep.size(), sites.size());
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    testutil::expect_row_equal(c, compiled.row(sites[i], weights),
+                               batched_sweep[i]);
   }
 }
 

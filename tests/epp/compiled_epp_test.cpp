@@ -42,14 +42,22 @@ std::vector<Circuit> test_circuits() {
 using testutil::expect_site_epp_equal;
 
 TEST(CompiledEppEngine, PSensitizedBitIdenticalToReference) {
+  // row() adds the latch-weighted fold; a PO weight below the DFF weight
+  // makes a wrong weight on either sink kind visible.
+  LatchingModel latching(1.5, 0.1, 0.2);
+  latching.set_po_probability(0.5);
   for (const Circuit& c : test_circuits()) {
     const SignalProbabilities sp = parker_mccluskey_sp(c);
     EppEngine reference(c, sp);
     const CompiledCircuit cc(c);
     CompiledEppEngine compiled(cc, sp);
+    const std::vector<double> weights = latching.weights(c);
     for (NodeId site : error_sites(c)) {
       EXPECT_EQ(compiled.p_sensitized(site), reference.p_sensitized(site))
           << c.name() << " site " << c.node(site).name;
+      testutil::expect_row_equal(
+          c, testutil::reference_row(c, reference.compute(site), latching),
+          compiled.row(site, weights));
     }
   }
 }
@@ -88,19 +96,23 @@ TEST(CompiledEppEngine, ParallelSweepMatchesSequentialAt1_2_8Threads) {
   for (const Circuit& c : test_circuits()) {
     const SignalProbabilities sp = parker_mccluskey_sp(c);
     EppEngine reference(c, sp);
-    const std::vector<double> sequential = all_nodes_p_sensitized(c, sp);
+    const CompiledCircuit cc(c);
+    CompiledEppEngine compiled(cc, sp);
+    const std::vector<NodeId> sites = error_sites(c);
+    const std::vector<double> weights = LatchingModel{}.weights(c);
+    std::vector<SiteRow> sequential;
+    for (NodeId site : sites) sequential.push_back(compiled.row(site, weights));
     for (unsigned threads : {1u, 2u, 8u}) {
-      const std::vector<double> parallel =
-          all_nodes_p_sensitized_parallel(c, sp, {}, threads);
+      const std::vector<SiteRow> parallel =
+          testutil::swept_rows(c, sites, sp, {}, threads);
       ASSERT_EQ(parallel.size(), sequential.size());
-      for (NodeId id = 0; id < c.node_count(); ++id) {
-        EXPECT_EQ(parallel[id], sequential[id])
-            << c.name() << " threads=" << threads << " node " << id;
+      for (std::size_t i = 0; i < sites.size(); ++i) {
+        testutil::expect_row_equal(c, sequential[i], parallel[i]);
       }
     }
     // ... and the whole stack stays pinned to the reference engine.
-    for (NodeId site : error_sites(c)) {
-      EXPECT_EQ(sequential[site], reference.p_sensitized(site));
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+      EXPECT_EQ(sequential[i].p_sensitized, reference.p_sensitized(sites[i]));
     }
   }
 }
@@ -112,25 +124,20 @@ TEST(CompiledEppEngine, ComputeAllParallelMatchesPerSiteCompute) {
   CompiledEppEngine engine(cc, sp);
   const std::vector<NodeId> sites = error_sites(c);
 
-  const std::vector<SiteEpp> batch = compute_all_parallel(c, sp, {}, 4);
+  const std::vector<SiteEpp> batch =
+      testutil::swept_records(c, sites, sp, {}, 4);
   ASSERT_EQ(batch.size(), sites.size());
   for (std::size_t i = 0; i < sites.size(); ++i) {
     EXPECT_EQ(batch[i].site, sites[i]);  // error_sites order preserved
     expect_site_epp_equal(c, engine.compute(sites[i]), batch[i]);
   }
 
-  const std::vector<SiteEpp> sampled = compute_all_parallel(c, sp, {}, 2, 7);
-  EXPECT_EQ(sampled.size(), 7u);
-}
-
-TEST(CompiledEppEngine, SpReuseOverloadMatchesConvenienceWrapper) {
-  const Circuit c = make_iscas89_like("s953");
-  const SignalProbabilities sp = parker_mccluskey_sp(c);
-  const std::vector<double> wrapper = all_nodes_p_sensitized(c);
-  const std::vector<double> reused = all_nodes_p_sensitized(c, sp);
-  ASSERT_EQ(wrapper.size(), reused.size());
-  for (NodeId id = 0; id < c.node_count(); ++id) {
-    EXPECT_EQ(wrapper[id], reused[id]);
+  const std::vector<NodeId> sample = subsample_sites(sites, 7);
+  const std::vector<SiteEpp> sampled =
+      testutil::swept_records(c, sample, sp, {}, 2);
+  ASSERT_EQ(sampled.size(), 7u);
+  for (std::size_t i = 0; i < sample.size(); ++i) {
+    expect_site_epp_equal(c, engine.compute(sample[i]), sampled[i]);
   }
 }
 

@@ -11,8 +11,9 @@
 // with EXPECT_EQ on doubles — no tolerance — across:
 //   * compute() records including all four Prob4 components per sink,
 //   * planner-clustered batched sweeps,
-//   * the parallel sweep at 1 / 2 / 8 threads,
-//   * randomized site subsets through compute_sites_parallel,
+//   * the sweep driver's rows (P_sensitized + the latch-weighted fold) at
+//     1 / 2 / 8 threads,
+//   * randomized site subsets through the driver's records output,
 //   * the batched engine's SIMD lane-plane kernels ON and OFF (the scalar
 //     per-lane fallback is a peer tier of the hierarchy — see
 //     SimdOnAndOffBitIdentical and tests/README.md),
@@ -99,16 +100,18 @@ TEST_P(EngineEquivalence, ComputeBitIdenticalAcrossHierarchy) {
   const CompiledCircuit cc(c);
   CompiledEppEngine compiled(cc, sp);
   BatchedEppEngine batched(cc, sp);
+  const LatchingModel latching;
+  const std::vector<double> weights = latching.weights(c);
   for (NodeId site : error_sites(c)) {
     const SiteEpp ref = reference.compute(site);
     testutil::expect_site_epp_equal(c, ref, compiled.compute(site));
     testutil::expect_site_epp_equal(c, ref, batched.compute(site));
-    // A full record's P_sensitized IS the psens-only path's: Session serves
-    // psens reads from rows folded out of full records.
+    // A full record's P_sensitized IS the psens-only path's and the rows
+    // path's: Session serves reads from rows, sweep() from records.
     EXPECT_EQ(ref.p_sensitized, reference.p_sensitized(site))
         << c.node(site).name;
-    EXPECT_EQ(batched.p_sensitized(site), reference.p_sensitized(site))
-        << c.node(site).name;
+    testutil::expect_row_equal(c, testutil::reference_row(c, ref, latching),
+                               batched.row(site, weights));
   }
 }
 
@@ -140,17 +143,19 @@ TEST_P(EngineEquivalence, ParallelSweepBitIdenticalAt_1_2_8_Threads) {
   const Circuit c = make_fuzz_circuit(GetParam());
   const SignalProbabilities sp = parker_mccluskey_sp(c);
   EppEngine reference(c, sp);
-  std::vector<double> expected(c.node_count(), 0.0);
-  for (NodeId site : error_sites(c)) {
-    expected[site] = reference.p_sensitized(site);
+  const std::vector<NodeId> sites = error_sites(c);
+  const LatchingModel latching;
+  std::vector<SiteRow> expected;
+  for (NodeId site : sites) {
+    expected.push_back(
+        testutil::reference_row(c, reference.compute(site), latching));
   }
   for (unsigned threads : {1u, 2u, 8u}) {
-    const std::vector<double> got =
-        all_nodes_p_sensitized_parallel(c, sp, {}, threads);
+    const std::vector<SiteRow> got =
+        testutil::swept_rows(c, sites, sp, {}, threads);
     ASSERT_EQ(got.size(), expected.size());
-    for (NodeId id = 0; id < c.node_count(); ++id) {
-      EXPECT_EQ(got[id], expected[id])
-          << GetParam().tag << " threads=" << threads << " node " << id;
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+      testutil::expect_row_equal(c, expected[i], got[i]);
     }
   }
 }
@@ -160,7 +165,6 @@ TEST_P(EngineEquivalence, RandomSiteSubsetsBitIdentical) {
   const Circuit c = make_fuzz_circuit(profile);
   const SignalProbabilities sp = parker_mccluskey_sp(c);
   EppEngine reference(c, sp);
-  const CompiledCircuit cc(c);
   const std::vector<NodeId> all = error_sites(c);
 
   // Seeded subset draws — a Fisher-Yates prefix per round, sizes from one
@@ -179,7 +183,7 @@ TEST_P(EngineEquivalence, RandomSiteSubsetsBitIdentical) {
     }
     pool.resize(n);
     const std::vector<SiteEpp> got =
-        compute_sites_parallel(cc, pool, sp, {}, threads);
+        testutil::swept_records(c, pool, sp, {}, threads);
     ASSERT_EQ(got.size(), pool.size());
     for (std::size_t i = 0; i < pool.size(); ++i) {
       EXPECT_EQ(got[i].site, pool[i]);  // caller order preserved
@@ -217,11 +221,12 @@ TEST_P(EngineEquivalence, SimdOnAndOffBitIdentical) {
                                         out[k]);
       }
     }
-    const std::vector<double> swept =
-        all_nodes_p_sensitized_parallel(c, cc, sp, options, 2);
-    for (NodeId site : sites) {
-      EXPECT_EQ(swept[site], reference.p_sensitized(site))
-          << GetParam().tag << " simd=" << simd_on << " node " << site;
+    const std::vector<SiteRow> swept =
+        testutil::swept_rows(c, sites, sp, options, 2);
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+      testutil::expect_row_equal(
+          c, testutil::reference_row(c, reference.compute(sites[i]), {}),
+          swept[i]);
     }
   }
 }
@@ -257,14 +262,13 @@ TEST_P(EngineEquivalence, ShardedProcessSweepBitIdentical) {
 TEST_P(EngineEquivalence, OptionVariantsStayBitIdentical) {
   const Circuit c = make_fuzz_circuit(GetParam());
   const SignalProbabilities sp = parker_mccluskey_sp(c);
-  const CompiledCircuit cc(c);
   const std::vector<NodeId> sites = error_sites(c);
   for (const EppOptions& options :
        {EppOptions{.track_polarity = false},
         EppOptions{.electrical_survival = 0.9}}) {
     EppEngine reference(c, sp, options);
     const std::vector<SiteEpp> got =
-        compute_sites_parallel(cc, sites, sp, options, 2);
+        testutil::swept_records(c, sites, sp, options, 2);
     for (std::size_t i = 0; i < sites.size(); ++i) {
       testutil::expect_site_epp_equal(c, reference.compute(sites[i]), got[i]);
     }
@@ -397,27 +401,32 @@ TEST_P(EngineEquivalence, IncrementalEditSessionsBitIdenticalToRebuild) {
   const FuzzProfile& profile = GetParam();
   Rng rng(profile.seed ^ 0xed17ULL);
 
-  // Thread count and SIMD mode are fixed per session (reconfiguration
-  // legitimately drops the result table), so the matrix runs as three
-  // warmed sessions receiving the same edits. The 2-thread lane is warmed
-  // by sweep_p_sensitized() alone, so its first splice re-sweeps psens only;
-  // the others start from full-record rows.
+  // Thread count, SIMD mode and SER models are fixed per session
+  // (reconfiguration legitimately drops the result table), so the matrix
+  // runs as three warmed sessions receiving the same edits. The 2-thread
+  // lane is warmed by sweep_p_sensitized() alone (a rows fill) and weighs
+  // its sinks with a non-default latching model; the others start from
+  // rows folded out of sweep()'s records.
   struct Lane {
     unsigned threads;
     bool simd;
-    bool warm_psens_only;
+    bool warm_rows;
+    bool nondefault_latching;
     std::unique_ptr<Session> session;
   };
-  Lane lanes[] = {{1, false, false, nullptr},
-                  {2, true, true, nullptr},
-                  {8, false, false, nullptr}};
+  Lane lanes[] = {{1, false, false, false, nullptr},
+                  {2, true, true, true, nullptr},
+                  {8, false, false, false, nullptr}};
+  LatchingModel nondefault(1.5, 0.1, 0.2);
+  nondefault.set_po_probability(0.5);
   for (Lane& lane : lanes) {
     Options opt;
     opt.threads = lane.threads;
     opt.epp.simd = lane.simd;
+    if (lane.nondefault_latching) opt.ser.latching = nondefault;
     lane.session =
         std::make_unique<Session>(make_fuzz_circuit(profile), std::move(opt));
-    if (lane.warm_psens_only) {
+    if (lane.warm_rows) {
       (void)lane.session->sweep_p_sensitized();
     } else {
       (void)lane.session->sweep();
@@ -459,6 +468,14 @@ TEST_P(EngineEquivalence, IncrementalEditSessionsBitIdenticalToRebuild) {
     const std::vector<SiteEpp> want = full.sweep();
     const std::vector<double> want_psens = full.sweep_p_sensitized();
     const CircuitSer& want_ser = full.ser();
+    // The non-default lane's oracle: the reference fold over the same
+    // records, summed in site order.
+    CircuitSer want_nondefault;
+    for (const SiteEpp& rec : want) {
+      want_nondefault.nodes.push_back(
+          node_ser_from_epp(edited, rec, SeuRateModel{}, nondefault));
+      want_nondefault.total_ser += want_nondefault.nodes.back().ser;
+    }
 
     for (Lane& lane : lanes) {
       const std::string where = std::string(profile.tag) + " round " +
@@ -467,7 +484,8 @@ TEST_P(EngineEquivalence, IncrementalEditSessionsBitIdenticalToRebuild) {
       // Table reads first — they are what the splice produced — then the
       // engine-driven records.
       EXPECT_EQ(lane.session->sweep_p_sensitized(), want_psens) << where;
-      expect_ser_equal(want_ser, lane.session->ser(), where);
+      expect_ser_equal(lane.nondefault_latching ? want_nondefault : want_ser,
+                       lane.session->ser(), where);
       const std::vector<SiteEpp> got = lane.session->sweep();
       ASSERT_EQ(got.size(), want.size()) << where;
       for (std::size_t i = 0; i < want.size(); ++i) {

@@ -7,6 +7,7 @@
 #include "src/netlist/benchmarks.hpp"
 #include "src/netlist/generator.hpp"
 #include "src/sim/fault_injection.hpp"
+#include "tests/epp/site_epp_testutil.hpp"
 
 namespace sereep {
 namespace {
@@ -272,31 +273,23 @@ TEST(EppEngine, ParallelMatchesSequentialExactly) {
   const Circuit c = make_iscas89_like("s953");
   const SignalProbabilities sp = parker_mccluskey_sp(c);
   EppEngine engine(c, sp);
-  const std::vector<double> par =
-      all_nodes_p_sensitized_parallel(c, sp, {}, 4);
-  for (NodeId site : error_sites(c)) {
-    EXPECT_DOUBLE_EQ(par[site], engine.p_sensitized(site))
-        << c.node(site).name;
+  const std::vector<NodeId> sites = error_sites(c);
+  const std::vector<SiteRow> par =
+      testutil::swept_rows(c, sites, sp, {}, 4);
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    EXPECT_DOUBLE_EQ(par[i].p_sensitized, engine.p_sensitized(sites[i]))
+        << c.node(sites[i]).name;
   }
 }
 
 TEST(EppEngine, ParallelSingleThreadFallback) {
   const Circuit c = make_c17();
   const SignalProbabilities sp = parker_mccluskey_sp(c);
-  const std::vector<double> one = all_nodes_p_sensitized_parallel(c, sp, {}, 1);
-  const std::vector<double> def = all_nodes_p_sensitized_parallel(c, sp, {}, 0);
-  for (NodeId id = 0; id < c.node_count(); ++id) {
-    EXPECT_DOUBLE_EQ(one[id], def[id]);
-  }
-}
-
-TEST(EppEngine, ConvenienceWrapperMatchesEngine) {
-  const Circuit c = make_c17();
-  const auto wrapper = all_nodes_p_sensitized(c);
-  const SignalProbabilities sp = parker_mccluskey_sp(c);
-  EppEngine engine(c, sp);
-  for (NodeId site : error_sites(c)) {
-    EXPECT_NEAR(wrapper[site], engine.p_sensitized(site), 1e-12);
+  const std::vector<NodeId> sites = error_sites(c);
+  const std::vector<SiteRow> one = testutil::swept_rows(c, sites, sp, {}, 1);
+  const std::vector<SiteRow> def = testutil::swept_rows(c, sites, sp, {}, 0);
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    testutil::expect_row_equal(c, one[i], def[i]);
   }
 }
 

@@ -159,7 +159,7 @@ TEST(SequentialFaultInjection, MoreCyclesDetectMore) {
 // ---- FF-matrix rebuild: batched/parallel route vs sequential oracle -------
 //
 // The engine's constructor now builds the FF→{PO, FF} matrix through the
-// batched cone-sharing sweep (compute_sites_parallel). These tests rebuild
+// batched cone-sharing sweep (sweep_sites records). These tests rebuild
 // the matrix the pre-batching way — one CompiledEppEngine::compute per
 // flip-flop, in dffs() order — and demand exact equality (EXPECT_EQ, no
 // tolerance) at several thread counts, including the 0-FF and single-FF

@@ -105,9 +105,10 @@ TEST(ShardProtocol, JobRoundTripsExactly) {
   job.epp.electrical_survival = 0.97251;
   job.threads = 7;
   job.epp.simd = false;
-  job.p_only = true;
+  job.output = ShardOutput::kRow;
   job.fingerprint = {.nodes = 12345, .digest = 0x1122334455667788};
   job.sp = {0.0, 1.0, 0.5, 0.123456789012345678, 1e-300};
+  job.latch_weights = {0.115, 1.0, 0.5, 0.0, 5e-324};
   job.spawn = 41;
   job.sites = {3, 1, 4, 1'000'000};
   const ShardJob back = decode_job(encode_job(job));
@@ -115,15 +116,17 @@ TEST(ShardProtocol, JobRoundTripsExactly) {
   EXPECT_EQ(back.epp.electrical_survival, job.epp.electrical_survival);
   EXPECT_EQ(back.threads, job.threads);
   EXPECT_EQ(back.epp.simd, job.epp.simd);
-  EXPECT_EQ(back.p_only, job.p_only);
+  EXPECT_EQ(back.output, job.output);
   EXPECT_EQ(back.fingerprint, job.fingerprint);
   EXPECT_EQ(back.sp, job.sp);
+  EXPECT_EQ(back.latch_weights, job.latch_weights);
   EXPECT_EQ(back.spawn, job.spawn);
   EXPECT_EQ(back.sites, job.sites);
 
   // The kernel choice is the byte after track_polarity (u8),
   // electrical_survival (f64) and threads (u32): 1 = scalar, 2 = SIMD, the
-  // values every worker of this protocol version decodes.
+  // values every worker of this protocol version decodes. The output kind
+  // follows it: 1 = rows, 2 = records; anything else is refused.
   constexpr std::size_t kSimdByte = 1 + 8 + 4;
   for (const bool simd : {false, true}) {
     job.epp.simd = simd;
@@ -131,6 +134,98 @@ TEST(ShardProtocol, JobRoundTripsExactly) {
     EXPECT_EQ(bytes[kSimdByte], simd ? 2 : 1);
     EXPECT_EQ(decode_job(bytes).epp.simd, simd);
   }
+  for (const ShardOutput output : {ShardOutput::kRow, ShardOutput::kRecord}) {
+    job.output = output;
+    std::vector<std::uint8_t> bytes = encode_job(job);
+    EXPECT_EQ(bytes[kSimdByte + 1], output == ShardOutput::kRow ? 1 : 2);
+    EXPECT_EQ(decode_job(bytes).output, output);
+    bytes[kSimdByte + 1] = 0;  // v5 spelled full records 0
+    EXPECT_THROW((void)decode_job(bytes), std::runtime_error);
+  }
+}
+
+TEST(ShardProtocol, RowBatchRoundTripsBitForBit) {
+  const std::vector<SiteRow> rows = {
+      {.site = 9,
+       .p_sensitized = 0.12345678901234567,
+       .latched = 0.02839506172839506},
+      {.site = 1'000'000, .p_sensitized = 1.0, .latched = 5e-324}};
+  const std::vector<std::uint8_t> bytes = encode_rows(rows);
+  EXPECT_EQ(bytes.size(), 4 + rows.size() * 20);  // 20 bytes a row
+  const std::vector<SiteRow> back = decode_rows(bytes);
+  ASSERT_EQ(back.size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(back[i].site, rows[i].site);
+    EXPECT_EQ(back[i].p_sensitized, rows[i].p_sensitized);
+    EXPECT_EQ(back[i].latched, rows[i].latched);
+  }
+  EXPECT_THROW((void)decode_rows(std::span(bytes).subspan(0, 23)),
+               std::runtime_error);
+}
+
+/// One frame as raw bytes with an explicit header version (the writer
+/// always stamps kShardProtocolVersion).
+std::vector<std::uint8_t> frame_bytes(std::uint16_t version,
+                                      ShardFrameType type,
+                                      std::span<const std::uint8_t> payload) {
+  std::vector<std::uint8_t> out;
+  const auto put = [&out](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  };
+  put(kShardMagic, 4);
+  put(version, 2);
+  put(static_cast<std::uint16_t>(type), 2);
+  put(payload.size(), 8);
+  put(shard_crc32(payload), 4);
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+
+TEST(ShardProtocol, OlderFramesReadButPreV6JobsAreRefused) {
+  // Frames from v3..v5 peers (serve clients) frame identically and still
+  // read; the job layout changed in v6, so a worker refuses an older job
+  // with a kError naming both versions instead of misreading its bytes.
+  for (const std::uint16_t version : {3, 4, 5, 6}) {
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    const std::vector<std::uint8_t> bytes =
+        frame_bytes(version, ShardFrameType::kDone, encode_done(7));
+    ASSERT_EQ(::write(fds[1], bytes.data(), bytes.size()),
+              static_cast<ssize_t>(bytes.size()));
+    ::close(fds[1]);
+    const std::optional<ShardFrame> frame = read_shard_frame(fds[0]);
+    ::close(fds[0]);
+    ASSERT_TRUE(frame.has_value()) << version;
+    EXPECT_EQ(frame->version, version);
+    EXPECT_EQ(decode_done(frame->payload), 7u);
+  }
+
+  ShardJob job;
+  job.fingerprint = netlist_fingerprint(make_c17());
+  job.sp.assign(make_c17().node_count(), 0.5);
+  job.sites = {0};
+  int in[2];
+  int out[2];
+  ASSERT_EQ(::pipe(in), 0);
+  ASSERT_EQ(::pipe(out), 0);
+  const std::vector<std::uint8_t> bytes =
+      frame_bytes(5, ShardFrameType::kJob, encode_job(job));
+  ASSERT_EQ(::write(in[1], bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+  ::close(in[1]);
+  EXPECT_EQ(run_shard_worker("c17", 0u, in[0], out[1]), 1);
+  ::close(in[0]);
+  ::close(out[1]);
+  const std::optional<ShardFrame> reply = read_shard_frame(out[0]);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, ShardFrameType::kError);  // before any ack
+  const std::string message(reply->payload.begin(), reply->payload.end());
+  EXPECT_NE(message.find("v5"), std::string::npos) << message;
+  EXPECT_NE(message.find("v6"), std::string::npos) << message;
+  EXPECT_FALSE(read_shard_frame(out[0]).has_value());
+  ::close(out[0]);
 }
 
 TEST(ShardProtocol, HelloAndProgressRoundTrip) {
@@ -343,6 +438,21 @@ Options sharded_options(unsigned shards, unsigned threads = 1) {
 }
 
 void expect_sweeps_equal(Session& expected, Session& actual) {
+  // The table first — on fresh sessions each side's one rows fill, so the
+  // sharded side streams row jobs — then full records.
+  const CircuitSer& want_rows = expected.ser();
+  const CircuitSer& got_rows = actual.ser();
+  EXPECT_EQ(got_rows.total_ser, want_rows.total_ser);
+  ASSERT_EQ(got_rows.nodes.size(), want_rows.nodes.size());
+  for (std::size_t i = 0; i < want_rows.nodes.size(); ++i) {
+    const NodeSer& w = want_rows.nodes[i];
+    const NodeSer& g = got_rows.nodes[i];
+    EXPECT_EQ(g.node, w.node);
+    EXPECT_EQ(g.r_seu, w.r_seu);
+    EXPECT_EQ(g.p_latched, w.p_latched);
+    EXPECT_EQ(g.p_sensitized, w.p_sensitized);
+    EXPECT_EQ(g.ser, w.ser);
+  }
   const std::vector<SiteEpp> want = expected.sweep();
   const std::vector<SiteEpp> got = actual.sweep();
   ASSERT_EQ(got.size(), want.size());
@@ -424,7 +534,7 @@ TEST(ShardedEngine, GoldenCsvsByteEqualAtEveryShardCount) {
 }
 
 TEST(ShardedEngine, SerAndGoldenTextIdenticalThroughTheFacade) {
-  // ser()/harden() fold the engine's sweep records — the whole analysis
+  // ser()/harden() read the rows the workers streamed — the whole analysis
   // stack must be byte-identical through worker processes.
   Session batched = Session::open("s27");
   Session sharded = Session::open("s27", sharded_options(2));

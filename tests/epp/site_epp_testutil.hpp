@@ -1,16 +1,23 @@
-// Shared assertion for the engine-equivalence suites: two SiteEpp records
+// Shared assertions for the engine-equivalence suites: two SiteEpp records
 // must match bit for bit — EXPECT_EQ on doubles, no tolerance — including
 // every component of every per-sink Prob4 distribution. Sinks are compared
 // by id (robust to tie-order among DFFs sharing a D pin, which carry
-// identical latched distributions by construction).
+// identical latched distributions — and latch weights — by construction).
+// A rows-sweep row must equal the reference fold of the site's record; the
+// sweep-driver helpers run both output forms over a site list.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <span>
+#include <vector>
 
 #include "src/epp/epp_engine.hpp"
 #include "src/netlist/circuit.hpp"
+#include "src/netlist/compiled.hpp"
+#include "src/netlist/cone_cluster.hpp"
+#include "src/ser/latching.hpp"
 
 namespace sereep::testutil {
 
@@ -35,6 +42,53 @@ inline void expect_site_epp_equal(const Circuit& c, const SiteEpp& ref,
           << c.node(s.sink).name << " component " << k;
     }
   }
+}
+
+/// The reference rows-sweep row of one site: P_sensitized and the
+/// latch-weighted fold taken over its reference record, sink by sink.
+inline SiteRow reference_row(const Circuit& c, const SiteEpp& ref,
+                             const LatchingModel& latching) {
+  double miss = 1.0;
+  for (const SinkEpp& s : ref.sinks) {
+    miss *= 1.0 - latching.probability(c, s.sink) * s.error_mass;
+  }
+  return {.site = ref.site,
+          .p_sensitized = ref.p_sensitized,
+          .latched = 1.0 - miss};
+}
+
+inline void expect_row_equal(const Circuit& c, const SiteRow& want,
+                             const SiteRow& got) {
+  EXPECT_EQ(got.site, want.site);
+  EXPECT_EQ(got.p_sensitized, want.p_sensitized) << c.node(want.site).name;
+  EXPECT_EQ(got.latched, want.latched) << c.node(want.site).name;
+}
+
+/// The sweep driver over `sites` of `c` (a fresh compiled view and plan):
+/// rows weighed by `latching`, out[i] for sites[i].
+inline std::vector<SiteRow> swept_rows(const Circuit& c,
+                                       std::span<const NodeId> sites,
+                                       const SignalProbabilities& sp,
+                                       EppOptions options, unsigned threads,
+                                       const LatchingModel& latching = {}) {
+  const CompiledCircuit cc(c);
+  std::vector<SiteRow> rows(sites.size());
+  sweep_sites(cc, ConeClusterPlanner(cc), sites, sp, options, threads,
+              {.rows = rows, .latch_weights = latching.weights(c)});
+  return rows;
+}
+
+/// Same, full records.
+inline std::vector<SiteEpp> swept_records(const Circuit& c,
+                                          std::span<const NodeId> sites,
+                                          const SignalProbabilities& sp,
+                                          EppOptions options,
+                                          unsigned threads) {
+  const CompiledCircuit cc(c);
+  std::vector<SiteEpp> records(sites.size());
+  sweep_sites(cc, ConeClusterPlanner(cc), sites, sp, options, threads,
+              {.records = records});
+  return records;
 }
 
 }  // namespace sereep::testutil

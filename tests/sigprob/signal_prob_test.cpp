@@ -209,7 +209,7 @@ TEST(AllEngines, ProbabilitiesInUnitInterval) {
 }
 
 TEST(CompiledParkerMcCluskey, BitIdenticalToReferenceOnEmbedded) {
-  // The CSR pass is the production SP route (SER estimator, multicycle,
+  // The CSR pass is the production SP route (Session, multicycle,
   // `sereep sweep`, benches); it must reproduce the reference pass exactly,
   // not approximately — EXPECT_EQ, no tolerance, NaN-free.
   for (const char* name : {"c17", "s27", "s953", "s1423"}) {

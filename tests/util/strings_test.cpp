@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <limits>
+
+#include "src/util/rng.hpp"
+
 namespace sereep {
 namespace {
 
@@ -109,6 +116,34 @@ TEST(ParseDoubleStrict, RejectsGarbageAndNonFinite) {
   EXPECT_EQ(parse_double_strict("1e999"), std::nullopt);  // overflow
   EXPECT_EQ(parse_double_strict("inf"), std::nullopt);
   EXPECT_EQ(parse_double_strict("nan"), std::nullopt);
+}
+
+TEST(FormatRoundTrip, MatchesPrintfG17OnSeededDoubles) {
+  // snprintf("%.17g") is the oracle the golden CSVs were written with;
+  // to_chars must print the same characters for every double.
+  const auto expect_same = [](double v) {
+    char want[64];
+    std::snprintf(want, sizeof want, "%.17g", v);
+    EXPECT_EQ(format_round_trip(v), want) << want;
+  };
+  for (const double v :
+       {0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, 1e300, 123456789012345678.0,
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+        -std::numeric_limits<double>::max()}) {
+    expect_same(v);
+  }
+  for (int e = -1074; e <= 1023; ++e) expect_same(std::ldexp(1.0, e));
+  Rng rng(0x5eed17);
+  for (int i = 0; i < 20000; ++i) {
+    // Random bit patterns (skipping inf/nan, which no table holds), values
+    // spread like probabilities, and SER-scale rates.
+    const double bits = std::bit_cast<double>(rng());
+    if (std::isfinite(bits)) expect_same(bits);
+    expect_same(rng.uniform());
+    expect_same(rng.uniform() * 1e-12);
+    expect_same(static_cast<double>(rng.below(1'000'000)));
+  }
 }
 
 }  // namespace

@@ -512,6 +512,7 @@ int cmd_harden(const std::string& path, const bench::Flags& flags) {
       checked_double(flags, "target", 0.5, 0.0, 1.0);
   if (!target_flag) return 1;
   const double target = *target_flag;
+  const std::string emit = flags.get_path("emit", "");  // exits 2 when bare
   if (flags.has("iterate")) {
     const std::optional<long> rounds =
         checked_int(flags, "iterate", 1, 1, 100'000);
@@ -523,14 +524,13 @@ int cmd_harden(const std::string& path, const bench::Flags& flags) {
   const HardeningPlan plan = session.harden(target);
   std::printf("%s",
               harden_plan_text(session.circuit(), plan, target).c_str());
-  if (flags.has("emit")) {
+  if (!emit.empty()) {
     const TmrResult tmr = apply_tmr(session.circuit(), plan.protect);
-    const std::string out = flags.get("emit", "hardened.v");
-    if (!save_any(tmr.circuit, out)) {
-      std::fprintf(stderr, "error: cannot write '%s'\n", out.c_str());
+    if (!save_any(tmr.circuit, emit)) {
+      std::fprintf(stderr, "error: cannot write '%s'\n", emit.c_str());
       return 1;
     }
-    std::printf("TMR netlist written to %s (+%zu gates)\n", out.c_str(),
+    std::printf("TMR netlist written to %s (+%zu gates)\n", emit.c_str(),
                 tmr.gates_added);
   }
   return 0;
@@ -568,7 +568,7 @@ int cmd_gen(const bench::Flags& flags) {
   GeneratorProfile profile = iscas89_profile(profile_name);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 0x15ca589));
   const Circuit c = generate_circuit(profile, seed);
-  const std::string out = flags.get("o", profile_name + ".bench");
+  const std::string out = flags.get_path("o", profile_name + ".bench");
   if (!save_any(c, out)) {
     std::fprintf(stderr, "error: cannot write '%s'\n", out.c_str());
     return 1;
@@ -933,7 +933,8 @@ void usage() {
       "  --shard-timeout-ms kills workers that stop making progress;\n"
       "  --on-shard-failure=degrade finishes exhausted shards in-process.\n"
       "netlist: a .bench/.v path, a compiled .sca artifact (see `sereep\n"
-      "  compile`), or an embedded name (c17, s27, s953...)\n");
+      "  compile`), or an embedded name (c17, s27, s953...)\n"
+      "flags take --name=VALUE only; a bare --csv or --o writes to stdout.\n");
 }
 
 }  // namespace
