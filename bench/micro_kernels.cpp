@@ -8,8 +8,9 @@
 // The binary also writes BENCH_micro.json before the google-benchmark run —
 // machine-readable op/s for the cone-extract, propagate and full-sweep
 // kernels, reference vs compiled vs batched (cone-sharing clusters) vs
-// sharded (worker processes — pipe and loopback-TCP transports, clean +
-// one injected worker death to price the supervisor's recovery) plus a
+// sharded (worker processes — a loopback fleet started per sweep and
+// pre-started loopback hosts, clean + one injected worker death to price
+// the supervisor's recovery) plus a
 // hot-cache `sereep serve` round trip, the .sca artifact mmap-load vs
 // cold parse+compile comparison, and the incremental what-if rows — a
 // single-gate edit and a 1%-of-gates batch re-swept through the Session
@@ -546,13 +547,13 @@ void write_bench_micro_json(const std::string& path, bool fast) {
           [&] { retry_rows = retrying->sweep_rows(reloaded_sites, 1); });
       ::unsetenv("SEREEP_FAULT_PLAN");
       shard_identical = shard_identical && same_rows(retry_rows);
-      // sharded_tcp: the same sweep over the TCP transport — two
-      // pre-started `sereep worker --listen` processes on 127.0.0.1, one
-      // fresh connection per dispatch. vs the pipe row this swaps
-      // fork+exec+netlist-load per dispatch for connect+COW-fork against
-      // an already-loaded worker, so tcp_vs_pipe (>1 = tcp faster) prices
-      // exactly that trade. Loopback only — a real network adds wire time
-      // the pipe tier never pays.
+      // sharded_tcp: the same sweep against two pre-started `sereep worker
+      // --listen` processes on 127.0.0.1 (ShardOptions::hosts), one fresh
+      // connection per dispatch. The sharded row above starts (and kills)
+      // its own loopback fleet inside every sweep, so tcp_vs_pipe (>1 =
+      // pre-started hosts faster; the name predates the one transport)
+      // prices exactly the per-sweep fleet start: exec + netlist load.
+      // Loopback only — a real network adds wire time.
       try {
         ChildProcess w1 = ChildProcess::spawn(
             {worker, "worker", "--netlist=" + netlist, "--listen=0"});
@@ -560,7 +561,7 @@ void write_bench_micro_json(const std::string& path, bool fast) {
             {worker, "worker", "--netlist=" + netlist, "--listen=0"});
         const std::uint16_t p1 = parse_listening_port(w1.read_stdout_line());
         const std::uint16_t p2 = parse_listening_port(w2.read_stdout_line());
-        ctx.shard.retry = {};  // the clean-path config, like the pipe row
+        ctx.shard.retry = {};  // the clean-path config, like the fleet row
         ctx.shard.hosts = {"127.0.0.1:" + std::to_string(p1),
                            "127.0.0.1:" + std::to_string(p2)};
         const std::unique_ptr<IEppEngine> tcp_sharded =
@@ -854,9 +855,11 @@ void write_bench_micro_json(const std::string& path, bool fast) {
                    bat_scalar_s / bat_s);
     }
     if (shard_s > 0) {
-      // shards is a config constant, not a measurement; sharded_vs_batched
-      // follows the batched_vs_compiled convention (>1 = sharded faster).
-      // Same-machine gating only — process fan-out cost is all host.
+      // sharded_ms times whole sweeps that each start, use and kill a local
+      // loopback fleet of `shards` workers. shards is a config constant,
+      // not a measurement; sharded_vs_batched follows the
+      // batched_vs_compiled convention (>1 = sharded faster). Same-machine
+      // gating only — process fan-out cost is all host.
       std::fprintf(f,
                    ", \"shards\": %u, \"sharded_sites_per_s\": %.1f, "
                    "\"sharded_ms\": %.3f, \"sharded_vs_batched\": %.3f",
@@ -873,10 +876,11 @@ void write_bench_micro_json(const std::string& path, bool fast) {
                    shard_retry_s * 1e3, (shard_retry_s - shard_s) * 1e3);
     }
     if (shard_tcp_s > 0) {
-      // Schema v6: the loopback TCP transport row. tcp_vs_pipe follows the
-      // X_vs_Y convention (>1 = tcp faster); both numerator and denominator
-      // are process fan-out on THIS host, so the ratio is HW-sensitive and
-      // gated same-machine only.
+      // Schema v6: the pre-started hosts row. tcp_vs_pipe follows the
+      // X_vs_Y convention (>1 = pre-started hosts faster than the per-sweep
+      // fleet of sharded_ms); both numerator and denominator are process
+      // fan-out on THIS host, so the ratio is HW-sensitive and gated
+      // same-machine only.
       std::fprintf(f,
                    ", \"sharded_tcp_ms\": %.3f, \"tcp_vs_pipe\": %.3f",
                    shard_tcp_s * 1e3, shard_s / shard_tcp_s);
@@ -954,7 +958,8 @@ void write_bench_micro_json(const std::string& path, bool fast) {
         shard_identical ? "yes" : "NO", sweep_shard_retry_s * 1e3,
         (sweep_shard_retry_s - sweep_shard_s) * 1e3);
     if (sweep_shard_tcp_s > 0) {
-      std::printf("  sharded over loopback tcp: %.0f ms (%.2fx vs pipe)\n",
+      std::printf("  sharded over pre-started hosts: %.0f ms (%.2fx vs a "
+                  "per-sweep fleet)\n",
                   sweep_shard_tcp_s * 1e3,
                   sweep_shard_s / sweep_shard_tcp_s);
     }

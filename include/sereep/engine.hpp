@@ -53,16 +53,17 @@ struct EngineContext {
   ShardOptions shard;                        ///< sharded-engine layer
 };
 
-/// Static capability flags, declared at registration time so callers can
-/// pick engines by property ("fastest multi-threaded engine") instead of by
-/// name, and so help text / errors can describe what a key buys.
+/// Static capability flags, declared once, at registration (EngineRegistry::
+/// caps reads them), so callers can pick engines by property ("fastest
+/// multi-threaded engine") instead of by name, and so help text / errors
+/// can describe what a key buys.
 struct EngineCaps {
   /// Sweeps honour a thread count (engines without it run sequentially).
   bool threads = false;
   /// Has lane-plane SIMD kernels (run when EppOptions::simd is set).
   bool simd = false;
-  /// Sweeps fan out across worker PROCESSES (the sharded tier) — needs a
-  /// worker binary + a loadable netlist spec (ShardOptions).
+  /// Sweeps fan out across worker PROCESSES (the sharded tier) — needs TCP
+  /// hosts, or a worker binary + a loadable netlist spec (ShardOptions).
   bool processes = false;
 };
 
@@ -74,9 +75,6 @@ struct EngineCaps {
 class IEppEngine {
  public:
   virtual ~IEppEngine() = default;
-
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-  [[nodiscard]] virtual EngineCaps caps() const noexcept = 0;
 
   /// Full three-step computation for one error site.
   [[nodiscard]] virtual SiteEpp compute(NodeId site) = 0;

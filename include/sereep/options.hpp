@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "src/epp/epp_engine.hpp"
-#include "src/netlist/cone_cluster.hpp"
 #include "src/ser/latching.hpp"
 #include "src/ser/seu_rate.hpp"
 #include "src/sigprob/signal_prob.hpp"
@@ -46,14 +45,6 @@ struct SpLayerOptions {
   SpOptions probabilities;
   /// Sample count when source == kMonteCarlo.
   std::size_t monte_carlo_vectors = 65536;
-};
-
-/// Cluster-planning layer configuration (the batched engine's sweep plan).
-struct ClusterOptions {
-  /// kTwoLevel (default) regroups Bloom-pass singletons by their
-  /// immediate-dominator sink; kBloomOnly is kept for A/B stats.
-  ConeClusterPlanner::PlanLevel level =
-      ConeClusterPlanner::PlanLevel::kTwoLevel;
 };
 
 /// SER layer configuration.
@@ -108,48 +99,53 @@ struct ShardRetryOptions {
 };
 
 /// Sharded-engine layer configuration (the "sharded" registry key): sweeps
-/// fan out to `shards` worker PROCESSES, each a `sereep worker` instance
-/// that loads `netlist`, computes its assigned sites with the batched
-/// engine, and streams results back over a pipe — or, when `hosts` is set,
-/// over TCP to remote `sereep worker --listen` processes
+/// fan out over TCP to `shards` `sereep worker --listen` PROCESSES, each of
+/// which loads its netlist once, computes its assigned sites with the
+/// batched engine, and streams results back. Without `hosts`, every sweep
+/// starts its own loopback fleet (one `worker_path worker --netlist=netlist
+/// --listen=0` per shard) and kills it when the sweep returns; with
+/// `hosts`, it dispatches to workers already running there
 /// (src/epp/shard_protocol.hpp documents the frame format,
-/// src/epp/shard_transport.hpp the two transports). Results are bit-for-bit
+/// src/epp/shard_transport.hpp the transport). Results are bit-for-bit
 /// identical to the in-process batched engine — the shard planner only
 /// partitions work.
 struct ShardOptions {
   /// Worker process count for sharded sweeps. 1 runs in-process (the
-  /// batched path with no fork). Bounded by kMaxShards in validate().
+  /// batched path with no workers). Bounded by kMaxShards in validate().
   unsigned shards = 2;
 
-  /// Path to the worker binary (the `sereep` CLI). The CLI fills this with
-  /// its own executable path; library users must point it at a built
-  /// `sereep`. Empty = sharding unavailable (see fallback_to_in_process).
+  /// Path to the worker binary (the `sereep` CLI) a local fleet runs. The
+  /// CLI fills this with its own executable path; library users must point
+  /// it at a built `sereep`. Empty (and no `hosts`) = sharding unavailable
+  /// (see fallback_to_in_process).
   std::string worker_path;
 
-  /// Netlist spec the workers load — a .bench/.v path or an embedded name,
-  /// exactly the vocabulary of load_netlist(). Session::open() records its
-  /// spec here automatically; sessions built from an in-memory Circuit have
-  /// no spec, so sharding is unavailable for them unless one is supplied.
+  /// Netlist spec a local fleet loads — a .bench/.v/.sca path or an
+  /// embedded name, exactly the vocabulary of load_netlist(). Session::open()
+  /// records its spec here automatically; sessions built from an in-memory
+  /// Circuit have no spec, so a local fleet is unavailable for them unless
+  /// one is supplied.
   std::string netlist;
 
-  /// Remote TCP workers, each a "host:port" naming a running `sereep worker
-  /// --listen=PORT` process. Non-empty switches the sharded engine's
-  /// transport from locally-forked pipe workers to TCP: dispatch ordinal k
-  /// (the initial fan-out and every retry respawn count up one sequence)
-  /// connects to hosts[k % hosts.size()], so retries rotate across hosts
-  /// and one dead host cannot absorb a shard's whole retry budget. The
-  /// workers load their OWN --netlist (cross-checked every dispatch by the
-  /// fingerprint handshake), so `worker_path`/`netlist` are not required
-  /// here. The protocol is unauthenticated — trusted networks only.
+  /// Running workers, each a "host:port" naming a `sereep worker
+  /// --listen=PORT` process. Non-empty replaces the per-sweep local fleet:
+  /// dispatch ordinal k (the initial fan-out and every retry re-dispatch
+  /// count up one sequence) connects to hosts[k % hosts.size()], as it
+  /// connects to local worker k % N of an N-worker fleet, so retries rotate
+  /// across hosts and one dead host cannot absorb a shard's whole retry
+  /// budget. The workers load their OWN --netlist (cross-checked every
+  /// dispatch by the fingerprint handshake), so `worker_path`/`netlist` are
+  /// not required here. The protocol is unauthenticated — trusted networks
+  /// only.
   /// Validated by Options::validate(): each entry must parse as host:port
   /// with a port in 1..65535, at most kMaxShards entries.
   std::vector<std::string> hosts;
 
-  /// Policy when sharding is UNAVAILABLE (empty worker_path/netlist): true
-  /// silently serves the sweep from the in-process batched path (results
-  /// are identical anyway); false — the default — fails loudly, because an
-  /// explicitly requested sharded run that quietly runs single-process
-  /// would mask a broken deployment. Worker DEATH is governed by
+  /// Policy when sharding is UNAVAILABLE (no hosts, and an empty
+  /// worker_path or netlist): true silently serves the sweep from the
+  /// in-process batched path (results are identical anyway); false — the
+  /// default — fails loudly, because an explicitly requested sharded run
+  /// that quietly runs single-process would mask a broken deployment. Worker DEATH is governed by
   /// `retry.on_failure`, never by this flag: under the default kFail policy
   /// it is a hard error — partial sweeps must not masquerade as complete
   /// ones — and under kRetry/kDegrade the supervisor recomputes the lost
@@ -194,7 +190,6 @@ struct Options {
 
   SpLayerOptions sp;    ///< signal-probability layer
   EppOptions epp;       ///< EPP layer (polarity, electrical masking, SIMD)
-  ClusterOptions cluster;  ///< batched-sweep planning layer
   SerLayerOptions ser;  ///< SER layer (rate + latching models)
   ShardOptions shard;   ///< sharded-engine layer (worker processes)
 

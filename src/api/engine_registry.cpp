@@ -30,17 +30,10 @@ template <typename Engine>
 class SequentialEngine final : public IEppEngine {
  public:
   template <typename View>
-  SequentialEngine(std::string_view name, const EngineContext& ctx,
-                   const View& view)
-      : name_(name),
-        circuit_(*ctx.circuit),
+  SequentialEngine(const EngineContext& ctx, const View& view)
+      : circuit_(*ctx.circuit),
         ser_(ctx.ser),
         engine_(view, *ctx.sp, ctx.epp) {}
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return name_;
-  }
-  [[nodiscard]] EngineCaps caps() const noexcept override { return {}; }
 
   [[nodiscard]] SiteEpp compute(NodeId site) override {
     return engine_.compute(site);
@@ -67,7 +60,6 @@ class SequentialEngine final : public IEppEngine {
   }
 
  private:
-  std::string_view name_;
   const Circuit& circuit_;
   SerLayerOptions ser_;
   Engine engine_;
@@ -89,13 +81,6 @@ class BatchedEngine final : public IEppEngine {
         ser_(ctx.ser),
         planner_(ctx.planner),
         planner_source_(ctx.planner_source) {}
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "batched";
-  }
-  [[nodiscard]] EngineCaps caps() const noexcept override {
-    return {.threads = true, .simd = true};
-  }
 
   [[nodiscard]] SiteEpp compute(NodeId site) override {
     return single().compute(site);
@@ -173,20 +158,20 @@ EngineRegistry& EngineRegistry::instance() {
     EngineRegistry r;
     r.add("reference", {}, [](const EngineContext& ctx) {
       return std::unique_ptr<IEppEngine>(
-          new SequentialEngine<EppEngine>("reference", ctx, *ctx.circuit));
+          new SequentialEngine<EppEngine>(ctx, *ctx.circuit));
     });
     r.add("compiled", {}, [](const EngineContext& ctx) {
-      return std::unique_ptr<IEppEngine>(new SequentialEngine<CompiledEppEngine>(
-          "compiled", ctx, *ctx.compiled));
+      return std::unique_ptr<IEppEngine>(
+          new SequentialEngine<CompiledEppEngine>(ctx, *ctx.compiled));
     });
     r.add("batched", {.threads = true, .simd = true},
           [](const EngineContext& ctx) {
             return std::unique_ptr<IEppEngine>(new BatchedEngine(ctx));
           });
     // The multi-process tier (src/epp/sharded_epp.hpp): sweeps fan out to
-    // `sereep worker` processes when ShardOptions names a worker binary and
-    // netlist spec; per-site queries run in-process. Bit-for-bit equal to
-    // batched — sharding only partitions work.
+    // `sereep worker` processes when ShardOptions names TCP hosts or a
+    // worker binary and netlist spec; per-site queries run in-process.
+    // Bit-for-bit equal to batched — sharding only partitions work.
     r.add("sharded", {.threads = true, .simd = true, .processes = true},
           [](const EngineContext& ctx) {
             return std::unique_ptr<IEppEngine>(new ShardedEppEngine(ctx));
@@ -250,19 +235,7 @@ std::unique_ptr<IEppEngine> EngineRegistry::create(
                                 "' (registered: " + names_joined() + ")");
   }
   require_context(context);
-  std::unique_ptr<IEppEngine> engine = e->factory(context);
-  // The registered flags are the load-bearing copy (planner wiring, CLI
-  // listing); an implementation whose caps() drifts from them would
-  // silently mis-wire — catch it at the single choke point instead.
-  const EngineCaps actual = engine->caps();
-  if (actual.threads != e->caps.threads || actual.simd != e->caps.simd ||
-      actual.processes != e->caps.processes) {
-    throw std::logic_error(
-        "engine '" + e->name +
-        "': capability flags declared at registration disagree with the "
-        "implementation's caps()");
-  }
-  return engine;
+  return e->factory(context);
 }
 
 }  // namespace sereep

@@ -34,25 +34,20 @@ Circuit load_netlist(const std::string& spec) {
 /// the (equally stable) BuildCounts block.
 struct Session::PlannerCache {
   const CompiledCircuit* compiled = nullptr;
-  ConeClusterPlanner::PlanLevel level =
-      ConeClusterPlanner::PlanLevel::kTwoLevel;
   BuildCounts* counts = nullptr;
   std::unique_ptr<ConeClusterPlanner> planner;
-  // A plan stored in a .sca artifact: handed to the planner so a
-  // whole-circuit plan() call at the stored level returns it instead of
-  // re-planning (the planner is deterministic, so the copy is exact).
+  // A kTwoLevel plan stored in a .sca artifact: handed to the planner so a
+  // whole-circuit plan() call returns it instead of re-planning (the
+  // planner is deterministic, so the copy is exact).
   std::vector<NodeId> preplan_sites;
   std::vector<ConeCluster> preplan_clusters;
-  ConeClusterPlanner::PlanLevel preplan_level =
-      ConeClusterPlanner::PlanLevel::kTwoLevel;
 
   const ConeClusterPlanner& get() {
     if (planner == nullptr) {
       planner = std::make_unique<ConeClusterPlanner>(*compiled);
-      planner->set_default_level(level);
       if (!preplan_sites.empty()) {
         planner->set_preplanned(preplan_sites, preplan_clusters,
-                                preplan_level);
+                                ConeClusterPlanner::PlanLevel::kTwoLevel);
       }
       ++counts->planner;
     }
@@ -111,16 +106,15 @@ void Session::adopt_artifact(std::shared_ptr<const ArtifactView> artifact) {
     sp_ = std::make_unique<SignalProbabilities>(
         SignalProbabilities{.p1 = {table.begin(), table.end()}});
   }
-  // The stored whole-circuit plan seeds the planner cache when the level
-  // matches; plan() re-plans for any other site subset or level.
+  // The stored whole-circuit plan seeds the planner cache when it is at the
+  // level sweeps plan at; plan() re-plans for any other site subset.
   if (artifact_->has_plan() &&
-      artifact_->plan_level() == options_.cluster.level) {
+      artifact_->plan_level() == ConeClusterPlanner::PlanLevel::kTwoLevel) {
     std::vector<NodeId> plan_sites = error_sites(*circuit_);
     if (plan_sites.size() == artifact_->plan_site_count()) {
       PlannerCache& cache = planner_cache();
       cache.preplan_sites = std::move(plan_sites);
       cache.preplan_clusters = artifact_->plan_clusters();
-      cache.preplan_level = artifact_->plan_level();
     }
   }
 }
@@ -151,13 +145,7 @@ void Session::set_options(Options options) {
     sp_.reset();
     sp_diagnostics_.reset();
   }
-  // The cluster plan survives; only its default level follows the options.
-  if (planner_cache_ != nullptr) {
-    planner_cache_->level = options_.cluster.level;
-    if (planner_cache_->planner != nullptr) {
-      planner_cache_->planner->set_default_level(options_.cluster.level);
-    }
-  }
+  // The cluster plan survives: it depends on the circuit alone.
   // The result table binds the full option set (EPP knobs, SER models, SP
   // source); re-scoping which of those actually moved is not worth it here —
   // reconfiguration is rare, edits are the hot loop.
@@ -180,9 +168,9 @@ EditResult Session::apply_edit(const EditPlan& plan) {
   // An edited netlist exists only in this process: the spec recorded for
   // sharded workers (and, for .sca sessions, the artifact fingerprint the
   // serve cache and pre-dispatch handshake key on) describes the PRE-edit
-  // bits, so both are dropped, and no worker — pipe or TCP — could load the
-  // edited circuit. The sharded engine therefore sweeps in-process from now
-  // on (shards = 1 is its configured in-process path), which is always
+  // bits, so both are dropped, and no worker, local or remote, could load
+  // the edited circuit. The sharded engine therefore sweeps in-process from
+  // now on (shards = 1 is its configured in-process path), which is always
   // correct.
   artifact_fingerprint_.reset();
   options_.shard.netlist.clear();
@@ -359,7 +347,6 @@ Session::PlannerCache& Session::planner_cache() {
   if (planner_cache_ == nullptr) {
     planner_cache_ = std::make_unique<PlannerCache>();
     planner_cache_->compiled = &compiled();
-    planner_cache_->level = options_.cluster.level;
     planner_cache_->counts = counts_.get();
   }
   return *planner_cache_;

@@ -5,7 +5,7 @@
 // list (enough to restore a node-id-identical Circuit), the
 // Parker-McCluskey SP table as raw IEEE bit patterns, and optionally the
 // ConeClusterPlanner plan. `sereep compile` writes one; Session::open(),
-// `sereep worker` (pipe and TCP modes) and the serve daemon load one in
+// `sereep worker` and the serve daemon load one in
 // milliseconds instead of re-parsing a netlist and re-flattening it —
 // ROADMAP item 5, and the structural fix for the PR-5 foot-gun that a
 // `.bench` reload is not node-id-identical to generator output: the

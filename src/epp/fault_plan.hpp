@@ -5,21 +5,25 @@
 // environment variable (which replaced the single SEREEP_WORKER_FAIL_AFTER
 // hook) carries a PLAN: a semicolon-separated list of directives, each
 // binding one fault mode to one worker SPAWN ORDINAL — the 0-based order in
-// which the supervisor forked workers within one sweep, counting respawned
-// retry workers after the initial fleet. The parent passes each worker its
-// ordinal (`sereep worker --spawn=N`), so a plan like
+// which the supervisor dispatched jobs within one sweep, counting retry
+// re-dispatches after the initial fan-out. The ordinal arrives in the job
+// frame (ShardJob::spawn), and the worker child serving that connection
+// reads the plan from the environment it inherited from its `sereep worker
+// --listen` process, so a plan like
 //
 //   SEREEP_FAULT_PLAN="0:die-after-frames=1;3:hang"
 //
-// kills the first worker of the fleet after it streamed one result frame and
-// hangs the fourth spawn (e.g. the second retry) forever, while every other
-// worker runs clean. Grammar (documented for test authors in
-// tests/README.md):
+// kills the first dispatch's worker after it streamed one result frame and
+// hangs the fourth dispatch's (e.g. the second retry) forever, while every
+// other worker runs clean. A sweep's local fleet inherits the plan from the
+// sweeping process; remote workers must be started with it. Grammar
+// (documented for test authors in tests/README.md):
 //
 //   plan       := directive (';' directive)*
 //   directive  := spawn ':' mode ['=' arg]
 //   spawn      := non-negative integer (global spawn ordinal, one sweep)
-//   mode       := exit                  die before reading the job frame
+//   mode       := exit                  die right after reading the job
+//                                       frame, before any response
 //               | die-before-handshake  read the job, die before kHello
 //               | die-after-frames=N    die after N streamed result frames
 //               | die-before-done       stream everything, die before kDone
@@ -48,7 +52,7 @@ namespace sereep {
 
 /// What a faulted worker does, and when.
 enum class FaultMode : std::uint8_t {
-  kExit,                ///< _exit before reading the job (mid-assignment)
+  kExit,                ///< _exit right after reading the job
   kDieBeforeHandshake,  ///< read the job, _exit before the kHello frame
   kDieAfterFrames,      ///< _exit after `arg` streamed result frames
   kDieBeforeDone,       ///< stream every result frame, _exit before kDone
@@ -59,7 +63,7 @@ enum class FaultMode : std::uint8_t {
 
 /// One directive of a fault plan.
 struct FaultSpec {
-  unsigned spawn = 0;                    ///< spawn ordinal this binds to
+  unsigned spawn = 0;                    ///< dispatch ordinal this binds to
   FaultMode mode = FaultMode::kExit;
   long arg = 0;                          ///< frames / milliseconds, per mode
 };

@@ -25,7 +25,7 @@ class ByteWriter {
   void u16(std::uint16_t v) { raw(v); }
   void u32(std::uint32_t v) { raw(v); }
   void u64(std::uint64_t v) { raw(v); }
-  /// IEEE bit pattern — the double that crosses the pipe IS the double.
+  /// IEEE bit pattern — the double that crosses the wire IS the double.
   void f64(double v) { raw(std::bit_cast<std::uint64_t>(v)); }
 
  private:
@@ -94,7 +94,7 @@ void write_all(int fd, const std::uint8_t* data, std::size_t size) {
     const ssize_t n = ::write(fd, data, size);
     if (n < 0) {
       if (errno == EINTR) continue;
-      throw std::runtime_error(std::string("shard protocol: pipe write: ") +
+      throw std::runtime_error(std::string("shard protocol: write: ") +
                                std::strerror(errno));
     }
     data += n;
@@ -136,7 +136,7 @@ bool read_all(int fd, std::uint8_t* data, std::size_t size,
     const ssize_t n = ::read(fd, data + got, size - got);
     if (n < 0) {
       if (errno == EINTR) continue;
-      throw std::runtime_error(std::string("shard protocol: pipe read: ") +
+      throw std::runtime_error(std::string("shard protocol: read: ") +
                                std::strerror(errno));
     }
     if (n == 0) {

@@ -1,7 +1,8 @@
 // Shard wire protocol — versioned length-prefixed frames over a byte stream.
 //
 // The sharded sweep engine (sharded_epp.hpp) talks to its worker processes
-// over plain pipes or TCP sockets with a binary frame stream:
+// over TCP sockets (and `sereep serve` to its clients) with a binary frame
+// stream; the codecs work on any byte stream:
 //
 //   +--------+---------+------+--------------+-------------+---------------+
 //   | magic  | version | type | payload size | payload CRC | payload bytes |
@@ -9,7 +10,7 @@
 //   +--------+---------+------+--------------+-------------+---------------+
 //
 // All integers are little-endian fixed width; doubles travel as their IEEE
-// bit pattern in a u64, so a value that crosses the pipe is THE value — the
+// bit pattern in a u64, so a value that crosses the wire is THE value — the
 // parent's merged sweep can stay bit-for-bit identical to an in-process run.
 // The magic + version header makes a stream from a mismatched binary (or a
 // stray print into stdout) a loud protocol error rather than garbage
@@ -162,10 +163,9 @@ struct ShardJob {
   /// for record jobs.
   std::vector<double> latch_weights;
   /// The supervisor's dispatch ordinal (initial fan-out and every retry
-  /// respawn count up the same sequence). Pipe workers also get it as
-  /// --spawn argv; TCP workers are long-lived processes with no per-job
-  /// argv, so the job carries it in-band — it keys SEREEP_FAULT_PLAN
-  /// directives identically on both transports.
+  /// re-dispatch count up the same sequence). Workers are long-lived
+  /// processes with no per-job argv, so the job carries it in-band; it keys
+  /// SEREEP_FAULT_PLAN directives.
   std::uint32_t spawn = 0;
   std::vector<NodeId> sites;    ///< assigned sites, plan order
 };

@@ -1,17 +1,17 @@
 #include "src/epp/shard_transport.hpp"
 
-#include <fcntl.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 #include "sereep/session.hpp"  // load_netlist — the worker's input vocabulary
 #include "src/artifact/artifact_cache.hpp"
@@ -22,258 +22,81 @@
 
 namespace sereep {
 
-namespace {
-
-[[nodiscard]] std::string describe_exit(int status) {
-  if (WIFEXITED(status)) {
-    return "exited with status " + std::to_string(WEXITSTATUS(status));
+ShardFleet::ShardFleet(const ShardOptions& shard, std::size_t local_workers)
+    : connect_timeout_ms_(shard.retry.timeout_ms > 0
+                              ? static_cast<int>(shard.retry.timeout_ms)
+                              : 10'000) {
+  if (!shard.hosts.empty()) {
+    peer_ = "hosts ";
+    for (const std::string& host : shard.hosts) {
+      if (!endpoints_.empty()) peer_ += ',';
+      peer_ += host;
+      endpoints_.push_back({.address = host, .start_error = {}});
+    }
+    return;
   }
-  if (WIFSIGNALED(status)) {
-    return "killed by signal " + std::to_string(WTERMSIG(status));
+  peer_ = "worker '" + shard.worker_path + "'";
+  // Start the whole fleet before reading any port line, so the workers load
+  // their netlists concurrently.
+  local_.reserve(local_workers);
+  for (std::size_t i = 0; i < local_workers; ++i) {
+    local_.push_back(ChildProcess::spawn({shard.worker_path, "worker",
+                                          "--netlist=" + shard.netlist,
+                                          "--listen=0"}));
   }
-  return "ended with raw wait status " + std::to_string(status);
+  const int line_timeout_ms =
+      shard.retry.timeout_ms > 0 ? static_cast<int>(shard.retry.timeout_ms)
+                                 : -1;
+  for (std::size_t i = 0; i < local_.size(); ++i) {
+    Endpoint& endpoint = endpoints_.emplace_back();
+    try {
+      const std::uint16_t port =
+          parse_listening_port(local_[i].read_stdout_line(line_timeout_ms));
+      endpoint.address = "127.0.0.1:" + std::to_string(port);
+    } catch (const std::exception& e) {
+      endpoint.start_error =
+          "local worker " + std::to_string(i) + " did not start: " + e.what();
+    }
+  }
 }
 
-// ---- pipe transport --------------------------------------------------------
+ShardFleet::~ShardFleet() {
+  for (ShardConnection& connection : connections_) close(connection);
+  // local_'s destructors then kill and reap each worker's process group.
+}
 
-struct PipeChannel final : ShardChannel {
-  pid_t pid = -1;
-  int to_child = -1;  ///< job-frame direction (closed once the job is sent)
-};
-
-/// The original single-host tier: fork + exec one worker per dispatch,
-/// stdin/stdout wired to pipes. Destruction closes every pipe and SIGKILLs
-/// + reaps any worker not yet torn down — an exception mid-sweep must not
-/// leak processes or zombies.
-class PipeShardTransport final : public ShardTransport {
- public:
-  PipeShardTransport(std::string worker_path, std::string netlist)
-      : worker_path_(std::move(worker_path)), netlist_(std::move(netlist)) {}
-
-  ~PipeShardTransport() override {
-    for (auto& ch : channels_) {
-      close_fds(*ch);
-      if (ch->pid > 0) {
-        ::kill(ch->pid, SIGKILL);
-        reap(*ch);
-        ++closed_;
-      }
-    }
-  }
-
-  ShardChannel& dispatch(std::span<const std::uint8_t> payload,
-                         unsigned spawn) override {
-    PipeChannel& ch = spawn_worker(spawn);
-    try {
-      write_shard_frame(ch.to_child, ShardFrameType::kJob, payload);
-      // The worker needs exactly one frame; a worker stuck on a second read
-      // must see EOF, not a hang.
-      ::close(std::exchange(ch.to_child, -1));
-      ch.send_ok = true;
-    } catch (const std::exception& e) {
-      ch.send_error = std::string("job dispatch failed: ") + e.what();
-    }
-    return ch;
-  }
-
-  std::string finish(ShardChannel& channel) override {
-    auto& ch = static_cast<PipeChannel&>(channel);
-    close_fds(ch);
-    if (ch.pid <= 0) return {};
-    const int status = reap(ch);
+ShardConnection& ShardFleet::dispatch(std::span<const std::uint8_t> payload,
+                                      unsigned spawn) {
+  ShardConnection& connection = connections_.emplace_back();
+  ++opened_;
+  const Endpoint& endpoint = endpoints_[spawn % endpoints_.size()];
+  if (!endpoint.start_error.empty()) {
     ++closed_;
-    return status == 0 ? std::string() : describe_exit(status);
+    connection.send_error = endpoint.start_error;
+    return connection;
   }
-
-  std::string abort(ShardChannel& channel) override {
-    auto& ch = static_cast<PipeChannel&>(channel);
-    // SIGKILL + reap: a hung worker would never exit on its own, and a dead
-    // one is unaffected (the kill hits a zombie, the wait still collects it).
-    if (ch.pid > 0) ::kill(ch.pid, SIGKILL);
-    return finish(ch);
+  try {
+    const HostPort hp = parse_host_port(endpoint.address);
+    connection.fd = tcp_connect(hp.host, hp.port, connect_timeout_ms_);
+    write_shard_frame(connection.fd, ShardFrameType::kJob, payload);
+    ::shutdown(connection.fd, SHUT_WR);
+  } catch (const std::exception& e) {
+    // A dead or unreachable worker is a per-dispatch failure the retry loop
+    // handles (the NEXT ordinal lands on another endpoint) — never a throw.
+    // It counts as closed even when tcp_connect threw before a socket
+    // existed, so opened == closed holds across refusals.
+    if (connection.fd >= 0) ::close(std::exchange(connection.fd, -1));
+    ++closed_;
+    connection.send_error =
+        "job dispatch to " + endpoint.address + " failed: " + e.what();
   }
+  return connection;
+}
 
-  [[nodiscard]] unsigned opened() const noexcept override { return opened_; }
-  [[nodiscard]] unsigned closed() const noexcept override { return closed_; }
-  [[nodiscard]] std::string_view kind() const noexcept override {
-    return "pipe";
-  }
-  [[nodiscard]] std::string peer_description() const override {
-    return "worker '" + worker_path_ + "'";
-  }
-
- private:
-  /// Forks + execs one worker; stdin/stdout are pipes, everything else is
-  /// inherited (stderr deliberately so — worker diagnostics reach the
-  /// parent's stderr). Parent-side pipe ends are close-on-exec, so later
-  /// workers cannot hold an earlier worker's pipe open and mask its death.
-  /// `spawn` becomes the worker's --spawn flag — the key the
-  /// SEREEP_FAULT_PLAN fault-injection grammar targets workers by.
-  PipeChannel& spawn_worker(unsigned spawn) {
-    int to_child[2];
-    int from_child[2];
-    if (::pipe2(to_child, O_CLOEXEC) != 0) {
-      throw std::runtime_error("sharded engine: pipe2 failed");
-    }
-    if (::pipe2(from_child, O_CLOEXEC) != 0) {
-      ::close(to_child[0]);
-      ::close(to_child[1]);
-      throw std::runtime_error("sharded engine: pipe2 failed");
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      // EAGAIN under process-limit pressure is the likely cause — exactly
-      // when leaking four fds per failed sweep would hurt the most.
-      ::close(to_child[0]);
-      ::close(to_child[1]);
-      ::close(from_child[0]);
-      ::close(from_child[1]);
-      throw std::runtime_error("sharded engine: fork failed");
-    }
-    if (pid == 0) {
-      // Child: wire the pipe ends onto stdin/stdout (dup2 clears
-      // close-on-exec on the duplicate) and become the worker.
-      ::dup2(to_child[0], STDIN_FILENO);
-      ::dup2(from_child[1], STDOUT_FILENO);
-      const std::string netlist_flag = "--netlist=" + netlist_;
-      const std::string spawn_flag = "--spawn=" + std::to_string(spawn);
-      const char* argv[] = {worker_path_.c_str(), "worker",
-                            netlist_flag.c_str(), spawn_flag.c_str(),
-                            nullptr};
-      ::execv(worker_path_.c_str(), const_cast<char* const*>(argv));
-      // exec failed: the parent sees EOF before any frame plus status 127.
-      ::_exit(127);
-    }
-    ::close(to_child[0]);
-    ::close(from_child[1]);
-    auto ch = std::make_unique<PipeChannel>();
-    ch->pid = pid;
-    ch->to_child = to_child[1];
-    ch->read_fd = from_child[0];
-    channels_.push_back(std::move(ch));
-    ++opened_;
-    return *channels_.back();
-  }
-
-  static void close_fds(PipeChannel& ch) {
-    if (ch.to_child >= 0) ::close(std::exchange(ch.to_child, -1));
-    if (ch.read_fd >= 0) ::close(std::exchange(ch.read_fd, -1));
-  }
-
-  static int reap(PipeChannel& ch) {
-    if (ch.pid <= 0) return 0;
-    int status = 0;
-    while (::waitpid(ch.pid, &status, 0) < 0 && errno == EINTR) {
-    }
-    ch.pid = -1;
-    return status;
-  }
-
-  std::string worker_path_;
-  std::string netlist_;
-  std::vector<std::unique_ptr<PipeChannel>> channels_;  ///< stable addresses
-  unsigned opened_ = 0;
-  unsigned closed_ = 0;
-};
-
-// ---- tcp transport ---------------------------------------------------------
-
-struct TcpChannel final : ShardChannel {};
-
-/// Remote workers: one fresh connection per dispatch, round-robin over the
-/// configured hosts by dispatch ordinal — so a retry respawn naturally
-/// rotates onto the NEXT host, and a single dead host cannot absorb the
-/// whole retry budget. The job direction is half-closed after the write
-/// (the worker sees EOF after its one frame, exactly like the pipe close);
-/// results come back on the same socket.
-class TcpShardTransport final : public ShardTransport {
- public:
-  TcpShardTransport(std::vector<std::string> hosts, int connect_timeout_ms)
-      : hosts_(std::move(hosts)), connect_timeout_ms_(connect_timeout_ms) {}
-
-  ~TcpShardTransport() override {
-    for (auto& ch : channels_) {
-      if (ch->read_fd >= 0) {
-        ::close(std::exchange(ch->read_fd, -1));
-        ++closed_;
-      }
-    }
-  }
-
-  ShardChannel& dispatch(std::span<const std::uint8_t> payload,
-                         unsigned spawn) override {
-    channels_.push_back(std::make_unique<TcpChannel>());
-    TcpChannel& ch = *channels_.back();
-    ++opened_;
-    const std::string& host = hosts_[spawn % hosts_.size()];
-    try {
-      const HostPort hp = parse_host_port(host);
-      ch.read_fd = tcp_connect(hp.host, hp.port, connect_timeout_ms_);
-      write_shard_frame(ch.read_fd, ShardFrameType::kJob, payload);
-      ::shutdown(ch.read_fd, SHUT_WR);
-      ch.send_ok = true;
-    } catch (const std::exception& e) {
-      // A dead or unreachable host is a per-dispatch failure the retry loop
-      // handles (the NEXT ordinal lands on another host) — never a throw.
-      // The dispatch still counts as closed even when tcp_connect threw
-      // before a socket existed: `opened` tracks dispatch attempts, and the
-      // teardown invariant (opened == closed) must hold across refusals.
-      if (ch.read_fd >= 0) ::close(std::exchange(ch.read_fd, -1));
-      ++closed_;
-      ch.send_error =
-          "job dispatch to " + host + " failed: " + e.what();
-    }
-    return ch;
-  }
-
-  std::string finish(ShardChannel& channel) override {
-    auto& ch = static_cast<TcpChannel&>(channel);
-    if (ch.read_fd >= 0) {
-      ::close(std::exchange(ch.read_fd, -1));
-      ++closed_;
-    }
-    return {};  // remote processes have no exit status to report
-  }
-
-  std::string abort(ShardChannel& channel) override { return finish(channel); }
-
-  [[nodiscard]] unsigned opened() const noexcept override { return opened_; }
-  [[nodiscard]] unsigned closed() const noexcept override { return closed_; }
-  [[nodiscard]] std::string_view kind() const noexcept override {
-    return "tcp";
-  }
-  [[nodiscard]] std::string peer_description() const override {
-    std::string out = "hosts ";
-    for (std::size_t i = 0; i < hosts_.size(); ++i) {
-      if (i > 0) out += ',';
-      out += hosts_[i];
-    }
-    return out;
-  }
-
- private:
-  std::vector<std::string> hosts_;
-  int connect_timeout_ms_;
-  std::vector<std::unique_ptr<TcpChannel>> channels_;
-  unsigned opened_ = 0;
-  unsigned closed_ = 0;
-};
-
-}  // namespace
-
-std::unique_ptr<ShardTransport> make_shard_transport(
-    const ShardOptions& shard) {
-  if (!shard.hosts.empty()) {
-    // Bound the connect even when the progress deadline is disabled: a
-    // blackholed host must become a retryable named failure, not a hang.
-    const int connect_timeout_ms =
-        shard.retry.timeout_ms > 0 ? static_cast<int>(shard.retry.timeout_ms)
-                                   : 10'000;
-    return std::make_unique<TcpShardTransport>(shard.hosts,
-                                               connect_timeout_ms);
-  }
-  return std::make_unique<PipeShardTransport>(shard.worker_path,
-                                              shard.netlist);
+void ShardFleet::close(ShardConnection& connection) {
+  if (connection.fd < 0) return;
+  ::close(std::exchange(connection.fd, -1));
+  ++closed_;
 }
 
 int run_tcp_worker(const std::string& netlist_spec,
@@ -302,6 +125,7 @@ int run_tcp_worker(const std::string& netlist_spec,
     std::printf("sereep worker listening on %s:%u\n", bind_addr.c_str(),
                 static_cast<unsigned>(tcp_local_port(listen_fd)));
     std::fflush(stdout);
+    const pid_t self = ::getpid();
     for (;;) {
       const int conn = ::accept(listen_fd, nullptr, nullptr);
       if (conn < 0) {
@@ -312,9 +136,13 @@ int run_tcp_worker(const std::string& netlist_spec,
       }
       const pid_t pid = ::fork();
       if (pid == 0) {
+        // Die with the accept loop: a hung child (nothing left to read its
+        // results) must not outlive a killed worker. The getppid() check
+        // covers a parent that died before prctl took effect.
+        ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+        if (::getppid() != self) ::_exit(1);
         ::close(listen_fd);
-        ::_exit(run_shard_worker(netlist_spec, std::nullopt, conn, conn,
-                                 circuit));
+        ::_exit(run_shard_worker(netlist_spec, conn, circuit));
       }
       ::close(conn);
       if (pid < 0) {

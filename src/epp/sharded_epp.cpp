@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <type_traits>
@@ -160,9 +161,14 @@ DrainOutcome drain_attempt(int fd, int timeout_ms,
           r.error = "worker reported: " + message;
           return r;
         }
-        case ShardFrameType::kJob:
+        default:
+          // kJob, serve traffic (kRequest/kResponse/kBusy) or a type no
+          // sereep build sends: the stream is not a worker's, so nothing
+          // it carried can be trusted.
           r.trust_prefix = false;
-          r.error = "unexpected job frame from worker";
+          r.error = "unexpected frame type " +
+                    std::to_string(static_cast<unsigned>(frame->type)) +
+                    " from worker";
           return r;
       }
     }
@@ -262,7 +268,7 @@ std::vector<Rec> ShardedEppEngine::run(std::span<const NodeId> sites,
         (!shard_.worker_path.empty() && !shard_.netlist.empty())) {
       const std::vector<Shard> shards =
           plan_shards(resolve_planner()->plan(sites), shard_.shards);
-      // One cluster == one shard: fanning out buys nothing, skip the forks.
+      // One cluster == one shard: fanning out buys nothing, skip the workers.
       if (shards.size() > 1) {
         return run_sharded<Rec>(sites, shards, threads, latch_weights);
       }
@@ -326,9 +332,8 @@ std::vector<Rec> ShardedEppEngine::run_sharded(
   diagnostics_.in_process = false;
 
   SigPipeGuard sigpipe;
-  const std::unique_ptr<ShardTransport> transport =
-      make_shard_transport(shard_);
-  diagnostics_.transport = std::string(transport->kind());
+  ShardFleet fleet(shard_, shards.size());
+  diagnostics_.transport = "tcp";
   unsigned next_spawn = 0;
 
   ShardJob job;
@@ -345,22 +350,22 @@ std::vector<Rec> ShardedEppEngine::run_sharded(
   const std::vector<std::uint8_t> prefix = encode_job_prefix(job);
 
   const auto dispatch =
-      [&](std::span<const NodeId> assignment) -> ShardChannel* {
+      [&](std::span<const NodeId> assignment) -> ShardConnection* {
     const unsigned spawn = next_spawn++;
     std::vector<std::uint8_t> payload = prefix;
     append_job_dispatch(payload, spawn, assignment);
-    return &transport->dispatch(payload, spawn);
+    return &fleet.dispatch(payload, spawn);
   };
 
-  // Phase 1 — fan out: spawn the whole fleet first so the shards compute
-  // concurrently, then feed each its assignment. A worker consumes its job
-  // frame before it writes anything, so these sequential blocking writes
-  // cannot deadlock against the (still unread) result streams. A failed
-  // write is recorded, not thrown: under a retry policy it is just the
-  // first failure of that shard.
+  // Phase 1 — fan out: dispatch every shard before draining any, so the
+  // shards compute concurrently. A worker consumes its job frame before it
+  // writes anything, so these sequential blocking writes cannot deadlock
+  // against the (still unread) result streams. A failed dispatch is
+  // recorded, not thrown: under a retry policy it is just the first failure
+  // of that shard.
   std::vector<std::vector<NodeId>> expected(shards.size());
   std::vector<std::vector<std::uint32_t>> slots(shards.size());
-  std::vector<ShardChannel*> attempts(shards.size());
+  std::vector<ShardConnection*> attempts(shards.size());
   for (std::size_t i = 0; i < shards.size(); ++i) {
     expected[i].reserve(shards[i].members.size());
     slots[i].reserve(shards[i].members.size());
@@ -378,59 +383,43 @@ std::vector<Rec> ShardedEppEngine::run_sharded(
   for (std::size_t i = 0; i < shards.size(); ++i) {
     std::vector<NodeId>& exp = expected[i];
     std::vector<std::uint32_t>& slot = slots[i];
-    ShardChannel* attempt = attempts[i];
+    ShardConnection* attempt = attempts[i];
     unsigned failures = 0;
 
-    const auto shard_error = [&](const std::string& what,
-                                 const std::string& exit_note) {
+    const auto shard_error = [&](const std::string& what) {
       return std::runtime_error(
           "sharded engine: shard " + std::to_string(i) + "/" +
           std::to_string(shards.size()) + " (" +
           std::to_string(shards[i].members.size()) + " sites, " +
-          transport->peer_description() + "): " + what + exit_note +
+          fleet.peer_description() + "): " + what +
           " — the sweep was aborted; no partial results were returned");
     };
 
     for (;;) {
       DrainOutcome r;
-      if (!attempt->send_ok) {
-        // The worker died (or the host refused) before taking the job;
-        // nothing was received.
+      if (!attempt->send_error.empty()) {
+        // The worker never took the job (it did not start, or its host
+        // refused); nothing was received.
         r.error = attempt->send_error;
       } else {
-        r = drain_attempt(attempt->read_fd, timeout_ms, exp, slot,
-                          fingerprint_, out);
+        r = drain_attempt(attempt->fd, timeout_ms, exp, slot, fingerprint_,
+                          out);
       }
-
-      if (r.ok) {
-        // The stream was complete and consistent; a pipe worker must also
-        // EXIT cleanly — a non-zero status after a full stream still means
-        // something went wrong on that machine, and this is the last chance
-        // to hear it. (No fault mode produces this shape, so it stays a
-        // hard error under every policy.)
-        if (const std::string note = transport->finish(*attempt);
-            !note.empty()) {
-          throw std::runtime_error(
-              "sharded engine: shard " + std::to_string(i) +
-              " streamed a complete result set but its worker " + note);
-        }
-        break;
-      }
+      // Either way this connection is done. A hung worker child is
+      // abandoned here; a local one dies with its fleet.
+      fleet.close(*attempt);
+      if (r.ok) break;
 
       if (r.timed_out) ++diagnostics_.deadline_expiries;
-      std::string exit_note = transport->abort(*attempt);
-      if (!exit_note.empty()) exit_note = " (worker " + exit_note + ")";
-
       if (r.fingerprint_conflict) {
         // Deterministic configuration error: every respawn would load the
         // same divergent netlist, so retrying only burns the budget.
         throw shard_error(r.error +
-                              " — non-retryable: fix shard.netlist to name "
-                              "the exact netlist the parent opened",
-                          exit_note);
+                          " — non-retryable: fix shard.netlist to name "
+                          "the exact netlist the parent opened");
       }
       if (retry.on_failure == OnShardFailure::kFail) {
-        throw shard_error(r.error, exit_note);
+        throw shard_error(r.error);
       }
       if (r.trust_prefix && r.verified > 0) {
         // Keep what arrived: the verified prefix is already merged; only
@@ -461,10 +450,9 @@ std::vector<Rec> ShardedEppEngine::run_sharded(
           break;
         }
         throw shard_error("retry budget exhausted after " +
-                              std::to_string(failures) + " failures (" +
-                              std::to_string(retry.retries) +
-                              " retries allowed) — last failure: " + r.error,
-                          exit_note);
+                          std::to_string(failures) + " failures (" +
+                          std::to_string(retry.retries) +
+                          " retries allowed) — last failure: " + r.error);
       }
       ++diagnostics_.respawns;
       diagnostics_.redispatched_sites += exp.size();
@@ -473,51 +461,41 @@ std::vector<Rec> ShardedEppEngine::run_sharded(
     }
   }
 
-  diagnostics_.workers_spawned = transport->opened();
-  diagnostics_.workers_reaped = transport->closed();
-  if (transport->closed() != transport->opened()) {
+  diagnostics_.workers_spawned = fleet.opened();
+  diagnostics_.workers_reaped = fleet.closed();
+  if (fleet.closed() != fleet.opened()) {
     // Supervisor invariant, not an input condition: every completed sweep
-    // has torn down every dispatch it opened (no zombies or leaked
-    // connections, ever).
+    // has torn down every dispatch it opened (no leaked connections, ever).
     throw std::logic_error(
         "sharded engine: teardown accounting broken — opened " +
-        std::to_string(transport->opened()) + " worker dispatches but "
-        "closed " + std::to_string(transport->closed()));
+        std::to_string(fleet.opened()) + " worker dispatches but closed " +
+        std::to_string(fleet.closed()));
   }
   return out;
 }
 
 // ---- the worker side -------------------------------------------------------
 
-int run_shard_worker(const std::string& netlist_spec,
-                     std::optional<unsigned> cli_spawn, int in_fd, int out_fd,
+int run_shard_worker(const std::string& netlist_spec, int fd,
                      const Circuit* preloaded) {
-  const auto send_error = [out_fd](const std::string& message) {
+  const auto send_error = [fd](const std::string& message) {
     try {
       const std::vector<std::uint8_t> payload(message.begin(), message.end());
-      write_shard_frame(out_fd, ShardFrameType::kError, payload);
+      write_shard_frame(fd, ShardFrameType::kError, payload);
     } catch (...) {
       // The parent is gone; its read loop will report EOF instead.
     }
   };
   try {
     // Structured fault injection (tests + CI only): SEREEP_FAULT_PLAN
-    // directives keyed by this dispatch's spawn ordinal. A malformed plan
-    // is a loud error — silently ignoring it would turn a typo'd fault test
-    // into a vacuous pass. Pipe workers know their ordinal from argv before
-    // the job arrives; TCP workers learn it from the job frame, so their
-    // "exit" directive fires right after the read — either way the parent
-    // observes EOF before any response frame.
+    // directives keyed by this dispatch's spawn ordinal, which arrives in
+    // the job frame. A malformed plan is a loud error — silently ignoring
+    // it would turn a typo'd fault test into a vacuous pass.
     const FaultPlan fault_plan = fault_plan_from_env();
-    std::optional<FaultSpec> fault;
-    if (cli_spawn.has_value()) {
-      fault = fault_plan.for_spawn(*cli_spawn);
-      if (fault.has_value() && fault->mode == FaultMode::kExit) ::_exit(9);
-    }
 
-    std::optional<ShardFrame> frame = read_shard_frame(in_fd);
+    std::optional<ShardFrame> frame = read_shard_frame(fd);
     if (!frame.has_value() || frame->type != ShardFrameType::kJob) {
-      throw std::runtime_error("expected a job frame on stdin");
+      throw std::runtime_error("expected a job frame");
     }
     if (frame->version < kMinShardJobVersion) {
       throw std::runtime_error(
@@ -527,15 +505,15 @@ int run_shard_worker(const std::string& netlist_spec,
           "worker are different sereep builds");
     }
     ShardJob job = decode_job(frame->payload);
-    if (!cli_spawn.has_value()) {
-      fault = fault_plan.for_spawn(job.spawn);
-      if (fault.has_value() && fault->mode == FaultMode::kExit) ::_exit(9);
-    }
+    const std::optional<FaultSpec> fault = fault_plan.for_spawn(job.spawn);
+    // "exit" dies right after the read: the parent sees EOF before any
+    // response frame.
+    if (fault.has_value() && fault->mode == FaultMode::kExit) ::_exit(9);
 
     // Ack before the (possibly slow) netlist load: the supervisor's progress
     // deadline gets a byte to reset on, so a long load never reads as a
     // hang. The deadline only needs to cover load + one compute slice.
-    write_shard_frame(out_fd, ShardFrameType::kProgress, encode_progress(0));
+    write_shard_frame(fd, ShardFrameType::kProgress, encode_progress(0));
     if (fault.has_value() && fault->mode == FaultMode::kDieBeforeHandshake) {
       ::_exit(9);
     }
@@ -544,7 +522,7 @@ int run_shard_worker(const std::string& netlist_spec,
     // restoration entirely — the validated header fingerprint is the
     // identity the handshake needs, and the kernels run off the mmapped
     // compiled view (shared across every worker in this process via the
-    // ArtifactCache; forked TCP children inherit the parent's mapping).
+    // ArtifactCache; connection children inherit the accept loop's mapping).
     std::shared_ptr<const ArtifactView> artifact;
     std::optional<Circuit> local;
     const Circuit* circuit_ptr = preloaded;
@@ -583,7 +561,7 @@ int run_shard_worker(const std::string& netlist_spec,
           std::to_string(node_count) +
           " — parent and worker loaded different netlists");
     }
-    write_shard_frame(out_fd, ShardFrameType::kHello, encode_hello(fp));
+    write_shard_frame(fd, ShardFrameType::kHello, encode_hello(fp));
 
     const CompiledCircuit compiled =
         artifact != nullptr
@@ -614,7 +592,7 @@ int run_shard_worker(const std::string& netlist_spec,
                                            0x13, 0x13, 0x13, 0xff, 0xff,
                                            0xff, 0xff};
             [[maybe_unused]] const ssize_t n =
-                ::write(out_fd, junk, sizeof junk);
+                ::write(fd, junk, sizeof junk);
             ::_exit(9);
           }
           break;
@@ -638,7 +616,7 @@ int run_shard_worker(const std::string& netlist_spec,
           std::span(job.sites).subspan(begin, count);
       // Liveness before each compute slice: the deadline clock must not
       // starve across a long cluster extraction.
-      write_shard_frame(out_fd, ShardFrameType::kProgress,
+      write_shard_frame(fd, ShardFrameType::kProgress,
                         encode_progress(streamed));
       std::vector<std::uint8_t> payload;
       if (rows) {
@@ -653,7 +631,7 @@ int run_shard_worker(const std::string& netlist_spec,
         payload = encode_results(records);
       }
       fault_gate(result_frames);
-      write_shard_frame(out_fd, rows ? ShardFrameType::kRowBatch
+      write_shard_frame(fd, rows ? ShardFrameType::kRowBatch
                                      : ShardFrameType::kResults,
                         payload);
       ++result_frames;
@@ -666,7 +644,7 @@ int run_shard_worker(const std::string& netlist_spec,
     if (fault.has_value() && fault->mode == FaultMode::kDieBeforeDone) {
       ::_exit(9);
     }
-    write_shard_frame(out_fd, ShardFrameType::kDone, encode_done(streamed));
+    write_shard_frame(fd, ShardFrameType::kDone, encode_done(streamed));
     return 0;
   } catch (const std::exception& e) {
     send_error(e.what());

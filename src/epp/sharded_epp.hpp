@@ -2,15 +2,14 @@
 //
 // sweep()/sweep_rows() partition the cone-cluster plan into N shards
 // (shard_plan.hpp — whole clusters, biggest mass first, the same cost model
-// the in-process work stealer uses) and fan them out to worker processes
-// over a ShardTransport (shard_transport.hpp): pipes to locally-forked
-// `sereep worker --netlist=...` instances, or TCP connections to remote
-// `sereep worker --listen=PORT` hosts named in ShardOptions::hosts. Either
-// way each worker receives its assignment as one kJob frame
-// (shard_protocol.hpp — the parent's SP table travels with it, so workers
-// never recompute SPs, and so do the latch weights of a rows sweep), sweeps
-// its sites with the batched engine, and streams compact rows (sweep_rows)
-// or SiteEpp records (sweep) back. The parent scatters every row or record
+// the in-process work stealer uses) and fan them out over TCP to `sereep
+// worker --listen` processes (shard_transport.hpp): the remote hosts named
+// in ShardOptions::hosts, or else a loopback fleet the sweep starts itself,
+// one worker per shard, and kills when it returns. Each worker receives its
+// assignment as one kJob frame (shard_protocol.hpp — the parent's SP table
+// travels with it, so workers never recompute SPs, and so do the latch
+// weights of a rows sweep), sweeps its sites with the batched engine, and
+// streams compact rows (sweep_rows) or SiteEpp records (sweep) back. The parent scatters every row or record
 // into the caller's site order, so the merged result is BIT-FOR-BIT
 // identical to an in-process batched sweep
 // — per-site values are pure functions of (circuit, SP, EPP options),
@@ -18,9 +17,10 @@
 // tests pin this with EXPECT_EQ.
 //
 // Failure contract (ShardRetryOptions governs it):
-//   kFail (default) — a worker that exits, hangs past the progress deadline,
-//     or streams a short / malformed / miscounted result set raises
-//     std::runtime_error naming the shard — NEVER a silent partial sweep.
+//   kFail (default) — a worker that never starts or is unreachable, exits,
+//     hangs past the progress deadline, or streams a short / malformed /
+//     miscounted result set raises std::runtime_error naming the shard —
+//     NEVER a silent partial sweep.
 //   kRetry — the supervisor keeps every record it already verified (records
 //     are checked against the expected plan-order site as they arrive),
 //     re-plans the unreceived residual, and re-dispatches it onto a
@@ -43,14 +43,13 @@
 // (no worker binary / no loadable netlist spec) and only when
 // ShardOptions::fallback_to_in_process opts in; see the policy note there.
 //
-// Per-site queries (compute / p_sensitized) never fork — a process round
+// Per-site queries (compute / p_sensitized) never dispatch — a process round
 // trip per site would be absurd — they run the in-process compiled engine,
 // which is bit-identical anyway.
 #pragma once
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -77,13 +76,12 @@ class ShardedEppEngine final : public IEppEngine {
   /// respawn or re-dispatch counts.
   struct Diagnostics {
     std::size_t sweeps = 0;        ///< sweeps served so far (cumulative)
-    /// Worker dispatches by the last sweep (processes forked on the pipe
-    /// transport, connections opened on TCP) — INCLUDING respawns, so on a
-    /// clean sweep it equals the shard count and each respawn raises it.
+    /// Worker dispatches by the last sweep — connections opened, each
+    /// served by a freshly forked worker child — INCLUDING respawns, so on
+    /// a clean sweep it equals the shard count and each respawn raises it.
     unsigned workers_spawned = 0;
-    /// Dispatches torn down (zombie-reaped / closed) by the last sweep;
-    /// equals workers_spawned whenever the sweep returned (asserted
-    /// internally).
+    /// Dispatches torn down (connections closed) by the last sweep; equals
+    /// workers_spawned whenever the sweep returned (asserted internally).
     unsigned workers_reaped = 0;
     unsigned respawns = 0;           ///< retry re-dispatches performed
     unsigned deadline_expiries = 0;  ///< progress-deadline kills
@@ -92,20 +90,13 @@ class ShardedEppEngine final : public IEppEngine {
     /// recomputed residual mass, for observability of retry cost.
     std::size_t redispatched_sites = 0;
     std::vector<std::size_t> shard_sites;  ///< per-shard site counts
-    bool in_process = false;  ///< last sweep ran without forking
-    /// Which ShardTransport the last sweep used: "pipe", "tcp", or
-    /// "in-process" when no transport was involved at all.
+    bool in_process = false;  ///< last sweep ran without workers
+    /// "tcp" when the last sweep dispatched to workers, "in-process" when
+    /// no transport was involved at all.
     std::string transport = "in-process";
   };
 
   explicit ShardedEppEngine(const EngineContext& context);
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "sharded";
-  }
-  [[nodiscard]] EngineCaps caps() const noexcept override {
-    return {.threads = true, .simd = true, .processes = true};
-  }
 
   [[nodiscard]] SiteEpp compute(NodeId site) override {
     return single_.compute(site);
@@ -166,31 +157,26 @@ class ShardedEppEngine final : public IEppEngine {
   const ConeClusterPlanner* planner_;  ///< may arrive lazily
   std::function<const ConeClusterPlanner*()> planner_source_;
   std::unique_ptr<ConeClusterPlanner> owned_planner_;  ///< when neither given
-  CompiledEppEngine single_;  ///< per-site queries (never fork)
+  CompiledEppEngine single_;  ///< per-site queries (never dispatch)
   Diagnostics diagnostics_;
 };
 
-/// The worker side: reads one kJob frame from `in_fd`, acks it with a
-/// kProgress frame, loads `netlist_spec` (or reuses `preloaded` — the TCP
-/// accept loop parses once and forks per connection), verifies the loaded
-/// circuit's fingerprint against the job's (kError naming both sides on
-/// mismatch), echoes its fingerprint in a kHello frame, computes the
+/// The worker side of one connection: reads one kJob frame from `fd`, acks
+/// it with a kProgress frame, loads `netlist_spec` (or reuses `preloaded` —
+/// the accept loop parses once and forks per connection), verifies the
+/// loaded circuit's fingerprint against the job's (kError naming both sides
+/// on mismatch), echoes its fingerprint in a kHello frame, computes the
 /// assigned sites with the batched engine, and streams kProgress, then
-/// kRowBatch or kResults (the job's output kind), then kDone frames to
-/// `out_fd` (kError + non-zero return on failure, including a job frame
-/// older than kMinShardJobVersion). `sereep worker --netlist=SPEC
-/// --spawn=N` is a thin wrapper over this; `sereep worker --listen=PORT`
-/// serves it per connection.
+/// kRowBatch or kResults (the job's output kind), then kDone frames back on
+/// `fd` (kError + non-zero return on failure, including a job frame older
+/// than kMinShardJobVersion). `sereep worker --listen=PORT` serves it per
+/// connection (run_tcp_worker).
 ///
-/// The dispatch ordinal keys SEREEP_FAULT_PLAN (src/epp/fault_plan.hpp)
+/// The job's dispatch ordinal keys SEREEP_FAULT_PLAN (src/epp/fault_plan.hpp)
 /// structured fault injection, so tests can target "the first worker" vs
-/// "the retry worker" deterministically. Pipe workers get it as `cli_spawn`
-/// (argv, known before the job arrives — an "exit" directive dies before
-/// reading anything); TCP workers pass nullopt and take it from the job
-/// frame, where "exit" dies right after the read, before any response —
-/// observably identical to the parent (EOF before any frame).
-int run_shard_worker(const std::string& netlist_spec,
-                     std::optional<unsigned> cli_spawn, int in_fd, int out_fd,
+/// "the retry worker" deterministically; "exit" dies right after the job
+/// read, before any response (the parent sees EOF before any frame).
+int run_shard_worker(const std::string& netlist_spec, int fd,
                      const Circuit* preloaded = nullptr);
 
 }  // namespace sereep

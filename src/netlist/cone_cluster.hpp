@@ -83,18 +83,11 @@ class ConeClusterPlanner {
   [[nodiscard]] std::vector<ConeCluster> plan(std::span<const NodeId> sites,
                                               PlanLevel level) const;
 
-  /// Same, at the planner's default level (kTwoLevel unless reconfigured) —
-  /// the form every sweep uses, so one set_default_level() call (e.g. from
-  /// sereep::Options::cluster) re-levels a whole session's sweeps. Either
-  /// level is correct (grouping never affects results, only sharing).
+  /// Same, at kTwoLevel — the form every sweep uses. Either level is
+  /// correct (grouping never affects results, only sharing).
   [[nodiscard]] std::vector<ConeCluster> plan(
       std::span<const NodeId> sites) const {
-    return plan(sites, default_level_);
-  }
-
-  void set_default_level(PlanLevel level) noexcept { default_level_ = level; }
-  [[nodiscard]] PlanLevel default_level() const noexcept {
-    return default_level_;
+    return plan(sites, PlanLevel::kTwoLevel);
   }
 
   /// Installs a precomputed plan (from a .sca artifact): plan(sites, level)
@@ -123,7 +116,6 @@ class ConeClusterPlanner {
 
  private:
   const CompiledCircuit& circuit_;
-  PlanLevel default_level_ = PlanLevel::kTwoLevel;
   std::vector<std::uint64_t> sig_;
   std::vector<NodeId> dom_;
   std::vector<NodeId> preplan_sites_;

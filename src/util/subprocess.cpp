@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -16,6 +17,15 @@ namespace sereep {
 ChildProcess ChildProcess::spawn(const std::vector<std::string>& argv,
                                  const std::string& stderr_path) {
   if (argv.empty()) throw std::invalid_argument("ChildProcess: empty argv");
+  // Built before fork: the child of a multi-threaded parent must not
+  // allocate (another thread may hold the allocator's lock).
+  std::vector<char*> cargv;
+  cargv.reserve(argv.size() + 1);
+  for (const std::string& arg : argv) {
+    cargv.push_back(const_cast<char*>(arg.c_str()));
+  }
+  cargv.push_back(nullptr);
+  const pid_t parent = ::getpid();
   int out_pipe[2];
   if (::pipe2(out_pipe, O_CLOEXEC) < 0) {
     throw std::runtime_error(std::string("ChildProcess: pipe2: ") +
@@ -30,6 +40,10 @@ ChildProcess ChildProcess::spawn(const std::vector<std::string>& argv,
                              std::strerror(saved));
   }
   if (pid == 0) {
+    // Die with the parent: a SIGKILLed parent never runs kill_tree(). The
+    // getppid() check covers a parent that died before prctl took effect.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != parent) ::_exit(127);
     ::setpgid(0, 0);  // own group, so kill_tree(-pgid) reaches grandchildren
     ::dup2(out_pipe[1], STDOUT_FILENO);
     if (!stderr_path.empty()) {
@@ -37,12 +51,6 @@ ChildProcess ChildProcess::spawn(const std::vector<std::string>& argv,
                                 O_WRONLY | O_CREAT | O_APPEND, 0644);
       if (err_fd >= 0) ::dup2(err_fd, STDERR_FILENO);
     }
-    std::vector<char*> cargv;
-    cargv.reserve(argv.size() + 1);
-    for (const std::string& arg : argv) {
-      cargv.push_back(const_cast<char*>(arg.c_str()));
-    }
-    cargv.push_back(nullptr);
     ::execv(cargv[0], cargv.data());
     ::_exit(127);  // exec failed; the parent sees EOF + exit 127
   }

@@ -20,8 +20,11 @@ class ChildProcess {
   /// fork/execv's `argv` (argv[0] is the binary path). The child is placed
   /// in its OWN process group so kill_tree() can take out helpers that fork
   /// per connection (a TCP worker's accept loop) along with their children.
-  /// `stderr_path` non-empty redirects the child's stderr to that file
-  /// (append) — how CI captures server logs as artifacts.
+  /// It also gets SIGKILL when the spawning THREAD exits (PR_SET_PDEATHSIG),
+  /// so a killed parent never leaves it running — spawn long-lived helpers
+  /// from a thread that outlives them. `stderr_path` non-empty redirects the
+  /// child's stderr to that file (append) — how CI captures server logs as
+  /// artifacts.
   static ChildProcess spawn(const std::vector<std::string>& argv,
                             const std::string& stderr_path = "");
 
@@ -33,7 +36,8 @@ class ChildProcess {
   ~ChildProcess();
 
   /// Reads one '\n'-terminated line from the child's stdout; throws if the
-  /// child closes stdout or produces no line within `timeout_ms`.
+  /// child closes stdout or produces no byte for `timeout_ms` (negative
+  /// waits forever).
   [[nodiscard]] std::string read_stdout_line(int timeout_ms = 10'000);
 
   /// SIGKILLs the whole process group (the child and anything it forked),

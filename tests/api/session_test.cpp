@@ -482,10 +482,6 @@ class CountingEngine final : public IEppEngine {
   explicit CountingEngine(const EngineContext& ctx)
       : circuit_(*ctx.circuit), ser_(ctx.ser),
         inner_(*ctx.compiled, *ctx.sp, ctx.epp) {}
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "test-counting";
-  }
-  [[nodiscard]] EngineCaps caps() const noexcept override { return {}; }
   [[nodiscard]] SiteEpp compute(NodeId site) override {
     return inner_.compute(site);
   }

@@ -198,6 +198,19 @@ TEST(CliErrors, ClientStatsStillRequiresConnect) {
   EXPECT_NE(r.output.find("--connect"), std::string::npos) << r.output;
 }
 
+TEST(CliErrors, WorkerRequiresListen) {
+  // Workers only serve TCP: without --listen there is nothing to run,
+  // whatever other flags are given.
+  for (const char* args :
+       {"worker --netlist=c17", "worker --netlist=c17 --spawn=0"}) {
+    const CliResult r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("--listen"), std::string::npos)
+        << "diagnostic should name --listen, printed:\n"
+        << r.output;
+  }
+}
+
 TEST(CliErrors, StatsAgainstDeadServerExitsTwoWithDiagnostic) {
   // `client --stats` is the health probe ops scripts and CI poll: a drained
   // or never-started server must answer with a CLEAN exit-2 diagnostic that

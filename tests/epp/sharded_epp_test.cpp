@@ -12,15 +12,27 @@
 // forbid. Under the retry/degrade policies the supervisor must RECOVER from
 // every fault the SEREEP_FAULT_PLAN harness (src/epp/fault_plan.hpp) can
 // inject — death at any protocol phase, hangs past the progress deadline,
-// corrupt frames — and the recovered sweep must still be bit-identical,
-// with every recovery visible in Diagnostics and every spawned worker
-// reaped (workers_reaped == workers_spawned, the wait-hygiene assertion).
+// corrupt frames, a worker binary that never starts — and the recovered
+// sweep must still be bit-identical, with every recovery visible in
+// Diagnostics and every dispatch torn down (workers_reaped ==
+// workers_spawned, the hygiene assertion). Sweeps here run on the loopback
+// fleet each sweep starts; tests/epp/tcp_transport_test.cpp covers remote
+// hosts. No worker may outlive its parent, even a SIGKILLed one.
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sereep/sereep.hpp"
@@ -31,6 +43,7 @@
 #include "src/epp/sharded_epp.hpp"
 #include "src/netlist/bench_io.hpp"
 #include "src/netlist/generator.hpp"
+#include "src/util/subprocess.hpp"
 #include "tests/epp/site_epp_testutil.hpp"
 
 namespace sereep {
@@ -206,26 +219,24 @@ TEST(ShardProtocol, OlderFramesReadButPreV6JobsAreRefused) {
   job.fingerprint = netlist_fingerprint(make_c17());
   job.sp.assign(make_c17().node_count(), 0.5);
   job.sites = {0};
-  int in[2];
-  int out[2];
-  ASSERT_EQ(::pipe(in), 0);
-  ASSERT_EQ(::pipe(out), 0);
+  // The worker's one connection: parent end sv[0], worker end sv[1].
+  int sv[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   const std::vector<std::uint8_t> bytes =
       frame_bytes(5, ShardFrameType::kJob, encode_job(job));
-  ASSERT_EQ(::write(in[1], bytes.data(), bytes.size()),
+  ASSERT_EQ(::write(sv[0], bytes.data(), bytes.size()),
             static_cast<ssize_t>(bytes.size()));
-  ::close(in[1]);
-  EXPECT_EQ(run_shard_worker("c17", 0u, in[0], out[1]), 1);
-  ::close(in[0]);
-  ::close(out[1]);
-  const std::optional<ShardFrame> reply = read_shard_frame(out[0]);
+  ::shutdown(sv[0], SHUT_WR);
+  EXPECT_EQ(run_shard_worker("c17", sv[1]), 1);
+  ::close(sv[1]);
+  const std::optional<ShardFrame> reply = read_shard_frame(sv[0]);
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->type, ShardFrameType::kError);  // before any ack
   const std::string message(reply->payload.begin(), reply->payload.end());
   EXPECT_NE(message.find("v5"), std::string::npos) << message;
   EXPECT_NE(message.find("v6"), std::string::npos) << message;
-  EXPECT_FALSE(read_shard_frame(out[0]).has_value());
-  ::close(out[0]);
+  EXPECT_FALSE(read_shard_frame(sv[0]).has_value());
+  ::close(sv[0]);
 }
 
 TEST(ShardProtocol, HelloAndProgressRoundTrip) {
@@ -568,6 +579,49 @@ TEST(ShardedEngine, DeadWorkerBinaryErrorsLoudly) {
     EXPECT_NE(what.find("shard"), std::string::npos) << what;
     EXPECT_NE(what.find("no partial results"), std::string::npos) << what;
   }
+
+  // A worker that never starts fails every dispatch aimed at it, exactly
+  // like a refused host: under kDegrade each shard burns its two retries,
+  // then finishes in-process, bit-identically.
+  Options degrade = sharded_options(2);
+  degrade.shard.worker_path = "/bin/false";
+  degrade.shard.retry.on_failure = OnShardFailure::kDegrade;
+  degrade.shard.retry.backoff_base_ms = 1;
+  Session batched = Session::open("s953");
+  Session degraded = Session::open("s953", std::move(degrade));
+  expect_sweeps_equal(batched, degraded);
+  const ShardedEppEngine::Diagnostics* diag = degraded.shard_diagnostics();
+  ASSERT_NE(diag, nullptr);
+  EXPECT_EQ(diag->degraded_shards, 2u);
+  EXPECT_EQ(diag->respawns, 4u);
+  EXPECT_EQ(diag->workers_spawned, 6u);
+  EXPECT_EQ(diag->workers_reaped, diag->workers_spawned);
+}
+
+TEST(ShardedEngine, SilentWorkerFailsItsStartAtTheDeadline) {
+  // A worker binary that runs but never prints its port line must not hang
+  // the sweep: past the progress deadline its start fails (the diagnostic
+  // names the wait), like any dispatch that cannot reach a worker.
+  const std::string script = ::testing::TempDir() + "sereep_silent_worker_" +
+                             std::to_string(::getpid()) + ".sh";
+  {
+    std::ofstream out(script);
+    out << "#!/bin/sh\nexec sleep 60\n";
+  }
+  ASSERT_EQ(::chmod(script.c_str(), 0755), 0);
+  Options opt = sharded_options(2);
+  opt.shard.worker_path = script;
+  opt.shard.retry.timeout_ms = 200;
+  Session session = Session::open("s953", std::move(opt));
+  try {
+    (void)session.sweep();
+    FAIL() << "a worker that never starts must abort the sweep";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("did not start"), std::string::npos) << what;
+    EXPECT_NE(what.find("200 ms"), std::string::npos) << what;
+  }
+  std::remove(script.c_str());
 }
 
 TEST(ShardedEngine, MissingWorkerBinaryErrorsLoudly) {
@@ -608,6 +662,63 @@ TEST(ShardedEngine, WorkerKilledMidStreamErrorsLoudly) {
       EXPECT_NE(what.find("shard"), std::string::npos) << plan << ": " << what;
     }
   }
+}
+
+/// Live `sereep worker` processes — listen workers and their connection
+/// children alike — whose command line names `netlist`. Zombies have an
+/// empty command line, so only running processes count.
+std::vector<pid_t> workers_serving(const std::string& netlist) {
+  const std::string flag = "--netlist=" + netlist;
+  std::vector<pid_t> pids;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc", ec)) {
+    const std::string pid = entry.path().filename().string();
+    if (pid.find_first_not_of("0123456789") != std::string::npos) continue;
+    std::ifstream in(entry.path() / "cmdline", std::ios::binary);
+    std::vector<std::string> args;
+    for (std::string arg; std::getline(in, arg, '\0');) args.push_back(arg);
+    if (args.size() >= 3 && args[1] == "worker" &&
+        std::find(args.begin(), args.end(), flag) != args.end()) {
+      pids.push_back(static_cast<pid_t>(std::stol(pid)));
+    }
+  }
+  return pids;
+}
+
+TEST(ShardedEngine, NoWorkerOutlivesAKilledParent) {
+  // SIGKILL gives the sweeping CLI no chance to tear its fleet down. Its
+  // listen workers must die with it, and their hung connection children
+  // with them (PR_SET_PDEATHSIG at both levels) — never re-parented to
+  // init and left running.
+  const std::string path = ::testing::TempDir() + "sereep_orphan_" +
+                           std::to_string(::getpid()) + ".bench";
+  ASSERT_TRUE(save_bench_file(load_netlist("s953"), path));
+  std::optional<ChildProcess> cli;
+  {
+    // Both shards hang, so the sweep never returns and every worker stays
+    // up until the kill: two listen workers and two connection children.
+    FaultPlanEnv env("0:hang;1:hang");
+    cli.emplace(ChildProcess::spawn(
+        {SEREEP_CLI_PATH, "sweep", path, "--engine=sharded", "--shards=2"}));
+  }
+  const auto wait_until = [&](auto done, std::chrono::milliseconds limit) {
+    const auto deadline = std::chrono::steady_clock::now() + limit;
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  };
+  wait_until([&] { return workers_serving(path).size() >= 4; },
+             std::chrono::seconds(20));
+  ASSERT_GE(workers_serving(path).size(), 2u) << "the workers never came up";
+
+  cli->send_signal(SIGKILL);
+  wait_until([&] { return workers_serving(path).empty(); },
+             std::chrono::seconds(2));
+  const std::vector<pid_t> orphans = workers_serving(path);
+  EXPECT_TRUE(orphans.empty()) << orphans.size()
+                               << " workers outlived their SIGKILLed parent";
+  for (const pid_t pid : orphans) ::kill(pid, SIGKILL);
+  std::remove(path.c_str());
 }
 
 TEST(ShardedEngine, UnavailableShardingFailsUnlessFallbackOptedIn) {
@@ -654,7 +765,7 @@ Options retry_options(unsigned shards, unsigned retries,
 void expect_reap_hygiene(const ShardedEppEngine::Diagnostics* diag) {
   ASSERT_NE(diag, nullptr);
   EXPECT_EQ(diag->workers_reaped, diag->workers_spawned)
-      << "a completed sweep must have waited on every process it forked";
+      << "a completed sweep must have closed every dispatch it opened";
 }
 
 TEST(ShardedRetry, CleanSweepSpawnsExactlyOneWorkerPerShard) {
@@ -966,7 +1077,7 @@ TEST(ShardedRetry, DiagnosticsResetBetweenSweepsOnOneSession) {
   EXPECT_EQ(diag->redispatched_sites, 0u);
   EXPECT_EQ(diag->deadline_expiries, 0u);
   EXPECT_EQ(diag->degraded_shards, 0u);
-  EXPECT_EQ(diag->transport, "pipe");
+  EXPECT_EQ(diag->transport, "tcp");
   EXPECT_LT(diag->workers_spawned, faulted_spawns)
       << "a clean sweep spawns exactly the shard fleet, no respawns";
   expect_reap_hygiene(diag);

@@ -1,18 +1,24 @@
-// TCP shard transport — loopback differential tests against REAL
-// `sereep worker --listen` processes.
+// The shard transport with pre-started hosts — loopback differential tests
+// against REAL `sereep worker --listen` processes named in
+// ShardOptions::hosts.
 //
-// These tests extend the oracle hierarchy across a socket: every sweep
-// dispatched to TCP workers on 127.0.0.1 must be bit-for-bit EXPECT_EQ-equal
-// to the in-process batched engine (and byte-equal to the committed golden
-// CSVs), because the transport only moves bytes — the supervisor, protocol
-// and merge logic are shared with the pipe transport verbatim. The failure
-// half re-runs the PR-6 fault matrix over sockets (death at protocol
-// phases, corrupt frames, hangs vs the inter-byte deadline) plus the two
-// faults only a socket can produce: a connect-refused dead host and a
-// worker process SIGKILLed mid-stream (mid-sweep socket close). Recovery
-// rides the same retry machinery; TCP dispatch ordinal k connects to
-// hosts[k % hosts.size()], so a dead host's retries rotate onto survivors.
+// Sweeps without hosts start the same workers themselves (the loopback
+// fleet that tests/epp/sharded_epp_test.cpp drives); these tests start them
+// by hand, the way a deployment on other machines does. Every sweep
+// dispatched to them must be bit-for-bit EXPECT_EQ-equal to the in-process
+// batched engine (and byte-equal to the committed golden CSVs), because the
+// transport only moves bytes. The failure half re-runs the fault matrix
+// against hosts (death at protocol phases, corrupt frames, hangs vs the
+// inter-byte deadline) plus the faults only a host list can produce: a
+// connect-refused dead host, a worker process SIGKILLed mid-stream
+// (mid-sweep socket close), and a peer that answers with frames no worker
+// sends. Recovery rides the same retry machinery; dispatch ordinal k
+// connects to hosts[k % hosts.size()], so a dead host's retries rotate onto
+// survivors.
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <signal.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -25,6 +31,7 @@
 
 #include "sereep/sereep.hpp"
 #include "src/epp/sharded_epp.hpp"
+#include "src/util/net.hpp"
 #include "src/util/subprocess.hpp"
 #include "tests/epp/site_epp_testutil.hpp"
 
@@ -76,7 +83,7 @@ void expect_sweeps_equal(Session& expected, Session& actual) {
   EXPECT_EQ(actual.sweep_p_sensitized(), expected.sweep_p_sensitized());
 }
 
-/// Same FaultPlanEnv as the pipe tests — TCP workers READ the plan from
+/// Same FaultPlanEnv as the sharded tests — workers READ the plan from
 /// their inherited environment, so it must be set BEFORE start_worker().
 class FaultPlanEnv {
  public:
@@ -180,12 +187,10 @@ TEST(TcpTransport, ConcurrentSweepsShareTheSameWorkerFleet) {
 // ---- the PR-6 fault matrix, over sockets -----------------------------------
 
 TEST(TcpTransport, FaultMatrixRecoversBitIdentically) {
-  // Death at protocol phases and a corrupted stream, injected into the TCP
-  // worker serving dispatch ordinal 0 (the plan travels in-band with the
-  // job, so it keys identically on both transports). Retries must recover
-  // to bit-identical results. "0:exit" over TCP dies right after reading
-  // the job — same observable as the pipe transport's pre-read death: EOF
-  // before any frame.
+  // Death at protocol phases and a corrupted stream, injected into the
+  // worker serving dispatch ordinal 0 (the ordinal travels in-band with the
+  // job). Retries must recover to bit-identical results. "0:exit" dies
+  // right after reading the job: EOF before any frame.
   Session batched = Session::open("s953");
   const std::vector<SiteEpp> want = batched.sweep();
   for (const char* plan : {"0:exit", "0:die-before-handshake",
@@ -210,9 +215,9 @@ TEST(TcpTransport, FaultMatrixRecoversBitIdentically) {
 }
 
 TEST(TcpTransport, HangingWorkerTripsTheInterByteDeadline) {
-  // The progress deadline is the same poll()-based inter-byte clock the
-  // pipe transport uses — a TCP worker that stops producing bytes must be
-  // abandoned at the deadline and its shard re-dispatched.
+  // The progress deadline is a poll()-based inter-byte clock — a worker
+  // that stops producing bytes must be abandoned at the deadline and its
+  // shard re-dispatched.
   FaultPlanEnv env("0:hang");
   std::vector<TcpWorker> workers;
   workers.push_back(start_worker("s953"));
@@ -320,6 +325,69 @@ TEST(TcpTransport, DeadPortFailsLoudlyUnderTheDefaultPolicy) {
     const std::string what = e.what();
     EXPECT_NE(what.find("shard"), std::string::npos) << what;
     EXPECT_NE(what.find("127.0.0.1"), std::string::npos) << what;
+  }
+}
+
+/// A loopback peer that answers every job with one payload-less frame of
+/// `type` and hangs up — a stand-in for a worker gone wrong.
+class FakeWorker {
+ public:
+  explicit FakeWorker(std::uint16_t type)
+      : listen_fd_(tcp_listen("127.0.0.1", 0)),
+        thread_([this, type] { serve(type); }) {}
+  ~FakeWorker() {
+    ::shutdown(listen_fd_, SHUT_RDWR);  // wakes the blocked accept()
+    thread_.join();
+    ::close(listen_fd_);
+  }
+  FakeWorker(const FakeWorker&) = delete;
+  FakeWorker& operator=(const FakeWorker&) = delete;
+
+  [[nodiscard]] std::string endpoint() const {
+    return "127.0.0.1:" + std::to_string(tcp_local_port(listen_fd_));
+  }
+
+ private:
+  void serve(std::uint16_t type) {
+    // A parent that already hung up is EPIPE for this thread, not a
+    // process-killing SIGPIPE.
+    sigset_t sigpipe;
+    sigemptyset(&sigpipe);
+    sigaddset(&sigpipe, SIGPIPE);
+    pthread_sigmask(SIG_BLOCK, &sigpipe, nullptr);
+    for (;;) {
+      const int conn = ::accept(listen_fd_, nullptr, nullptr);
+      if (conn < 0) return;
+      try {
+        (void)read_shard_frame(conn);  // the job
+        write_shard_frame(conn, static_cast<ShardFrameType>(type), {});
+      } catch (const std::exception&) {
+      }
+      ::close(conn);
+    }
+  }
+
+  int listen_fd_;
+  std::thread thread_;
+};
+
+TEST(TcpTransport, UnexpectedFrameTypesDistrustTheAttempt) {
+  // kBusy (9) is serve traffic; 0 and 11 are types no sereep build sends.
+  // Each must fail the attempt by name instead of being skipped while the
+  // drain keeps reading.
+  for (const std::uint16_t type : {9, 0, 11}) {
+    FakeWorker fake(type);
+    Session session = Session::open("s27", tcp_options({fake.endpoint()}, 2));
+    try {
+      (void)session.sweep();
+      FAIL() << "frame type " << type << " must abort the sweep";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unexpected frame type " + std::to_string(type) +
+                          " from worker"),
+                std::string::npos)
+          << what;
+    }
   }
 }
 

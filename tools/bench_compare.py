@@ -36,10 +36,11 @@ RATIO_HINTS = ("speedup", "_vs_")
 # Ratios whose numerator runs the SIMD lane-plane kernels (built
 # -march=native, so their speed is a property of the HOST's vector ISA) or
 # that directly compare the two kernel paths; meaningless cross-machine.
-# sharded_vs_batched is process fan-out cost (fork/exec + pipe bandwidth +
-# core count) — all host, gated by same-machine runs only. tcp_vs_pipe
-# (schema v6) compares the two fan-out transports — loopback socket stack
-# vs pipes, both pure host properties — so it is same-machine too.
+# sharded_vs_batched is process fan-out cost (worker start + loopback
+# bandwidth + core count) — all host, gated by same-machine runs only.
+# tcp_vs_pipe (schema v6) compares pre-started workers against a fleet
+# started per sweep — worker start-up cost, a pure host property — so it is
+# same-machine too.
 HW_SENSITIVE = {"simd_speedup", "batched_speedup", "batched_vs_compiled",
                 "sharded_vs_batched", "tcp_vs_pipe"}
 # incremental_vs_full (schema v9) is deliberately NOT here: both sides run

@@ -21,7 +21,7 @@
 //   sereep gen     [--profile=s953] [--seed=N] [--o=out.bench]
 //   sereep engines                               registered EPP engines
 //   sereep worker  --netlist=SPEC --listen=PORT [--bind=ADDR]
-//                                                remote TCP shard worker
+//                                                TCP shard worker
 //   sereep serve   [--port=P] [--bind=ADDR] [--sessions=N] [--threads=N]
 //                  [--serve-threads=N] [--max-connections=N]
 //                  [--request-timeout-ms=N] [--drain-timeout-ms=N]
@@ -34,13 +34,13 @@
 //
 // --engine=E takes any key registered in sereep::EngineRegistry
 // ("reference", "compiled", "batched", "sharded" built in; all bit-for-bit
-// equal). --engine=sharded fans sweeps out across --shards worker PROCESSES;
-// the workers are `sereep worker --netlist=SPEC` instances of this same
-// binary — a hidden subcommand that reads its assignment from stdin and
-// streams results to stdout (src/epp/shard_protocol.hpp). With
-// --shard-hosts=host:port,... the same sweeps dispatch over TCP to remote
-// `sereep worker --listen=PORT` processes instead of forking locally
-// (src/epp/shard_transport.hpp — unauthenticated, trusted networks only).
+// equal). --engine=sharded fans sweeps out across --shards worker PROCESSES
+// over TCP (src/epp/shard_transport.hpp): by default each sweep starts
+// `sereep worker --netlist=SPEC --listen=0` instances of this same binary on
+// loopback and stops them when it returns; with --shard-hosts=host:port,...
+// it dispatches to `sereep worker --listen=PORT` processes already running
+// elsewhere instead (the frames are src/epp/shard_protocol.hpp's;
+// unauthenticated, trusted networks only).
 // Netlists are read as ISCAS .bench (default), structural Verilog when the
 // file ends in .v, or a pre-compiled `.sca` artifact (written by `sereep
 // compile`, mmap-loaded with zero parsing); embedded circuit names (c17,
@@ -80,7 +80,6 @@
 #include "src/util/net.hpp"
 #include "src/util/strings.hpp"
 #include "src/util/table.hpp"
-#include "src/util/timer.hpp"
 #include "src/util/timer.hpp"
 
 namespace {
@@ -134,7 +133,7 @@ std::optional<Options> analysis_options(const bench::Flags& flags,
   const std::optional<long> shards =
       checked_int(flags, "shards", opt.shard.shards, 1, Options::kMaxShards);
   if (!shards) return std::nullopt;
-  // The workers ARE this binary (hidden `worker` mode). Empty when
+  // The local workers ARE this binary (`worker --listen=0`). Empty when
   // /proc/self/exe is unreadable; the sharded engine then fails with an
   // actionable message rather than exec'ing a guess.
   opt.shard.shards = static_cast<unsigned>(*shards);
@@ -653,37 +652,30 @@ int cmd_engines() {
   return 0;
 }
 
-/// Worker mode. Pipe flavor (`sereep worker --netlist=SPEC --spawn=N`,
-/// spawned by the sharded engine itself): one shard of one sweep — reads
-/// the kJob frame from stdin, streams kHello/kProgress/kResults/kDone to
-/// stdout (src/epp/shard_protocol.hpp), exits. --spawn is the parent's
-/// dispatch ordinal, the key SEREEP_FAULT_PLAN fault directives
-/// (src/epp/fault_plan.hpp) target workers by.
-///
-/// TCP flavor (`sereep worker --netlist=SPEC --listen=PORT [--bind=ADDR]`,
-/// started BY A HUMAN on each worker machine): loads the netlist once,
-/// listens forever, and serves one shard job per accepted connection
-/// (fork-per-connection; the dispatch ordinal arrives in-band in the job).
-/// Parents reach it via --shard-hosts=host:port,... . Port 0 picks an
-/// ephemeral port; either way the bound address is announced on stdout as
-/// "sereep worker listening on ADDR:PORT".
+/// Worker mode (`sereep worker --netlist=SPEC --listen=PORT [--bind=ADDR]`):
+/// loads the netlist once, listens forever, and serves one shard job per
+/// accepted connection in a forked child (the frames are
+/// src/epp/shard_protocol.hpp's; the dispatch ordinal SEREEP_FAULT_PLAN
+/// directives target arrives in the job). Sharded sweeps start these
+/// themselves on loopback with --listen=0; started by hand on other
+/// machines, parents reach them via --shard-hosts=host:port,... . Port 0
+/// picks an ephemeral port; either way the bound address is announced on
+/// stdout as "sereep worker listening on ADDR:PORT".
 int cmd_worker(const bench::Flags& flags) {
   const std::string spec = flags.get("netlist", "");
   if (spec.empty()) {
     std::fprintf(stderr, "error: worker requires --netlist=SPEC\n");
     return 2;
   }
-  if (flags.has("listen")) {
-    const std::optional<long> port = checked_int(flags, "listen", 0, 0, 65535);
-    if (!port) return 2;
-    return run_tcp_worker(spec, flags.get("bind", "127.0.0.1"),
-                          static_cast<std::uint16_t>(*port));
+  if (!flags.has("listen")) {
+    std::fprintf(stderr, "error: worker requires --listen=PORT (0 picks an "
+                         "ephemeral port)\n");
+    return 2;
   }
-  const std::optional<long> spawn =
-      checked_int(flags, "spawn", 0, 0, 1'000'000'000);
-  if (!spawn) return 2;
-  return run_shard_worker(spec, static_cast<unsigned>(*spawn), STDIN_FILENO,
-                          STDOUT_FILENO);
+  const std::optional<long> port = checked_int(flags, "listen", 0, 0, 65535);
+  if (!port) return 2;
+  return run_tcp_worker(spec, flags.get("bind", "127.0.0.1"),
+                        static_cast<std::uint16_t>(*port));
 }
 
 /// `sereep serve`: the hot-Session daemon (src/serve/server.hpp). Holds the
@@ -925,9 +917,9 @@ void usage() {
       "          cached session (later requests see the edited circuit)\n"
       "  client  --stats --connect=HOST:PORT [--o=FILE]\n"
       "--engine=E: any registered EPP engine (see `sereep engines`);\n"
-      "  sharded fans sweeps out across --shards worker processes, or over\n"
-      "  TCP to `sereep worker --listen` hosts with\n"
-      "  --shard-hosts=host:port,... (unauthenticated; trusted networks).\n"
+      "  sharded fans sweeps out across --shards local `sereep worker`\n"
+      "  processes, or to running `sereep worker --listen` hosts with\n"
+      "  --shard-hosts=host:port,... (TCP, unauthenticated; trusted networks).\n"
       "  --shard-retries=N re-dispatches a failed shard's residual up to N\n"
       "  times (implies --on-shard-failure=retry unless a policy is given);\n"
       "  --shard-timeout-ms kills workers that stop making progress;\n"

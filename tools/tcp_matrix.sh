@@ -2,9 +2,11 @@
 # Loopback TCP acceptance matrix — the distributed tier, end to end through
 # the REAL binary on 127.0.0.1:
 #
-#   1. sweep/ser × c17/s27 × pipe/tcp × shards=2, cmp'd byte-for-byte
-#      against the committed golden CSVs (and against each other — the
-#      transport must be invisible in the bytes).
+#   1. sweep/ser × c17/s27 × shards=2, each run twice — on the loopback
+#      fleet the sweep starts itself (no --shard-hosts) and against
+#      pre-started --shard-hosts workers — cmp'd byte-for-byte against the
+#      committed golden CSVs and against each other (where the workers come
+#      from must be invisible in the bytes).
 #   2. `sereep serve` + `sereep client` round-trips, cmp'd against the same
 #      goldens — the daemon's kResponse body IS the local rendering.
 #   3. Recovery: a remote worker SIGKILLed while slow-streaming its result
@@ -59,7 +61,7 @@ start_daemon() {
   return 1
 }
 
-echo "== golden matrix: sweep/ser x c17/s27 x pipe/tcp, shards=2"
+echo "== golden matrix: sweep/ser x c17/s27 x local fleet/hosts, shards=2"
 for circuit in c17 s27; do
   start_daemon "worker-${circuit}-1" worker --netlist="$circuit" --listen=0
   p1=$DAEMON_PORT
@@ -69,13 +71,13 @@ for circuit in c17 s27; do
   for cmd in sweep ser; do
     golden="$DATA/${cmd}_${circuit}.golden.csv"
     "$BIN" "$cmd" "$circuit" --engine=sharded --shards=2 \
-      --csv="$WORK/pipe.csv"
-    cmp "$WORK/pipe.csv" "$golden"
+      --csv="$WORK/fleet.csv"
+    cmp "$WORK/fleet.csv" "$golden"
     "$BIN" "$cmd" "$circuit" --engine=sharded --shards=2 \
-      --shard-hosts="$hosts" --csv="$WORK/tcp.csv"
-    cmp "$WORK/tcp.csv" "$golden"
-    cmp "$WORK/pipe.csv" "$WORK/tcp.csv"
-    echo "   ok: $cmd $circuit (pipe == tcp == golden)"
+      --shard-hosts="$hosts" --csv="$WORK/hosts.csv"
+    cmp "$WORK/hosts.csv" "$golden"
+    cmp "$WORK/fleet.csv" "$WORK/hosts.csv"
+    echo "   ok: $cmd $circuit (fleet == hosts == golden)"
   done
 done
 
