@@ -1,8 +1,11 @@
 #include "src/epp/batched_epp.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <new>
 
 namespace sereep {
 
@@ -35,6 +38,67 @@ BatchedEppEngine::BatchedEppEngine(const CompiledCircuit& circuit,
       buckets_(circuit.bucket_count()) {
   assert(sp.size() == circuit.node_count());
   assert(off_path.size() == circuit.node_count());
+}
+
+BatchedEppEngine::~BatchedEppEngine() {
+  if (planes_ != nullptr) ::munmap(planes_, planes_bytes_);
+}
+
+void BatchedEppEngine::assign_blocks(std::span<const NodeId> sites) {
+  // A reader count with this bit set never drops to zero: the node keeps
+  // its block for the whole cluster.
+  constexpr std::uint32_t kPinned = std::uint32_t{1} << 31;
+  readers_.assign(merged_.size(), 0);
+  for (const NodeId id : merged_) {
+    if (circuit_.is_sink(id)) readers_[slot_[id]] |= kPinned;
+    for (const NodeId f : circuit_.fanin(id)) {
+      if (stamp_[f] == epoch_) ++readers_[slot_[f]];
+    }
+  }
+  for (const NodeId s : sites) {
+    if (!circuit_.is_dff(s)) continue;
+    const NodeId d = circuit_.fanin(s)[0];
+    if (stamp_[d] == epoch_) readers_[slot_[d]] |= kPinned;
+  }
+
+  // Every reader of an unpinned node sits later in the merged order than
+  // the node itself (only DFFs are read before their bucket, and DFFs are
+  // sinks), so a block is only ever released after it was handed out.
+  blk_.resize(merged_.size());
+  free_.clear();
+  std::uint32_t blocks = 0;
+  for (const NodeId s : sites) blk_[slot_[s]] = blocks++;
+  for (const NodeId id : merged_) {
+    if (site_lane_[id] == 0) {
+      if (free_.empty()) {
+        blk_[slot_[id]] = blocks++;
+      } else {
+        blk_[slot_[id]] = free_.back();
+        free_.pop_back();
+      }
+    }
+    for (const NodeId f : circuit_.fanin(id)) {
+      if (stamp_[f] == epoch_ && --readers_[slot_[f]] == 0) {
+        free_.push_back(blk_[slot_[f]]);
+      }
+    }
+  }
+  blocks_ = blocks;
+
+  const std::size_t bytes =
+      blocks_ * static_cast<std::size_t>(kSymCount) * stride_ * sizeof(double);
+  if (bytes <= planes_bytes_) return;
+  // No contents survive a cluster, so growing maps a fresh region instead of
+  // copying; doubling keeps remaps rare, and untouched pages cost nothing.
+  const std::size_t size = std::max(bytes, 2 * planes_bytes_);
+  if (planes_ != nullptr) ::munmap(planes_, planes_bytes_);
+  planes_ = nullptr;
+  planes_bytes_ = 0;
+  void* addr = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (addr == MAP_FAILED) throw std::bad_alloc();
+  planes_ = static_cast<double*>(addr);
+  planes_bytes_ = size;
 }
 
 void BatchedEppEngine::propagate_cluster(std::span<const NodeId> sites,
@@ -91,13 +155,12 @@ void BatchedEppEngine::propagate_cluster(std::span<const NodeId> sites,
 
   mask_.resize(merged_.size());
   stride_ = simd::round_up_lanes(lanes);
-  planes_.resize(merged_.size() * static_cast<std::size_t>(kSymCount) *
-                 stride_);
+  assign_blocks(sites);
   for (std::size_t l = 0; l < lanes; ++l) {
     folds_[l] = LaneFold{};
     // The SEU flips the site: it carries the erroneous value with certainty.
-    // Seeded before the pass (a DFF site's slot can be read by consumers in
-    // LOWER buckets) and re-applied after the kernel writes the site's slot.
+    // Seeded before the pass (a DFF site's block can be read by consumers in
+    // LOWER buckets) and re-applied after the kernel writes the site's block.
     simd::seed_error_lane(block(slot_[sites[l]]), stride_, l);
   }
 

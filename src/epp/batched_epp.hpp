@@ -13,19 +13,46 @@
 // Prob4 plane memory layout
 // -------------------------
 // Lane distributions are stored structure-of-arrays, not as Prob4 structs:
-// each merged-cone slot owns one contiguous lane vector PER SYMBOL,
+// each plane BLOCK owns one contiguous lane vector PER SYMBOL,
 //
-//   planes_[(slot * 4 + sym) * stride + lane]
+//   planes_[(blk_[slot] * 4 + sym) * stride + lane]
 //
 // with sym indexed by Sym (kZero, kOne, kA, kABar) and stride = the cluster's
 // lane count rounded up to simd::kLaneWidth (one cache line of doubles).
-// A slot's whole block (4 * stride doubles) is contiguous, so one gate
-// evaluation streams its fanin blocks and writes its output block with plain
+// A block (4 * stride doubles) is contiguous, so one gate evaluation
+// streams its fanin blocks and writes its output block with plain
 // unit-stride loops — the lane-plane kernels in src/util/simd.hpp, which
 // auto-vectorize with no intrinsics. Per-fanin on/off-path selection is a
-// branch-free per-lane blend against the node's 64-bit membership mask.
-// Lanes the node does not belong to compute harmless garbage (all inputs
-// blend to finite off-path constants) that no reader ever consumes: every
+// branch-free per-lane blend against the node's 64-bit membership mask
+// (mask_, indexed by merged-cone slot like every other per-node table).
+//
+// Blocks follow the live frontier, not the merged cone. An integer-only
+// pre-pass counts each merged node's in-cone readers (every fanin
+// occurrence of a stamped node), then walks the merged order handing out
+// block ids from a LIFO free list: a node takes its block BEFORE its
+// fanins' blocks return to the list, so an output never aliases an input it
+// reads, and a block returns once its last reader holds a block of its own.
+// Member sites take the first blocks, before the walk — every site is
+// seeded up front, and a DFF site is read by consumers in lower buckets.
+// Two sets of nodes are pinned for the whole cluster: every sink (the
+// rank-order sink fold reads it after the pass; a DFF, the only node read
+// before its own bucket, is always a sink) and the D pin of each DFF member
+// site (compute_cluster's self_dpin_mass reads it after the pass). A cluster
+// thus holds its peak live frontier plus its pinned nodes: on the generated
+// s38417 (seed 1) at most 6,379 blocks, where its largest merged cone has
+// 22,002 nodes.
+//
+// The planes live in one anonymous page mapping per engine, grown by
+// mapping a larger region (no contents survive a cluster, so nothing is
+// copied) and unmapped when the engine dies. A std::vector would keep the
+// pages resident after the sweep: once glibc's dynamic mmap threshold has
+// risen past the buffer size, a sweep thread's buffer comes from its
+// per-thread arena, whose top chunk malloc_trim() does not release, and
+// every process forked afterwards inherits those pages.
+//
+// Lanes a node does not belong to compute harmless garbage (all inputs
+// blend to finite off-path constants, stale finite doubles of a recycled
+// block, or the 0.0 of a fresh page) that no reader ever consumes: every
 // downstream read — fanin blend, sink fold, self-D-pin probe — is gated by
 // the membership mask.
 //
@@ -80,6 +107,10 @@ class BatchedEppEngine {
                    const SignalProbabilities& sp,
                    std::span<const Prob4> off_path, EppOptions options = {});
 
+  ~BatchedEppEngine();
+  BatchedEppEngine(const BatchedEppEngine&) = delete;
+  BatchedEppEngine& operator=(const BatchedEppEngine&) = delete;
+
   /// Full SiteEpp for every site of one cluster; out[i] receives sites[i]'s
   /// record. `sites` must hold 1..kMaxLanes distinct sites.
   void compute_cluster(std::span<const NodeId> sites, std::span<SiteEpp> out);
@@ -101,22 +132,30 @@ class BatchedEppEngine {
   }
   [[nodiscard]] const EppOptions& options() const noexcept { return options_; }
 
+  /// Plane blocks the last cluster used: its peak live frontier plus its
+  /// pinned nodes (see the file comment), never more than its merged cone.
+  [[nodiscard]] std::size_t plane_blocks() const noexcept { return blocks_; }
+
  private:
   /// Merged extraction + per-lane propagation for one cluster. Fills
-  /// merged_, slot_, mask_, planes_ and the per-lane accumulators.
+  /// merged_, slot_, mask_, blk_, the planes and the per-lane accumulators.
   void propagate_cluster(std::span<const NodeId> sites,
                          bool with_reconvergence);
 
+  /// Hands every merged slot its plane block (blk_, blocks_) from the
+  /// live-frontier walk described in the file comment, then maps the planes.
+  void assign_blocks(std::span<const NodeId> sites);
+
   /// One slot's lane-plane block (4 * stride_ doubles, plane-major).
   [[nodiscard]] double* block(std::size_t slot) noexcept {
-    return planes_.data() + slot * static_cast<std::size_t>(kSymCount) *
-                                stride_;
+    return planes_ +
+           blk_[slot] * static_cast<std::size_t>(kSymCount) * stride_;
   }
   /// Gathers one lane's Prob4 from a slot's planes (pure data movement).
   [[nodiscard]] Prob4 lane_prob4(std::size_t slot,
                                  std::size_t lane) const noexcept {
-    const double* b = planes_.data() +
-                      slot * static_cast<std::size_t>(kSymCount) * stride_;
+    const double* b =
+        planes_ + blk_[slot] * static_cast<std::size_t>(kSymCount) * stride_;
     Prob4 d;
     for (int s = 0; s < kSymCount; ++s) d.p[s] = b[s * stride_ + lane];
     return d;
@@ -139,7 +178,12 @@ class BatchedEppEngine {
   std::vector<std::vector<NodeId>> buckets_;
   std::vector<NodeId> merged_;          ///< merged cone, bucket order
   std::vector<std::uint64_t> mask_;     ///< per slot: lane-membership bits
-  std::vector<double> planes_;          ///< SoA lane planes (see file comment)
+  std::vector<std::uint32_t> readers_;  ///< per slot: in-cone reads left
+  std::vector<std::uint32_t> blk_;      ///< per slot: plane block id
+  std::vector<std::uint32_t> free_;     ///< released block ids (LIFO)
+  std::size_t blocks_ = 0;              ///< blocks the last cluster used
+  double* planes_ = nullptr;            ///< SoA lane planes (see file comment)
+  std::size_t planes_bytes_ = 0;        ///< size of the planes_ mapping
   std::size_t stride_ = 0;              ///< padded lane count of this cluster
   std::vector<simd::FaninLanes> fanin_lanes_;
   std::vector<Prob4> fanin_scratch_;    ///< scalar-path gather buffer

@@ -15,7 +15,10 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <exception>
+#include <future>
 #include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -61,30 +64,58 @@ class SessionCache {
       : capacity_(capacity), threads_(threads), metrics_(metrics) {}
 
   /// The cached Session for `spec`, building (and caching) it on miss.
-  /// Construction runs OUTSIDE the cache lock; the insert re-checks so a
-  /// racing builder adopts the first winner. Eviction only drops the
+  /// Builds are single-flight: the first miss on a key builds OUTSIDE the
+  /// cache lock, and every request for that key arriving meanwhile waits on
+  /// the same in-flight build (and counts as a hit), so N concurrent cold
+  /// requests open one Session, not N. A failed build reaches each waiter
+  /// as the same exception and caches nothing. Eviction only drops the
   /// cache's reference — in-flight requests hold their own shared_ptr, so
   /// an evicted Session dies when its last computation finishes.
   std::shared_ptr<CachedSession> get(const std::string& spec) {
     const std::string key = cache_key(spec);
+    std::promise<std::shared_ptr<CachedSession>> promise;
+    Build in_flight;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       if (std::shared_ptr<CachedSession> hit = find_locked(key)) {
         metrics_.session_cache_hits.fetch_add(1, std::memory_order_relaxed);
         return hit;
       }
+      if (const auto it = building_.find(key); it != building_.end()) {
+        in_flight = it->second;
+      } else {
+        building_.emplace(key, promise.get_future().share());
+      }
+    }
+    if (in_flight.valid()) {
+      metrics_.session_cache_hits.fetch_add(1, std::memory_order_relaxed);
+      return in_flight.get();  // rethrows a failed build's exception
     }
     metrics_.session_cache_misses.fetch_add(1, std::memory_order_relaxed);
-    Options options;
-    options.threads = threads_;
-    auto built = std::make_shared<CachedSession>(Session::open(spec, options));
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (std::shared_ptr<CachedSession> hit = find_locked(key)) return hit;
-    lru_.emplace_front(key, built);
-    if (lru_.size() > capacity_) {
-      lru_.pop_back();
-      metrics_.session_cache_evictions.fetch_add(1, std::memory_order_relaxed);
+    std::shared_ptr<CachedSession> built;
+    try {
+      Options options;
+      options.threads = threads_;
+      built = std::make_shared<CachedSession>(Session::open(spec, options));
+    } catch (...) {
+      {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        building_.erase(key);
+      }
+      promise.set_exception(std::current_exception());
+      throw;
     }
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      building_.erase(key);
+      lru_.emplace_front(key, built);
+      if (lru_.size() > capacity_) {
+        lru_.pop_back();
+        metrics_.session_cache_evictions.fetch_add(1,
+                                                   std::memory_order_relaxed);
+      }
+    }
+    promise.set_value(built);
     return built;
   }
 
@@ -119,11 +150,14 @@ class SessionCache {
     return nullptr;
   }
 
+  using Build = std::shared_future<std::shared_ptr<CachedSession>>;
+
   std::mutex mutex_;
   const std::size_t capacity_;
   const unsigned threads_;
   ServeMetrics& metrics_;
   std::list<std::pair<std::string, std::shared_ptr<CachedSession>>> lru_;
+  std::map<std::string, Build> building_;  ///< in-flight builds, by key
 };
 
 /// Everything the accept loop, the workers, and the drain path share.

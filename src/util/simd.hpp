@@ -1,8 +1,8 @@
 // Portable lane-plane SIMD kernels for the batched EPP engine.
 //
 // BatchedEppEngine stores the per-cluster Prob4 distributions as four
-// structure-of-arrays symbol planes (Pa / Pā / P0 / P1): for each merged-cone
-// slot, each symbol owns one contiguous lane vector of `stride` doubles
+// structure-of-arrays symbol planes (Pa / Pā / P0 / P1): for each plane
+// block, each symbol owns one contiguous lane vector of `stride` doubles
 // (stride = lane count rounded up to kLaneWidth). The kernels here evaluate
 // one gate's Table-1 rule across whole lane GROUPS — fixed blocks of
 // kLaneWidth = 8 doubles — expressed over `Pack`, an 8-wide value type

@@ -293,6 +293,122 @@ TEST(BatchedEppEngine, DffSiteLanesCarrySelfFeedback) {
   EXPECT_TRUE(any_feedback);  // the fixture really exercises the path
 }
 
+TEST(BatchedEppEngine, LiveFrontierHazardsStayBitIdentical) {
+  // Every way a recycled plane block could be read after its release, on
+  // nodes carrying >= 4 member lanes so the lane-plane kernels run them:
+  //   (a) PO p feeds gates, and the sink fold reads it after the pass;
+  //   (b) h1 lists h0 twice, and h2 reads h0 after h1;
+  //   (c) DFF sites q0, q2 are read by h0, h1, buckets below their own;
+  //   (d) DFF r copies member DFF site q0 in bucket 1 (a DFF fanin passes
+  //       only its own seed lane, so r stays on the per-lane path);
+  //   (e) q0's and q2's D pins lie in their own cones, and self_dpin_mass
+  //       reads them after the pass.
+  // Two wide layers (w below h2, v above the D pins) each take more blocks
+  // than the free list holds, so a block released too early is overwritten
+  // before its late read.
+  Circuit c("hazards");
+  std::vector<NodeId> a;
+  for (int i = 0; i < 6; ++i) a.push_back(c.add_input("a" + std::to_string(i)));
+  const NodeId q0 = c.add_dff_placeholder("q0");
+  const NodeId q2 = c.add_dff_placeholder("q2");
+  const NodeId r = c.add_dff("r", q0);
+  const NodeId g0 = c.add_gate(GateType::kAnd, "g0", {a[0], a[1], a[2], a[3]});
+  const NodeId g1 = c.add_gate(GateType::kOr, "g1", {a[2], a[3], a[4], a[5]});
+  const NodeId p = c.add_gate(GateType::kNand, "p", {g0, g1});
+  c.mark_output(p);
+  const NodeId h0 = c.add_gate(GateType::kAnd, "h0", {p, q0, r});
+  const NodeId h1 = c.add_gate(GateType::kNor, "h1", {h0, h0, q2});
+  const auto wide = [&](const std::string& name, NodeId from, int width) {
+    std::vector<NodeId> layer;
+    for (int i = 0; i < width; ++i) {
+      layer.push_back(c.add_gate(GateType::kNot, name + std::to_string(i),
+                                 {from}));
+    }
+    return c.add_gate(GateType::kAnd, name + "sum", layer);
+  };
+  const NodeId w = wide("w", h1, 24);
+  const NodeId h2 = c.add_gate(GateType::kXor, "h2", {w, p, h0});
+  NodeId d0 = h2;
+  for (int i = 0; i < 12; ++i) {
+    d0 = i % 3 == 0 ? c.add_gate(GateType::kNand, "c" + std::to_string(i),
+                                 {d0, g1})
+                    : c.add_gate(GateType::kNot, "c" + std::to_string(i),
+                                 {d0});
+  }
+  const NodeId d2 = c.add_gate(GateType::kXnor, "d2", {d0, h1});
+  c.connect_dff(q0, d0);
+  c.connect_dff(q2, d2);
+  NodeId tail = h2;
+  for (int i = 0; i < 16; ++i) {
+    tail = i % 2 == 0 ? c.add_gate(GateType::kOr, "t" + std::to_string(i),
+                                   {tail, g0})
+                      : c.add_gate(GateType::kNot, "t" + std::to_string(i),
+                                   {tail});
+  }
+  c.mark_output(wide("v", tail, 24));
+  c.finalize();
+  ASSERT_GT(c.levels()[tail], c.levels()[q2]);
+
+  std::vector<NodeId> sites(a.begin(), a.end());
+  sites.push_back(q0);
+  sites.push_back(q2);
+  const SignalProbabilities sp = parker_mccluskey_sp(c);
+  const CompiledCircuit cc(c);
+  EppEngine reference(c, sp);
+  const LatchingModel latching;
+  const std::vector<double> weights = latching.weights(c);
+  for (const bool simd_on : {true, false}) {
+    SCOPED_TRACE(simd_on ? "simd on" : "simd off");
+    EppOptions options;
+    options.simd = simd_on;
+    BatchedEppEngine batched(cc, sp, options);
+    std::vector<SiteEpp> records(sites.size());
+    batched.compute_cluster(sites, records);
+    std::vector<SiteRow> rows(sites.size());
+    batched.rows_cluster(sites, weights, rows);
+    for (std::size_t k = 0; k < sites.size(); ++k) {
+      const SiteEpp ref = reference.compute(sites[k]);
+      testutil::expect_site_epp_equal(c, ref, records[k]);
+      testutil::expect_row_equal(c, testutil::reference_row(c, ref, latching),
+                                 rows[k]);
+    }
+  }
+  // The fixture really exercises the self-feedback read.
+  EXPECT_GT(reference.compute(q0).self_dpin_mass, 0.0);
+  EXPECT_GT(reference.compute(q2).self_dpin_mass, 0.0);
+}
+
+TEST(BatchedEppEngine, PlaneBlocksFollowTheLiveFrontier) {
+  // A 4,096-inverter chain: its merged cone has 4,097 nodes, but only a
+  // node and its one fanin are ever live at once, plus the pinned PO.
+  constexpr int kLength = 4096;
+  Circuit c("chain");
+  std::vector<NodeId> chain = {c.add_input("in")};
+  for (int i = 0; i < kLength; ++i) {
+    chain.push_back(
+        c.add_gate(GateType::kNot, "n" + std::to_string(i), {chain.back()}));
+  }
+  c.mark_output(chain.back());
+  c.finalize();
+  const SignalProbabilities sp = parker_mccluskey_sp(c);
+  const CompiledCircuit cc(c);
+  CompiledEppEngine compiled(cc, sp);
+  BatchedEppEngine batched(cc, sp);
+
+  const SiteEpp single = batched.compute(chain.front());
+  EXPECT_LE(batched.plane_blocks(), 3u);
+  testutil::expect_site_epp_equal(c, compiled.compute(chain.front()), single);
+
+  std::vector<NodeId> sites;
+  for (int k = 0; k < 8; ++k) sites.push_back(chain[k * kLength / 8]);
+  std::vector<SiteEpp> out(sites.size());
+  batched.compute_cluster(sites, out);
+  EXPECT_LE(batched.plane_blocks(), 10u);
+  for (std::size_t k = 0; k < sites.size(); ++k) {
+    testutil::expect_site_epp_equal(c, compiled.compute(sites[k]), out[k]);
+  }
+}
+
 TEST(BatchedEppEngine, GeneratedProfileSweepMatchesCompiled) {
   GeneratorProfile p;
   p.name = "batched_gen";

@@ -17,6 +17,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -25,6 +26,8 @@
 
 #include "sereep/sereep.hpp"
 #include "src/epp/shard_protocol.hpp"
+#include "src/netlist/bench_io.hpp"
+#include "src/netlist/generator.hpp"
 #include "src/serve/serve_protocol.hpp"
 #include "src/util/net.hpp"
 #include "src/util/subprocess.hpp"
@@ -210,6 +213,79 @@ TEST(Serve, ConcurrentClientsGetIndependentCorrectAnswers) {
   other.join();
   for (const std::string& got : got_a) EXPECT_EQ(got, want_c17);
   for (const std::string& got : got_b) EXPECT_EQ(got, want_s27);
+}
+
+/// `clients` concurrent connections each send `req` once; reply i lands in
+/// out[i] (nullopt when the server closed).
+std::vector<std::optional<ShardFrame>> race(std::uint16_t port,
+                                            const ServeRequest& req,
+                                            int clients) {
+  std::vector<std::optional<ShardFrame>> out(clients);
+  std::vector<std::thread> threads;
+  for (auto& slot : out) {
+    threads.emplace_back([&slot, &req, port] {
+      Client client(port);
+      slot = client.round_trip(req);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  return out;
+}
+
+std::map<std::string, long long> stats_of(std::uint16_t port) {
+  Client client(port);
+  const auto reply =
+      client.round_trip(make_request(ServeRequestKind::kStats, ""));
+  std::map<std::string, long long> out;
+  std::istringstream in(body_of(reply));
+  std::string name;
+  long long value = 0;
+  while (in >> name >> value) out[name] = value;
+  return out;
+}
+
+TEST(Serve, ConcurrentColdOpensShareOneBuild) {
+  // Four first requests for one cold netlist arrive while it is still
+  // being opened: they must wait on ONE build (one miss) and get the same
+  // bytes. A failed build reaches every racer as kError and caches nothing.
+  GeneratorProfile profile;
+  profile.name = "serve_cold";
+  profile.num_inputs = 32;
+  profile.num_outputs = 32;
+  profile.num_dffs = 200;
+  profile.num_gates = 6000;
+  profile.target_depth = 24;
+  const std::string path = ::testing::TempDir() + "sereep_serve_cold_" +
+                           std::to_string(::getpid()) + ".bench";
+  {
+    std::ofstream out(path);
+    out << write_bench(generate_circuit(profile, 7));
+  }
+  const std::string want = Session::open(path).sweep_csv();
+
+  ServeDaemon daemon = start_serve({"--serve-threads=4"});
+  for (const auto& reply :
+       race(daemon.port, make_request(ServeRequestKind::kSweepCsv, path), 4)) {
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, ShardFrameType::kResponse) << body_of(reply);
+    EXPECT_EQ(body_of(reply), want);
+  }
+  std::map<std::string, long long> m = stats_of(daemon.port);
+  EXPECT_EQ(m.at("serve_session_cache_misses"), 1);
+  EXPECT_EQ(m.at("serve_session_cache_hits"), 3);
+  EXPECT_EQ(m.at("serve_sessions_cached"), 1);
+
+  const std::string missing = path + ".missing";
+  const auto errors = race(
+      daemon.port, make_request(ServeRequestKind::kSweepCsv, missing), 2);
+  for (const auto& reply : errors) {
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->type, ShardFrameType::kError);
+    EXPECT_EQ(body_of(reply), body_of(errors.front()));
+  }
+  m = stats_of(daemon.port);
+  EXPECT_EQ(m.at("serve_sessions_cached"), 1);
+  std::remove(path.c_str());
 }
 
 TEST(Serve, NonRequestFrameTypeAnswersKErrorAndCloses) {
