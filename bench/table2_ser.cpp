@@ -142,10 +142,15 @@ int main(int argc, char** argv) {
                    format_fixed(row.syst_ms, 3), format_fixed(row.simt_s, 2),
                    format_fixed(row.dif_pct, 1), format_fixed(row.spt_s, 5),
                    format_fixed(row.isp, 0), format_fixed(row.esp, 0)});
-    csv.add_row({row.circuit, std::to_string(row.nodes),
-                 format_fixed(row.syst_ms, 6), format_fixed(row.simt_s, 6),
-                 format_fixed(row.dif_pct, 3), format_fixed(row.spt_s, 6),
-                 format_fixed(row.isp, 1), format_fixed(row.esp, 1)});
+    csv.cell(row.circuit)
+        .cell(std::to_string(row.nodes))
+        .cell(format_fixed(row.syst_ms, 6))
+        .cell(format_fixed(row.simt_s, 6))
+        .cell(format_fixed(row.dif_pct, 3))
+        .cell(format_fixed(row.spt_s, 6))
+        .cell(format_fixed(row.isp, 1))
+        .cell(format_fixed(row.esp, 1))
+        .end_row();
     sum_syst += row.syst_ms;
     sum_simt += row.simt_s;
     sum_dif += row.dif_pct;

@@ -439,26 +439,31 @@ MultiCycleEpp Session::multicycle(NodeId site, std::size_t cycles) {
 
 std::string Session::sweep_csv() {
   fill_table();
-  CsvWriter csv({"node", "type", "p_sensitized"});
+  // Bytes per row: a name, a type and one round-trip double (<= 24 chars).
+  CsvWriter csv({"node", "type", "p_sensitized"}, table_.nodes.size() * 48);
   for (const NodeSer& row : table_.nodes) {
-    csv.add_row({circuit_->node(row.node).name,
-                 std::string(gate_type_name(circuit_->type(row.node))),
-                 format_round_trip(row.p_sensitized)});
+    csv.cell(circuit_->node(row.node).name)
+        .cell(gate_type_name(circuit_->type(row.node)))
+        .cell(row.p_sensitized)
+        .end_row();
   }
-  return csv.str();
+  return std::move(csv).str();
 }
 
 std::string Session::ser_csv() {
   const CircuitSer& circuit_ser = ser();
-  CsvWriter csv(
-      {"node", "type", "r_seu", "p_latched", "p_sensitized", "ser"});
+  CsvWriter csv({"node", "type", "r_seu", "p_latched", "p_sensitized", "ser"},
+                circuit_ser.nodes.size() * 112);
   for (const NodeSer& n : circuit_ser.nodes) {
-    csv.add_row({circuit_->node(n.node).name,
-                 std::string(gate_type_name(circuit_->type(n.node))),
-                 format_round_trip(n.r_seu), format_round_trip(n.p_latched),
-                 format_round_trip(n.p_sensitized), format_round_trip(n.ser)});
+    csv.cell(circuit_->node(n.node).name)
+        .cell(gate_type_name(circuit_->type(n.node)))
+        .cell(n.r_seu)
+        .cell(n.p_latched)
+        .cell(n.p_sensitized)
+        .cell(n.ser)
+        .end_row();
   }
-  return csv.str();
+  return std::move(csv).str();
 }
 
 std::string Session::harden_text(double target_reduction) {

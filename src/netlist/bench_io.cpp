@@ -1,6 +1,14 @@
 #include "src/netlist/bench_io.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -12,36 +20,85 @@ namespace sereep {
 
 namespace {
 
-struct Statement {
-  int line = 0;
-  std::string target;               // defined signal
-  GateType type = GateType::kBuf;   // gate type (not INPUT/OUTPUT markers)
-  std::vector<std::string> args;    // fanin signal names
-};
+constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
 
 [[noreturn]] void parse_fail(int line, const std::string& what) {
   throw std::runtime_error(".bench line " + std::to_string(line) + ": " + what);
 }
 
-/// Splits "NAME ( a , b )" argument lists; rejects empty arg names.
-std::vector<std::string> parse_args(std::string_view inside, int line) {
-  std::vector<std::string> args;
-  if (trim(inside).empty()) return args;
-  for (std::string_view piece : split(inside, ',')) {
-    const std::string_view arg = trim(piece);
-    if (arg.empty()) parse_fail(line, "empty argument in gate definition");
-    args.emplace_back(arg);
+std::string quoted(std::string_view name) {
+  std::string out = "'";
+  out += name;
+  out += '\'';
+  return out;
+}
+
+/// True when `line` opens with `keyword`, optional blanks, then '(' — the
+/// only shape of an I/O declaration. "input_b = NOT(a)" is a gate.
+bool declares(std::string_view line, std::string_view keyword) {
+  if (!istarts_with(line, keyword)) return false;
+  const std::string_view rest = trim(line.substr(keyword.size()));
+  return !rest.empty() && rest.front() == '(';
+}
+
+/// Every signal name in the file, interned once; a symbol id indexes the
+/// three arrays. Names are views into the netlist text.
+struct Symbols {
+  std::unordered_map<std::string_view, std::uint32_t> index;
+  std::vector<std::string_view> name;
+  std::vector<std::uint32_t> def;  ///< defining statement, or kNone
+  std::vector<NodeId> node;        ///< node id once created
+
+  std::uint32_t intern(std::string_view n) {
+    const auto [it, added] =
+        index.try_emplace(n, static_cast<std::uint32_t>(name.size()));
+    if (added) {
+      name.push_back(n);
+      def.push_back(kNone);
+      node.push_back(kInvalidNode);
+    }
+    return it->second;
   }
-  return args;
+};
+
+/// Reads all of `fd` into `text`: one read of a regular file's size (the
+/// spare byte lets that read's successor see end of file without growing
+/// the buffer); pipes, or a file that grew, keep reading. False on error.
+bool read_whole(int fd, std::string& text) {
+  struct stat st {};
+  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)) {
+    text.resize(static_cast<std::size_t>(st.st_size) + 1);
+  }
+  std::size_t got = 0;
+  while (true) {
+    if (got == text.size()) text.resize(std::max<std::size_t>(4096, 2 * got));
+    const ssize_t n = ::read(fd, text.data() + got, text.size() - got);
+    if (n == 0) break;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    got += static_cast<std::size_t>(n);
+  }
+  text.resize(got);
+  return true;
 }
 
 }  // namespace
 
 Circuit parse_bench(std::string_view text, std::string circuit_name) {
-  std::vector<std::string> input_names;
-  std::vector<std::string> output_names;
-  std::vector<Statement> defs;
-  std::unordered_map<std::string, std::size_t> def_index;
+  Symbols sym;
+  sym.index.reserve(
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n') + 1));
+  std::vector<std::string_view> input_names;
+  std::vector<std::string_view> output_names;
+  // Gate definitions, in file order: the defined symbol, its type and line,
+  // and its fanin symbols as one flat CSR array.
+  std::vector<std::uint32_t> def_sym;
+  std::vector<GateType> def_type;
+  std::vector<int> def_line;
+  std::vector<std::uint32_t> arg_begin{0};
+  std::vector<std::uint32_t> args;
 
   int line_no = 0;
   std::size_t pos = 0;
@@ -60,29 +117,29 @@ Circuit parse_bench(std::string_view text, std::string circuit_name) {
     const std::string_view line = trim(raw);
     if (line.empty()) continue;
 
-    if (istarts_with(line, "INPUT") || istarts_with(line, "OUTPUT")) {
-      const bool is_input = istarts_with(line, "INPUT");
+    const bool is_input = declares(line, "INPUT");
+    if (is_input || declares(line, "OUTPUT")) {
       const std::size_t open = line.find('(');
       const std::size_t close = line.rfind(')');
-      if (open == std::string_view::npos || close == std::string_view::npos ||
-          close < open) {
+      if (close == std::string_view::npos || close < open) {
         parse_fail(line_no, "malformed I/O declaration");
       }
       const std::string_view name = trim(line.substr(open + 1, close - open - 1));
       if (name.empty()) parse_fail(line_no, "empty signal name");
-      (is_input ? input_names : output_names).emplace_back(name);
+      (is_input ? input_names : output_names).push_back(name);
       continue;
     }
 
     // Gate definition: target = TYPE(args)
     const std::size_t eq = line.find('=');
     if (eq == std::string_view::npos) {
-      parse_fail(line_no, "expected '=' in gate definition");
+      parse_fail(line_no, istarts_with(line, "INPUT") ||
+                                  istarts_with(line, "OUTPUT")
+                              ? "malformed I/O declaration"
+                              : "expected '=' in gate definition");
     }
-    Statement st;
-    st.line = line_no;
-    st.target = std::string(trim(line.substr(0, eq)));
-    if (st.target.empty()) parse_fail(line_no, "empty target name");
+    const std::string_view target = trim(line.substr(0, eq));
+    if (target.empty()) parse_fail(line_no, "empty target name");
 
     const std::string_view rhs = trim(line.substr(eq + 1));
     const std::size_t open = rhs.find('(');
@@ -93,106 +150,147 @@ Circuit parse_bench(std::string_view text, std::string circuit_name) {
     }
     const std::string_view keyword = trim(rhs.substr(0, open));
     const auto type = parse_gate_type(keyword);
-    if (!type) {
-      parse_fail(line_no, "unknown gate type '" + std::string(keyword) + "'");
+    if (!type) parse_fail(line_no, "unknown gate type " + quoted(keyword));
+
+    // Arguments: comma-separated names; an empty list has none.
+    const std::string_view inside = rhs.substr(open + 1, close - open - 1);
+    if (!trim(inside).empty()) {
+      std::size_t start = 0;
+      while (true) {
+        const std::size_t comma = inside.find(',', start);
+        const std::string_view arg = trim(inside.substr(
+            start, comma == std::string_view::npos ? comma : comma - start));
+        if (arg.empty()) {
+          parse_fail(line_no, "empty argument in gate definition");
+        }
+        args.push_back(sym.intern(arg));
+        if (comma == std::string_view::npos) break;
+        start = comma + 1;
+      }
     }
-    st.type = *type;
-    st.args = parse_args(rhs.substr(open + 1, close - open - 1), line_no);
-    if (!arity_ok(st.type, st.args.size()) && st.type != GateType::kDff) {
+    const std::size_t arity = args.size() - arg_begin.back();
+    if (!arity_ok(*type, arity) && *type != GateType::kDff) {
       parse_fail(line_no, "illegal fanin count for " +
-                              std::string(gate_type_name(st.type)));
+                              std::string(gate_type_name(*type)));
     }
-    if (st.type == GateType::kDff && st.args.size() != 1) {
+    if (*type == GateType::kDff && arity != 1) {
       parse_fail(line_no, "DFF takes exactly one input");
     }
-    if (def_index.contains(st.target)) {
-      parse_fail(line_no, "signal '" + st.target + "' defined twice");
+    const std::uint32_t s = sym.intern(target);
+    if (sym.def[s] != kNone) {
+      parse_fail(line_no, "signal " + quoted(target) + " defined twice");
     }
-    def_index.emplace(st.target, defs.size());
-    defs.push_back(std::move(st));
+    sym.def[s] = static_cast<std::uint32_t>(def_sym.size());
+    def_sym.push_back(s);
+    def_type.push_back(*type);
+    def_line.push_back(line_no);
+    arg_begin.push_back(static_cast<std::uint32_t>(args.size()));
   }
+  const std::size_t defs = def_sym.size();
+  const auto fanins = [&](std::size_t d) {
+    return std::span<const std::uint32_t>(args).subspan(
+        arg_begin[d], arg_begin[d + 1] - arg_begin[d]);
+  };
 
   Circuit circuit(std::move(circuit_name));
+  circuit.reserve(input_names.size() + defs);
 
   // Pass 1: create primary inputs and DFF placeholders — every name that can
   // be referenced before its definition settles.
-  std::unordered_map<std::string, NodeId> ids;
-  for (const std::string& name : input_names) {
-    if (ids.contains(name)) {
-      throw std::runtime_error(".bench: input '" + name + "' declared twice");
+  for (const std::string_view name : input_names) {
+    const std::uint32_t s = sym.intern(name);
+    if (sym.node[s] != kInvalidNode) {
+      throw std::runtime_error(".bench: input " + quoted(name) +
+                               " declared twice");
     }
-    if (def_index.contains(name)) {
-      throw std::runtime_error(".bench: input '" + name + "' also defined as a gate");
+    if (sym.def[s] != kNone) {
+      throw std::runtime_error(".bench: input " + quoted(name) +
+                               " also defined as a gate");
     }
-    ids.emplace(name, circuit.add_input(name));
+    sym.node[s] = circuit.add_input(std::string(name));
   }
-  for (const Statement& st : defs) {
-    if (st.type == GateType::kDff) {
-      ids.emplace(st.target, circuit.add_dff_placeholder(st.target));
-    }
+  for (std::size_t d = 0; d < defs; ++d) {
+    if (def_type[d] != GateType::kDff) continue;
+    const std::uint32_t s = def_sym[d];
+    sym.node[s] = circuit.add_dff_placeholder(std::string(sym.name[s]));
   }
 
-  // Pass 2: emit combinational gates in dependency order (Kahn over the name
-  // graph; DFF outputs and PIs are ready at the start).
-  std::vector<std::size_t> pending;          // indices into defs, comb only
-  std::vector<int> missing(defs.size(), 0);  // unresolved fanins per def
-  std::unordered_map<std::string, std::vector<std::size_t>> waiters;
-  std::vector<std::size_t> ready;
-  for (std::size_t i = 0; i < defs.size(); ++i) {
-    const Statement& st = defs[i];
-    if (st.type == GateType::kDff) continue;
-    int unresolved = 0;
-    for (const std::string& arg : st.args) {
-      if (!ids.contains(arg)) {
-        if (!def_index.contains(arg)) {
-          parse_fail(st.line, "undefined signal '" + arg + "'");
+  // Pass 2: emit combinational gates in dependency order (Kahn over symbol
+  // ids; DFF outputs and PIs are ready at the start). A gate waits once per
+  // fanin occurrence, and each symbol's waiters, a CSR list, are released in
+  // the order they registered.
+  std::vector<std::uint32_t> missing(defs, 0);  // unresolved fanins per def
+  std::vector<std::uint32_t> wait_begin(sym.name.size() + 1, 0);
+  std::size_t comb_defs = 0;
+  for (std::size_t d = 0; d < defs; ++d) {
+    if (def_type[d] == GateType::kDff) continue;
+    ++comb_defs;
+    for (const std::uint32_t a : fanins(d)) {
+      if (sym.node[a] != kInvalidNode) continue;
+      if (sym.def[a] == kNone) {
+        parse_fail(def_line[d], "undefined signal " + quoted(sym.name[a]));
+      }
+      ++missing[d];
+      ++wait_begin[a + 1];
+    }
+  }
+  for (std::size_t s = 0; s < sym.name.size(); ++s) {
+    wait_begin[s + 1] += wait_begin[s];
+  }
+  std::vector<std::uint32_t> waiters(wait_begin.back());
+  {
+    std::vector<std::uint32_t> fill(wait_begin.begin(), wait_begin.end() - 1);
+    for (std::size_t d = 0; d < defs; ++d) {
+      if (def_type[d] == GateType::kDff) continue;
+      for (const std::uint32_t a : fanins(d)) {
+        if (sym.node[a] == kInvalidNode) {
+          waiters[fill[a]++] = static_cast<std::uint32_t>(d);
         }
-        ++unresolved;
-        waiters[arg].push_back(i);
       }
     }
-    missing[i] = unresolved;
-    if (unresolved == 0) ready.push_back(i);
   }
 
+  std::vector<std::uint32_t> ready;
+  for (std::size_t d = 0; d < defs; ++d) {
+    if (def_type[d] != GateType::kDff && missing[d] == 0) {
+      ready.push_back(static_cast<std::uint32_t>(d));
+    }
+  }
   std::size_t emitted = 0;
   while (!ready.empty()) {
-    const std::size_t i = ready.back();
+    const std::uint32_t d = ready.back();
     ready.pop_back();
-    const Statement& st = defs[i];
-    std::vector<NodeId> fanin;
-    fanin.reserve(st.args.size());
-    for (const std::string& arg : st.args) fanin.push_back(ids.at(arg));
-    const NodeId id = circuit.add_gate(st.type, st.target, std::move(fanin));
-    ids.emplace(st.target, id);
+    const std::span<const std::uint32_t> in = fanins(d);
+    std::vector<NodeId> fanin(in.size());
+    for (std::size_t k = 0; k < in.size(); ++k) fanin[k] = sym.node[in[k]];
+    const std::uint32_t s = def_sym[d];
+    sym.node[s] = circuit.add_gate(def_type[d], std::string(sym.name[s]),
+                                    std::move(fanin));
     ++emitted;
-    if (const auto it = waiters.find(st.target); it != waiters.end()) {
-      for (std::size_t waiter : it->second) {
-        if (--missing[waiter] == 0) ready.push_back(waiter);
-      }
-      waiters.erase(it);
+    for (std::uint32_t w = wait_begin[s]; w < wait_begin[s + 1]; ++w) {
+      if (--missing[waiters[w]] == 0) ready.push_back(waiters[w]);
     }
   }
-  std::size_t comb_defs = 0;
-  for (const Statement& st : defs) comb_defs += st.type != GateType::kDff;
   if (emitted != comb_defs) {
     throw std::runtime_error(
         ".bench: combinational cycle among gate definitions");
   }
 
   // Pass 3: connect DFF data inputs and mark primary outputs.
-  for (const Statement& st : defs) {
-    if (st.type != GateType::kDff) continue;
-    const auto it = ids.find(st.args[0]);
-    if (it == ids.end()) parse_fail(st.line, "undefined signal '" + st.args[0] + "'");
-    circuit.connect_dff(ids.at(st.target), it->second);
-  }
-  for (const std::string& name : output_names) {
-    const auto it = ids.find(name);
-    if (it == ids.end()) {
-      throw std::runtime_error(".bench: undefined output '" + name + "'");
+  for (std::size_t d = 0; d < defs; ++d) {
+    if (def_type[d] != GateType::kDff) continue;
+    const std::uint32_t a = args[arg_begin[d]];
+    if (sym.node[a] == kInvalidNode) {
+      parse_fail(def_line[d], "undefined signal " + quoted(sym.name[a]));
     }
-    circuit.mark_output(it->second);
+    circuit.connect_dff(sym.node[def_sym[d]], sym.node[a]);
+  }
+  for (const std::string_view name : output_names) {
+    const auto it = sym.index.find(name);
+    if (it == sym.index.end() || sym.node[it->second] == kInvalidNode) {
+      throw std::runtime_error(".bench: undefined output " + quoted(name));
+    }
+    circuit.mark_output(sym.node[it->second]);
   }
 
   circuit.finalize();
@@ -200,10 +298,12 @@ Circuit parse_bench(std::string_view text, std::string circuit_name) {
 }
 
 Circuit load_bench_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open '" + path + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) throw std::runtime_error("cannot open '" + path + "'");
+  std::string text;
+  const bool read_ok = read_whole(fd, text);
+  ::close(fd);
+  if (!read_ok) throw std::runtime_error("cannot read '" + path + "'");
   // Circuit name = basename without extension.
   std::string name = path;
   if (const auto slash = name.find_last_of('/'); slash != std::string::npos) {
@@ -212,7 +312,7 @@ Circuit load_bench_file(const std::string& path) {
   if (const auto dot = name.find_last_of('.'); dot != std::string::npos) {
     name = name.substr(0, dot);
   }
-  return parse_bench(buf.str(), name);
+  return parse_bench(text, name);
 }
 
 std::string write_bench(const Circuit& circuit) {

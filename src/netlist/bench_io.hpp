@@ -8,9 +8,18 @@
 //   G10 = NAND(G0, G1)
 //   G23 = DFF(G10)
 //
+// A line is an I/O declaration only when INPUT or OUTPUT (any case) is
+// followed, after optional blanks, by '(': `input_b = NOT(a)` is a gate.
+//
 // Definitions may reference signals defined later in the file (sequential
 // feedback makes this unavoidable), so the parser resolves names in two
-// passes and emits gates in dependency order.
+// passes and emits gates in dependency order. The first pass tokenizes the
+// text in place: every name is a string_view into it, interned once in one
+// symbol map, and a gate's fanins are symbol ids in one flat array. The
+// second runs Kahn over those ids (a LIFO ready stack; each symbol's waiters
+// are a CSR list released in registration order). Node ids, and so fanout
+// order and the engines' summation order, follow from that emission order:
+// inputs in declaration order, DFFs in definition order, then the gates.
 #pragma once
 
 #include <string>
@@ -25,7 +34,8 @@ namespace sereep {
 [[nodiscard]] Circuit parse_bench(std::string_view text,
                                   std::string circuit_name = "bench");
 
-/// Loads and parses a .bench file. Throws on I/O or parse failure.
+/// Loads a .bench file with one sized read and parses it. Throws on I/O or
+/// parse failure.
 [[nodiscard]] Circuit load_bench_file(const std::string& path);
 
 /// Serializes a circuit back to .bench text. parse_bench(write_bench(c)) is

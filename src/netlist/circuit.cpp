@@ -20,11 +20,15 @@ namespace {
 }
 }  // namespace
 
+void Circuit::reserve(std::size_t nodes) {
+  nodes_.reserve(nodes);
+  by_name_.reserve(nodes);
+}
+
 NodeId Circuit::add_node(GateType type, std::string name,
                          std::vector<NodeId> fanin) {
   if (finalized_) fail_finalized("add_node");
   if (name.empty()) fail("node name must be non-empty");
-  if (by_name_.contains(name)) fail("duplicate node name '" + name + "'");
   if (!arity_ok(type, fanin.size())) {
     fail("illegal fanin count " + std::to_string(fanin.size()) + " for " +
          std::string(gate_type_name(type)) + " '" + name + "'");
@@ -32,9 +36,12 @@ NodeId Circuit::add_node(GateType type, std::string name,
   const NodeId id = static_cast<NodeId>(nodes_.size());
   for (NodeId f : fanin) {
     if (f >= id) fail("fanin of '" + name + "' references unknown node");
-    nodes_[f].fanout.push_back(id);
   }
-  by_name_.emplace(name, id);
+  // Everything is validated; the name claim is the first mutation.
+  if (!by_name_.try_emplace(name, id).second) {
+    fail("duplicate node name '" + name + "'");
+  }
+  for (NodeId f : fanin) nodes_[f].fanout.push_back(id);
   nodes_.push_back(Node{type, std::move(name), std::move(fanin), {}, false});
   return id;
 }
@@ -65,9 +72,10 @@ NodeId Circuit::add_dff(std::string name, NodeId d) {
 NodeId Circuit::add_dff_placeholder(std::string name) {
   if (finalized_) fail_finalized("add_dff_placeholder");
   if (name.empty()) fail("node name must be non-empty");
-  if (by_name_.contains(name)) fail("duplicate node name '" + name + "'");
   const NodeId id = static_cast<NodeId>(nodes_.size());
-  by_name_.emplace(name, id);
+  if (!by_name_.try_emplace(name, id).second) {
+    fail("duplicate node name '" + name + "'");
+  }
   nodes_.push_back(Node{GateType::kDff, std::move(name), {}, {}, false});
   dffs_.push_back(id);
   return id;

@@ -49,10 +49,16 @@ class Circuit {
 
   // ---- construction -----------------------------------------------------
 
+  /// Capacity hint: room for `nodes` nodes and their names, so a loader that
+  /// knows its node count adds them without regrowing either table.
+  void reserve(std::size_t nodes);
+
   /// Adds a primary input. Name must be unique.
   NodeId add_input(std::string name);
 
-  /// Adds a combinational gate over existing fanin nodes.
+  /// Adds a combinational gate over existing fanin nodes. Every add_*
+  /// validates its name and fanins before it changes anything, so one that
+  /// throws leaves the circuit as it was.
   NodeId add_gate(GateType type, std::string name,
                   std::vector<NodeId> fanin);
 

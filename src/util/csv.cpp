@@ -1,47 +1,56 @@
 #include "src/util/csv.hpp"
 
 #include <fstream>
-#include <sstream>
+
+#include "src/util/strings.hpp"
 
 namespace sereep {
 
-CsvWriter::CsvWriter(std::vector<std::string> header)
-    : header_(std::move(header)) {}
-
-void CsvWriter::add_row(std::vector<std::string> cells) {
-  cells.resize(header_.size());
-  rows_.push_back(std::move(cells));
+CsvWriter::CsvWriter(std::initializer_list<std::string_view> header,
+                     std::size_t reserve_bytes) {
+  out_.reserve(reserve_bytes);
+  for (const std::string_view name : header) cell(name);
+  columns_ = header.size();
+  end_row();
 }
 
-std::string CsvWriter::escape(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += '"';
-    out += c;
+void CsvWriter::separate() {
+  if (cells_++ != 0) out_ += ',';
+}
+
+CsvWriter& CsvWriter::cell(std::string_view text) {
+  separate();
+  if (text.find_first_of(",\"\n") == std::string_view::npos) {
+    out_ += text;
+    return *this;
   }
-  out += '"';
-  return out;
+  out_ += '"';
+  for (const char c : text) {
+    if (c == '"') out_ += '"';
+    out_ += c;
+  }
+  out_ += '"';
+  return *this;
 }
 
-std::string CsvWriter::str() const {
-  std::ostringstream os;
-  const auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (i) os << ',';
-      os << escape(cells[i]);
-    }
-    os << '\n';
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-  return os.str();
+CsvWriter& CsvWriter::cell(double value) {
+  separate();
+  append_round_trip(out_, value);
+  return *this;
+}
+
+void CsvWriter::end_row() {
+  for (; cells_ < columns_; ++cells_) {
+    if (cells_ != 0) out_ += ',';
+  }
+  out_ += '\n';
+  cells_ = 0;
 }
 
 bool CsvWriter::write_file(const std::string& path) const {
   std::ofstream out(path);
   if (!out) return false;
-  out << str();
+  out << out_;
   return static_cast<bool>(out);
 }
 

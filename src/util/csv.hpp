@@ -1,33 +1,46 @@
-// CSV emission for benchmark results.
+// CSV emission: the golden-pinned `sweep`/`ser` tables and the benches'
+// CSV mirrors.
 //
-// Each bench binary can optionally mirror its ASCII table into a CSV file so
-// downstream plotting (figure regeneration) does not re-parse ASCII art.
+// CsvWriter appends each cell straight into one growing buffer, so a table
+// of n rows costs one buffer (reserve it from n) and no per-cell string:
+// text cells are copied in, quoted only when they hold a comma, a quote or
+// a newline, and double cells are printed in place in the round-trip form
+// every golden CSV is pinned at (format_round_trip's).
 #pragma once
 
+#include <initializer_list>
 #include <string>
-#include <vector>
+#include <string_view>
 
 namespace sereep {
 
-/// Accumulates rows and writes RFC-4180-ish CSV (quotes fields containing
-/// comma/quote/newline).
+/// Builds RFC-4180-ish CSV, header first (fields holding a comma, quote or
+/// newline are quoted, with quotes doubled). A row is its cells, then
+/// end_row(); a row shorter than the header is padded with empty fields.
 class CsvWriter {
  public:
-  explicit CsvWriter(std::vector<std::string> header);
+  /// Writes the header row; `reserve_bytes` sizes the buffer up front.
+  explicit CsvWriter(std::initializer_list<std::string_view> header,
+                     std::size_t reserve_bytes = 0);
 
-  void add_row(std::vector<std::string> cells);
+  CsvWriter& cell(std::string_view text);
+  /// The %.17g round-trip form (see format_round_trip).
+  CsvWriter& cell(double value);
+  void end_row();
 
-  /// Serializes all rows, header first.
-  [[nodiscard]] std::string str() const;
+  /// The CSV so far, header first.
+  [[nodiscard]] const std::string& str() const& noexcept { return out_; }
+  [[nodiscard]] std::string str() && noexcept { return std::move(out_); }
 
   /// Writes to `path`; returns false on I/O failure.
   bool write_file(const std::string& path) const;
 
  private:
-  static std::string escape(const std::string& field);
+  void separate();
 
-  std::vector<std::string> header_;
-  std::vector<std::vector<std::string>> rows_;
+  std::string out_;
+  std::size_t columns_ = 0;
+  std::size_t cells_ = 0;  ///< cells in the open row
 };
 
 }  // namespace sereep

@@ -109,10 +109,16 @@ std::optional<double> parse_double_strict(std::string_view text) noexcept {
 }
 
 std::string format_round_trip(double value) {
+  std::string out;
+  append_round_trip(out, value);
+  return out;
+}
+
+void append_round_trip(std::string& out, double value) {
   char buf[32];  // the longest %.17g form, "-1.2345678901234567e-308", is 24
   const std::to_chars_result r = std::to_chars(
       buf, buf + sizeof buf, value, std::chars_format::general, 17);
-  return std::string(buf, r.ptr);
+  out.append(buf, r.ptr);
 }
 
 std::string format_fixed(double value, int decimals) {

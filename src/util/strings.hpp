@@ -47,6 +47,9 @@ namespace sereep {
 /// to produce them) at a fraction of snprintf's cost.
 [[nodiscard]] std::string format_round_trip(double value);
 
+/// Appends format_round_trip(value) to `out`, with no temporary string.
+void append_round_trip(std::string& out, double value);
+
 /// printf-style float with fixed decimals, used by table rendering.
 [[nodiscard]] std::string format_fixed(double value, int decimals);
 

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace sereep {
 namespace {
@@ -62,6 +64,33 @@ TEST(Circuit, BadArityRejected) {
   const NodeId b = c.add_input("b");
   EXPECT_THROW(c.add_gate(GateType::kNot, "n", {a, b}), std::runtime_error);
   EXPECT_THROW(c.add_gate(GateType::kAnd, "g", {}), std::runtime_error);
+}
+
+TEST(Circuit, FailedAddLeavesNoTrace) {
+  // A rejected add_gate must not leave an edge behind: the next node takes
+  // the failed id, so a stale fanout entry would point at an unrelated gate.
+  Circuit c;
+  const NodeId a = c.add_input("a");
+  const NodeId b = c.add_input("b");
+  EXPECT_THROW(c.add_gate(GateType::kAnd, "g", {a, 999}), std::runtime_error);
+  EXPECT_THROW(c.add_gate(GateType::kAnd, "a", {b, a}), std::runtime_error);
+  EXPECT_TRUE(c.fanout(a).empty());
+  EXPECT_TRUE(c.fanout(b).empty());
+  EXPECT_FALSE(c.find("g").has_value());
+  const NodeId x = c.add_gate(GateType::kNot, "x", {b});
+  c.mark_output(x);
+  c.finalize();
+  EXPECT_TRUE(c.fanout(a).empty());
+  // Every fanout array is exactly the reverse of the fanins, as a multiset.
+  std::vector<std::pair<NodeId, NodeId>> forward;
+  std::vector<std::pair<NodeId, NodeId>> backward;
+  for (NodeId id = 0; id < c.node_count(); ++id) {
+    for (const NodeId f : c.fanin(id)) forward.emplace_back(f, id);
+    for (const NodeId t : c.fanout(id)) backward.emplace_back(id, t);
+  }
+  std::sort(forward.begin(), forward.end());
+  std::sort(backward.begin(), backward.end());
+  EXPECT_EQ(forward, backward);
 }
 
 TEST(Circuit, AddGateRejectsNonCombinationalTypes) {

@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Diff two BENCH_micro.json files and fail on kernel regressions.
+"""Diff BENCH_micro.json runs against a baseline and fail on kernel regressions.
 
 Usage:
-    bench_compare.py BASELINE.json CURRENT.json [--threshold=0.10]
-                     [--ratios-only]
+    bench_compare.py BASELINE.json CURRENT.json [CURRENT.json ...]
+                     [--threshold=0.10] [--ratios-only]
 
-Walks every kernel row of both files and compares each numeric column that
-appears in both. Direction is inferred from the column name: throughput
-(*_per_s) and speedup-style columns regress when they DROP, time columns
-(*_ms) regress when they RISE. A column has regressed when it is worse than
-baseline by more than --threshold (default 10%).
+Walks every kernel row of the baseline and compares each numeric column that
+the current runs also report. With several CURRENT files (repeated emitter
+runs on one host) each column is gated on its median across them, so one
+noisy run cannot fail the gate alone. Direction is inferred from the column
+name: throughput (*_per_s) and speedup-style columns regress when they DROP,
+time columns (*_ms) regress when they RISE. A column has regressed when it
+is worse than baseline by more than --threshold (default 10%).
 
 --ratios-only restricts the comparison to machine-relative columns (speedup,
 batched_vs_compiled, ...). Absolute throughput depends on the host, so
@@ -28,6 +30,7 @@ stats and bit-identity flag are checked when present in both files.
 """
 
 import json
+import statistics
 import sys
 
 
@@ -84,22 +87,28 @@ def main(argv):
             return 2
         else:
             paths.append(arg)
-    if len(paths) != 2:
+    if len(paths) < 2:
         print(__doc__, file=sys.stderr)
         return 2
-    baseline, current = load(paths[0]), load(paths[1])
+    baseline = load(paths[0])
+    currents = [load(p) for p in paths[1:]]
 
-    if not current.get("results_bit_identical", True):
-        print("FAIL: current run reports results_bit_identical=false — the "
-              "engines diverged; fix correctness before reading timings.")
-        return 1
+    for path, current in zip(paths[1:], currents):
+        if not current.get("results_bit_identical", True):
+            print(f"FAIL: {path} reports results_bit_identical=false — the "
+                  "engines diverged; fix correctness before reading timings.")
+            return 1
+
+    def median_of(values):
+        numbers = [v for v in values if isinstance(v, (int, float))]
+        return statistics.median(numbers) if numbers else None
 
     regressions = []
     compared = 0
     for kernel, base_row in baseline.get("kernels", {}).items():
-        cur_row = current.get("kernels", {}).get(kernel)
-        if cur_row is None:
-            regressions.append(f"{kernel}: missing from current run")
+        cur_rows = [c.get("kernels", {}).get(kernel) for c in currents]
+        if any(row is None for row in cur_rows):
+            regressions.append(f"{kernel}: missing from a current run")
             continue
         for column, base_val in base_row.items():
             if not isinstance(base_val, (int, float)) or base_val <= 0:
@@ -107,8 +116,8 @@ def main(argv):
             if ratios_only and (not is_ratio(column) or
                                 column in HW_SENSITIVE):
                 continue
-            cur_val = cur_row.get(column)
-            if not isinstance(cur_val, (int, float)):
+            cur_val = median_of(row.get(column) for row in cur_rows)
+            if cur_val is None:
                 continue
             compared += 1
             if lower_is_better(column):
@@ -125,26 +134,29 @@ def main(argv):
     # Cluster quality must not silently decay either: more singleton sites
     # than baseline (by the same threshold) means the planner lost packing.
     base_two = baseline.get("clusters", {}).get("two_level", {})
-    cur_two = current.get("clusters", {}).get("two_level", {})
-    if "singleton_sites" in base_two and "singleton_sites" in cur_two:
+    cur_singletons = median_of(
+        c.get("clusters", {}).get("two_level", {}).get("singleton_sites")
+        for c in currents)
+    if "singleton_sites" in base_two and cur_singletons is not None:
         compared += 1
         allowed = base_two["singleton_sites"] * (1.0 + threshold)
-        if cur_two["singleton_sites"] > allowed:
+        if cur_singletons > allowed:
             regressions.append(
                 f"clusters.two_level.singleton_sites: "
-                f"{base_two['singleton_sites']} -> "
-                f"{cur_two['singleton_sites']}")
+                f"{base_two['singleton_sites']} -> {cur_singletons:g}")
 
     if compared == 0:
         print("bench_compare: no comparable columns (schema mismatch?)",
               file=sys.stderr)
         return 2
     if regressions:
-        print(f"FAIL: {len(regressions)} regression(s) vs {paths[0]}:")
+        runs = f", median of {len(currents)} runs" if len(currents) > 1 else ""
+        print(f"FAIL: {len(regressions)} regression(s) vs {paths[0]}{runs}:")
         for r in regressions:
             print(f"  - {r}")
         return 1
-    print(f"OK: {compared} columns within {threshold:.0%} of {paths[0]}")
+    runs = f" (median of {len(currents)} runs)" if len(currents) > 1 else ""
+    print(f"OK: {compared} columns within {threshold:.0%} of {paths[0]}{runs}")
     return 0
 
 
