@@ -12,43 +12,54 @@
 //
 // Prob4 plane memory layout
 // -------------------------
-// Lane distributions are stored structure-of-arrays, not as Prob4 structs:
-// each plane BLOCK owns one contiguous lane vector PER SYMBOL,
+// Lane distributions are stored structure-of-arrays, not as Prob4 structs.
+// Each merged slot owns one plane BLOCK: the cluster's lanes in groups of
+// simd::kLaneWidth (one cache line of doubles), and within a group the four
+// symbol vectors back to back,
 //
-//   planes_[(blk_[slot] * 4 + sym) * stride + lane]
+//   planes_[blk_[slot] * block_size_ + simd::lane_offset(lane, sym)]
 //
-// with sym indexed by Sym (kZero, kOne, kA, kABar) and stride = the cluster's
-// lane count rounded up to simd::kLaneWidth (one cache line of doubles).
-// A block (4 * stride doubles) is contiguous, so one gate evaluation
-// streams its fanin blocks and writes its output block with plain
-// unit-stride loops — the lane-plane kernels in src/util/simd.hpp, which
+// with sym indexed by Sym (kZero, kOne, kA, kABar) and block_size_ the
+// doubles of the cluster's lane groups. One gate evaluation reads each
+// fanin group as four adjacent cache lines and writes its output group the
+// same way, with the lane-plane kernels in src/util/simd.hpp, which
 // auto-vectorize with no intrinsics. Per-fanin on/off-path selection is a
 // branch-free per-lane blend against the node's 64-bit membership mask
 // (mask_, indexed by merged-cone slot like every other per-node table).
 //
-// Blocks follow the live frontier, not the merged cone. An integer-only
-// pre-pass counts each merged node's in-cone readers (every fanin
-// occurrence of a stamped node), then walks the merged order handing out
-// block ids from a LIFO free list: a node takes its block BEFORE its
-// fanins' blocks return to the list, so an output never aliases an input it
-// reads, and a block returns once its last reader holds a block of its own.
-// Member sites take the first blocks, before the walk — every site is
-// seeded up front, and a DFF site is read by consumers in lower buckets.
-// Two sets of nodes are pinned for the whole cluster: every sink (the
-// rank-order sink fold reads it after the pass; a DFF, the only node read
-// before its own bucket, is always a sink) and the D pin of each DFF member
-// site (compute_cluster's self_dpin_mass reads it after the pass). A cluster
-// thus holds its peak live frontier plus its pinned nodes: on the generated
-// s38417 (seed 1) at most 6,379 blocks, where its largest merged cone has
-// 22,002 nodes.
+// One walk per cluster. After the merged DFS, the bucket concatenation gives
+// every slot its reader count: a non-sink node is read once per fanout edge,
+// since every consumer of an expanded node is in the cone and the fanout
+// lists are the exact reverse multiset of the fanin lists (Circuit checks
+// this). Then one pass over the merged order does everything per node: a
+// non-site node takes a block from a LIFO free list (or a fresh one), and one
+// loop over its fanins builds the membership mask and the kernels' fanin
+// entries and counts each fanin's read down, returning the fanin's block to
+// the list at its last read. A node takes its block BEFORE its fanins' blocks
+// return, so an output never aliases an input it reads. Member sites take the
+// first blocks, before the walk — every site is seeded up front, and a DFF
+// site is read by consumers in lower buckets. Two sets of nodes are pinned
+// for the whole cluster: every sink (the rank-order sink fold reads it after
+// the pass; a DFF, the only node read before its own bucket, is always a
+// sink) and the D pin of each DFF member site (compute_cluster's
+// self_dpin_mass reads it after the pass). A cluster thus holds its peak live
+// frontier plus its pinned nodes: on the generated s38417 (seed 1) at most
+// 6,379 blocks, where its largest merged cone has 22,002 nodes.
 //
-// The planes live in one anonymous page mapping per engine, grown by
-// mapping a larger region (no contents survive a cluster, so nothing is
-// copied) and unmapped when the engine dies. A std::vector would keep the
-// pages resident after the sweep: once glibc's dynamic mmap threshold has
-// risen past the buffer size, a sweep thread's buffer comes from its
-// per-thread arena, whose top chunk malloc_trim() does not release, and
-// every process forked afterwards inherits those pages.
+// Every id the pass reads was handed out in this cluster: blk_ and mask_ are
+// reset per cluster, so even a view whose bucket order or fanout lists
+// disagree with its fanins (values then unspecified) stays inside the planes
+// and lanes of the cluster.
+//
+// The planes live in one anonymous page mapping per engine, reserved
+// (MAP_NORESERVE) for one block per merged node before the pass — only the
+// blocks handed out are ever touched — grown by mapping a larger region (no
+// contents survive a cluster, so nothing is copied) and unmapped when the
+// engine dies. A std::vector would keep the pages resident after the sweep:
+// once glibc's dynamic mmap threshold has risen past the buffer size, a
+// sweep thread's buffer comes from its per-thread arena, whose top chunk
+// malloc_trim() does not release, and every process forked afterwards
+// inherits those pages.
 //
 // Lanes a node does not belong to compute harmless garbage (all inputs
 // blend to finite off-path constants, stale finite doubles of a recycled
@@ -117,7 +128,8 @@ class BatchedEppEngine {
 
   /// SiteRow output (P_sensitized and the latch-weighted fold beside it,
   /// `latch_weights` one weight per node) — skips per-sink record assembly
-  /// and the reconvergent-gate count. out[i] receives sites[i]'s row.
+  /// and the cone-size and reconvergent-gate counts. out[i] receives
+  /// sites[i]'s row.
   void rows_cluster(std::span<const NodeId> sites,
                     std::span<const double> latch_weights,
                     std::span<SiteRow> out);
@@ -137,27 +149,25 @@ class BatchedEppEngine {
   [[nodiscard]] std::size_t plane_blocks() const noexcept { return blocks_; }
 
  private:
-  /// Merged extraction + per-lane propagation for one cluster. Fills
-  /// merged_, slot_, mask_, blk_, the planes and the per-lane accumulators.
-  void propagate_cluster(std::span<const NodeId> sites,
-                         bool with_reconvergence);
+  /// Merged extraction + the one-walk per-lane propagation for one cluster.
+  /// Fills merged_, slot_, mask_, blk_ and the planes and resets folds_;
+  /// `records` (compute_cluster) also counts reconvergent gates.
+  void propagate_cluster(std::span<const NodeId> sites, bool records);
 
-  /// Hands every merged slot its plane block (blk_, blocks_) from the
-  /// live-frontier walk described in the file comment, then maps the planes.
-  void assign_blocks(std::span<const NodeId> sites);
+  /// Maps planes for `blocks` blocks of block_size_ doubles.
+  void reserve_planes(std::size_t blocks);
 
-  /// One slot's lane-plane block (4 * stride_ doubles, plane-major).
-  [[nodiscard]] double* block(std::size_t slot) noexcept {
-    return planes_ +
-           blk_[slot] * static_cast<std::size_t>(kSymCount) * stride_;
+  /// One slot's lane-plane block (block_size_ doubles, group-contiguous).
+  [[nodiscard]] double* block(std::size_t slot) const noexcept {
+    return planes_ + blk_[slot] * block_size_;
   }
-  /// Gathers one lane's Prob4 from a slot's planes (pure data movement).
-  [[nodiscard]] Prob4 lane_prob4(std::size_t slot,
-                                 std::size_t lane) const noexcept {
-    const double* b =
-        planes_ + blk_[slot] * static_cast<std::size_t>(kSymCount) * stride_;
+  /// Gathers one lane's Prob4 from a block (pure data movement).
+  [[nodiscard]] static Prob4 lane_prob4(const double* block,
+                                        std::size_t lane) noexcept {
     Prob4 d;
-    for (int s = 0; s < kSymCount; ++s) d.p[s] = b[s * stride_ + lane];
+    for (int s = 0; s < kSymCount; ++s) {
+      d.p[s] = block[simd::lane_offset(lane, s)];
+    }
     return d;
   }
 
@@ -184,18 +194,18 @@ class BatchedEppEngine {
   std::size_t blocks_ = 0;              ///< blocks the last cluster used
   double* planes_ = nullptr;            ///< SoA lane planes (see file comment)
   std::size_t planes_bytes_ = 0;        ///< size of the planes_ mapping
-  std::size_t stride_ = 0;              ///< padded lane count of this cluster
-  std::vector<simd::FaninLanes> fanin_lanes_;
+  std::size_t block_size_ = 0;          ///< doubles per block, this cluster
+  std::vector<simd::FaninLanes> fanin_lanes_;  ///< the node's fanin entries
   std::vector<Prob4> fanin_scratch_;    ///< scalar-path gather buffer
   std::size_t merged_sink_count_ = 0;
 
-  // Per-lane fold state, filled by propagate_cluster.
+  // Per-lane fold state, filled by propagate_cluster; reconvergent is
+  // counted for compute_cluster only (a SiteRow has no such count).
   struct LaneFold {
     double miss = 1.0;
     double miss_latched = 1.0;  ///< rows_cluster's latch-weighted product
     double max_mass = 0.0;
     double sum_mass = 0.0;
-    std::size_t cone_size = 0;
     std::size_t reconvergent = 0;
   };
   LaneFold folds_[kMaxLanes];

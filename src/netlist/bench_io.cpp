@@ -215,10 +215,11 @@ Circuit parse_bench(std::string_view text, std::string circuit_name) {
     sym.node[s] = circuit.add_dff_placeholder(std::string(sym.name[s]));
   }
 
-  // Pass 2: emit combinational gates in dependency order (Kahn over symbol
-  // ids; DFF outputs and PIs are ready at the start). A gate waits once per
-  // fanin occurrence, and each symbol's waiters, a CSR list, are released in
-  // the order they registered.
+  // Pass 2: emit combinational gates and constants in dependency order (Kahn
+  // over symbol ids; DFF outputs and PIs are ready at the start, and so is a
+  // constant, which has no fanin). A gate waits once per fanin occurrence,
+  // and each symbol's waiters, a CSR list, are released in the order they
+  // registered.
   std::vector<std::uint32_t> missing(defs, 0);  // unresolved fanins per def
   std::vector<std::uint32_t> wait_begin(sym.name.size() + 1, 0);
   std::size_t comb_defs = 0;
@@ -264,8 +265,13 @@ Circuit parse_bench(std::string_view text, std::string circuit_name) {
     std::vector<NodeId> fanin(in.size());
     for (std::size_t k = 0; k < in.size(); ++k) fanin[k] = sym.node[in[k]];
     const std::uint32_t s = def_sym[d];
-    sym.node[s] = circuit.add_gate(def_type[d], std::string(sym.name[s]),
-                                    std::move(fanin));
+    const GateType type = def_type[d];
+    sym.node[s] =
+        type == GateType::kConst0 || type == GateType::kConst1
+            ? circuit.add_const(std::string(sym.name[s]),
+                                type == GateType::kConst1)
+            : circuit.add_gate(type, std::string(sym.name[s]),
+                               std::move(fanin));
     ++emitted;
     for (std::uint32_t w = wait_begin[s]; w < wait_begin[s + 1]; ++w) {
       if (--missing[waiters[w]] == 0) ready.push_back(waiters[w]);

@@ -7,6 +7,7 @@
 //   OUTPUT(G17)
 //   G10 = NAND(G0, G1)
 //   G23 = DFF(G10)
+//   K1 = CONST1()        # sereep's extension for a constant; CONST0() too
 //
 // A line is an I/O declaration only when INPUT or OUTPUT (any case) is
 // followed, after optional blanks, by '(': `input_b = NOT(a)` is a gate.
@@ -19,7 +20,8 @@
 // second runs Kahn over those ids (a LIFO ready stack; each symbol's waiters
 // are a CSR list released in registration order). Node ids, and so fanout
 // order and the engines' summation order, follow from that emission order:
-// inputs in declaration order, DFFs in definition order, then the gates.
+// inputs in declaration order, DFFs in definition order, then the gates and
+// constants.
 #pragma once
 
 #include <string>

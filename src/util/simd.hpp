@@ -1,12 +1,11 @@
 // Portable lane-plane SIMD kernels for the batched EPP engine.
 //
-// BatchedEppEngine stores the per-cluster Prob4 distributions as four
-// structure-of-arrays symbol planes (Pa / Pā / P0 / P1): for each plane
-// block, each symbol owns one contiguous lane vector of `stride` doubles
-// (stride = lane count rounded up to kLaneWidth). The kernels here evaluate
-// one gate's Table-1 rule across whole lane GROUPS — fixed blocks of
-// kLaneWidth = 8 doubles — expressed over `Pack`, an 8-wide value type
-// backed by GCC/Clang vector extensions (guaranteed element-wise packed
+// BatchedEppEngine stores the per-cluster Prob4 distributions structure-of-
+// arrays, in lane GROUPS of kLaneWidth = 8 lanes: a plane block holds, per
+// group, the group's four symbol vectors (P0 / P1 / Pa / Pā) back to back
+// (see "lane-plane addressing" below). The kernels here evaluate one gate's
+// Table-1 rule across whole groups, expressed over `Pack`, an 8-wide value
+// type backed by GCC/Clang vector extensions (guaranteed element-wise packed
 // codegen; other compilers fall back to plain loops the optimizer unrolls).
 // Each kernel takes a GroupMask of the groups that actually contain member
 // lanes and skips the rest, so per-gate arithmetic stays proportional to
@@ -53,14 +52,13 @@
 
 namespace sereep::simd {
 
-/// Lane-group granularity: plane strides are rounded up to this many
-/// doubles, and every kernel operates on whole groups, so all vector ops
-/// have compile-time width.
+/// Lane-group granularity: blocks hold whole groups of this many lanes, and
+/// every kernel operates on whole groups, so all vector ops have
+/// compile-time width.
 inline constexpr std::size_t kLaneWidth = 8;
 
-[[nodiscard]] constexpr std::size_t round_up_lanes(std::size_t lanes) noexcept {
-  return (lanes + kLaneWidth - 1) / kLaneWidth * kLaneWidth;
-}
+/// Doubles per lane group of a block: the group's four symbol vectors.
+inline constexpr std::size_t kGroupSize = kSymCount * kLaneWidth;
 
 /// Bit g set = lane group [g * kLaneWidth, (g + 1) * kLaneWidth) holds at
 /// least one member lane. With kMaxLanes = 64 there are at most 8 groups.
@@ -163,9 +161,23 @@ struct Pack {
 
 // ---- lane-plane addressing -------------------------------------------------
 //
-// A "block" is one slot's four symbol planes: 4 * stride doubles, laid out
-// plane-major, so plane s of block b is b + s * stride and lane l of that
-// plane is b[s * stride + l] (s indexed by Sym).
+// A "block" is one slot's distributions for every lane of a cluster: one
+// lane group after another, kGroupSize doubles each, and within a group the
+// four symbol vectors back to back (s indexed by Sym): group g starts at
+// g * kGroupSize, and its symbol s at g * kGroupSize + s * kLaneWidth, so a
+// gate's read of one fanin group touches four adjacent cache lines.
+
+/// Doubles in a block that covers `lanes` lanes (whole groups).
+[[nodiscard]] constexpr std::size_t block_size(std::size_t lanes) noexcept {
+  return (lanes + kLaneWidth - 1) / kLaneWidth * kGroupSize;
+}
+
+/// Offset of lane `lane`'s symbol `sym` in a block.
+[[nodiscard]] constexpr std::size_t lane_offset(std::size_t lane,
+                                                int sym) noexcept {
+  return lane / kLaneWidth * kGroupSize +
+         static_cast<std::size_t>(sym) * kLaneWidth + lane % kLaneWidth;
+}
 
 /// One gate input as the kernels see it: a source block for on-path lanes
 /// plus a broadcast off-path distribution for the rest. `src` may be null
@@ -204,20 +216,28 @@ struct XorTable {
 };
 inline constexpr XorTable kXorTable{};
 
-/// Loads one symbol plane of one lane group, blended: on-path lanes read the
-/// source block, the rest the broadcast constant. Whole-group fast paths
+/// Loads one symbol vector of lane group `g`, blended: on-path lanes read
+/// the source block, the rest the broadcast constant. Whole-group fast paths
 /// (all-on after don't-care widening — the chain/funnel common case — and
 /// all-off) skip the per-lane select.
-[[nodiscard]] static SEREEP_ALWAYS_INLINE Pack load_group(const FaninLanes& in, int sym,
-                                     std::size_t stride, std::size_t base) {
+[[nodiscard]] static SEREEP_ALWAYS_INLINE Pack load_group(const FaninLanes& in,
+                                                          int sym,
+                                                          std::size_t g) {
   constexpr std::uint64_t kGroupBits = (std::uint64_t{1} << kLaneWidth) - 1;
   const double off = in.off.p[sym];
   const std::uint64_t on =
-      in.src == nullptr ? 0 : (in.on >> base) & kGroupBits;
+      in.src == nullptr ? 0 : (in.on >> (g * kLaneWidth)) & kGroupBits;
   if (on == 0) return Pack::broadcast(off);
-  const double* src = in.src + static_cast<std::size_t>(sym) * stride + base;
+  const double* src =
+      in.src + g * kGroupSize + static_cast<std::size_t>(sym) * kLaneWidth;
   if (on == kGroupBits) return Pack::load(src);
   return Pack::blend(on, src, off);
+}
+
+/// Index of the lowest active group of `gm`.
+[[nodiscard]] static SEREEP_ALWAYS_INLINE std::size_t first_group(
+    GroupMask gm) noexcept {
+  return static_cast<std::size_t>(std::countr_zero(gm));
 }
 
 }  // namespace detail
@@ -225,27 +245,19 @@ inline constexpr XorTable kXorTable{};
 /// Writes the error-site seed (Pa = 1, rest 0) into one lane of a block —
 /// the constant the scalar path seeds before its pass; applied after the
 /// vector kernel so the site's own lane is never the kernel's output.
-static inline void seed_error_lane(double* block, std::size_t stride,
-                            std::size_t lane) noexcept {
+static inline void seed_error_lane(double* block, std::size_t lane) noexcept {
   const Prob4 seed = Prob4::error_site();
-  for (int s = 0; s < kSymCount; ++s) {
-    block[static_cast<std::size_t>(s) * stride + lane] = seed.p[s];
-  }
+  for (int s = 0; s < kSymCount; ++s) block[lane_offset(lane, s)] = seed.p[s];
 }
 
-/// dst = src for every active lane group, all four planes (the DFF sink
+/// dst = src for every active lane group, all four symbols (the DFF sink
 /// copy; pure data movement).
 static inline void copy_groups(double* SEREEP_RESTRICT dst,
-                        const double* SEREEP_RESTRICT src, GroupMask active,
-                        std::size_t stride) {
+                               const double* SEREEP_RESTRICT src,
+                               GroupMask active) {
   for (GroupMask gm = active; gm != 0; gm &= gm - 1) {
-    const std::size_t base =
-        static_cast<std::size_t>(std::countr_zero(gm)) * kLaneWidth;
-    for (int s = 0; s < kSymCount; ++s) {
-      std::memcpy(dst + static_cast<std::size_t>(s) * stride + base,
-                  src + static_cast<std::size_t>(s) * stride + base,
-                  kLaneWidth * sizeof(double));
-    }
+    const std::size_t at = detail::first_group(gm) * kGroupSize;
+    std::memcpy(dst + at, src + at, kGroupSize * sizeof(double));
   }
 }
 
@@ -257,27 +269,26 @@ static inline void copy_groups(double* SEREEP_RESTRICT dst,
 
 /// BUF: out = blended input (scalar: prob4_closed_form returns inputs[0]).
 static inline void gate_buf(double* SEREEP_RESTRICT out, const FaninLanes& in,
-                     GroupMask active, std::size_t stride) {
+                            GroupMask active) {
   for (GroupMask gm = active; gm != 0; gm &= gm - 1) {
-    const std::size_t base =
-        static_cast<std::size_t>(std::countr_zero(gm)) * kLaneWidth;
+    const std::size_t g = detail::first_group(gm);
+    double* o = out + g * kGroupSize;
     for (int s = 0; s < kSymCount; ++s) {
-      detail::load_group(in, s, stride, base)
-          .store(out + static_cast<std::size_t>(s) * stride + base);
+      detail::load_group(in, s, g)
+          .store(o + static_cast<std::size_t>(s) * kLaneWidth);
     }
   }
 }
 
-/// NOT: out = prob4_not(blended input) — plane permutation, no arithmetic.
+/// NOT: out = prob4_not(blended input) — symbol permutation, no arithmetic.
 static inline void gate_not(double* SEREEP_RESTRICT out, const FaninLanes& in,
-                     GroupMask active, std::size_t stride) {
+                            GroupMask active) {
   for (GroupMask gm = active; gm != 0; gm &= gm - 1) {
-    const std::size_t base =
-        static_cast<std::size_t>(std::countr_zero(gm)) * kLaneWidth;
+    const std::size_t g = detail::first_group(gm);
+    double* o = out + g * kGroupSize;
     for (int s = 0; s < kSymCount; ++s) {
-      detail::load_group(in, s, stride, base)
-          .store(out +
-                 static_cast<std::size_t>(detail::not_sym(s)) * stride + base);
+      detail::load_group(in, s, g)
+          .store(o + static_cast<std::size_t>(detail::not_sym(s)) * kLaneWidth);
     }
   }
 }
@@ -286,70 +297,67 @@ static inline void gate_not(double* SEREEP_RESTRICT out, const FaninLanes& in,
 /// Replicates prob4_closed_form exactly per lane: the three running products
 /// start at the first input's values (bit-equal to the scalar's 1.0 * x),
 /// multiply in fanin order, and the NAND/NOR inversion is the prob4_not
-/// plane swap applied at the write.
+/// symbol swap applied at the write.
 static inline void gate_and_or(GateType type, double* SEREEP_RESTRICT out,
-                        const FaninLanes* fanins, std::size_t nf,
-                        GroupMask active, std::size_t stride) {
+                               const FaninLanes* fanins, std::size_t nf,
+                               GroupMask active) {
   const bool is_or = type == GateType::kOr || type == GateType::kNor;
   const bool inverted = output_inverted(type);
   // AND row folds over one()/a()/abar(); OR row over zero()/a()/abar().
   const int keep = detail::sym_i(is_or ? Sym::kZero : Sym::kOne);
   const int sym_a = detail::sym_i(Sym::kA);
   const int sym_abar = detail::sym_i(Sym::kABar);
-  const auto out_plane = [&](Sym s) {
+  const auto out_sym = [&](Sym s) {
     const int idx =
         inverted ? detail::not_sym(detail::sym_i(s)) : detail::sym_i(s);
-    return out + static_cast<std::size_t>(idx) * stride;
+    return static_cast<std::size_t>(idx) * kLaneWidth;
   };
-  double* SEREEP_RESTRICT o_keep = out_plane(is_or ? Sym::kZero : Sym::kOne);
-  double* SEREEP_RESTRICT o_a = out_plane(Sym::kA);
-  double* SEREEP_RESTRICT o_abar = out_plane(Sym::kABar);
-  double* SEREEP_RESTRICT o_rest = out_plane(is_or ? Sym::kOne : Sym::kZero);
+  const std::size_t o_keep = out_sym(is_or ? Sym::kZero : Sym::kOne);
+  const std::size_t o_a = out_sym(Sym::kA);
+  const std::size_t o_abar = out_sym(Sym::kABar);
+  const std::size_t o_rest = out_sym(is_or ? Sym::kOne : Sym::kZero);
   const Pack one = Pack::broadcast(1.0);
 
   for (GroupMask gm = active; gm != 0; gm &= gm - 1) {
-    const std::size_t base =
-        static_cast<std::size_t>(std::countr_zero(gm)) * kLaneWidth;
-    Pack in_k = detail::load_group(fanins[0], keep, stride, base);
+    const std::size_t g = detail::first_group(gm);
+    Pack in_k = detail::load_group(fanins[0], keep, g);
     Pack p_keep = in_k;
-    Pack p_a = in_k + detail::load_group(fanins[0], sym_a, stride, base);
-    Pack p_abar = in_k + detail::load_group(fanins[0], sym_abar, stride, base);
+    Pack p_a = in_k + detail::load_group(fanins[0], sym_a, g);
+    Pack p_abar = in_k + detail::load_group(fanins[0], sym_abar, g);
     for (std::size_t i = 1; i < nf; ++i) {
-      in_k = detail::load_group(fanins[i], keep, stride, base);
+      in_k = detail::load_group(fanins[i], keep, g);
       p_keep = p_keep * in_k;
-      p_a = p_a * (in_k + detail::load_group(fanins[i], sym_a, stride, base));
-      p_abar =
-          p_abar *
-          (in_k + detail::load_group(fanins[i], sym_abar, stride, base));
+      p_a = p_a * (in_k + detail::load_group(fanins[i], sym_a, g));
+      p_abar = p_abar * (in_k + detail::load_group(fanins[i], sym_abar, g));
     }
     const Pack a = p_a - p_keep;
     const Pack ab = p_abar - p_keep;
-    p_keep.store(o_keep + base);
-    a.store(o_a + base);
-    ab.store(o_abar + base);
-    (one - ((p_keep + a) + ab)).store(o_rest + base);
+    double* SEREEP_RESTRICT o = out + g * kGroupSize;
+    p_keep.store(o + o_keep);
+    a.store(o + o_a);
+    ab.store(o + o_abar);
+    (one - ((p_keep + a) + ab)).store(o + o_rest);
   }
 }
 
 /// XOR / XNOR — pairwise symbol-algebra fold, lane-parallel. Same (x, y)
 /// term order as the scalar fold_core; the zero-weight skip is dropped
-/// (bit-neutral, see file comment). XNOR applies the prob4_not plane
+/// (bit-neutral, see file comment). XNOR applies the prob4_not symbol
 /// permutation at the final write.
 static inline void gate_xor(GateType type, double* SEREEP_RESTRICT out,
-                     const FaninLanes* fanins, std::size_t nf,
-                     GroupMask active, std::size_t stride) {
+                            const FaninLanes* fanins, std::size_t nf,
+                            GroupMask active) {
   const bool inverted = output_inverted(type);
   for (GroupMask gm = active; gm != 0; gm &= gm - 1) {
-    const std::size_t base =
-        static_cast<std::size_t>(std::countr_zero(gm)) * kLaneWidth;
+    const std::size_t g = detail::first_group(gm);
     Pack acc[kSymCount];
     for (int s = 0; s < kSymCount; ++s) {
-      acc[s] = detail::load_group(fanins[0], s, stride, base);
+      acc[s] = detail::load_group(fanins[0], s, g);
     }
     for (std::size_t i = 1; i < nf; ++i) {
       Pack in[kSymCount];
       for (int s = 0; s < kSymCount; ++s) {
-        in[s] = detail::load_group(fanins[i], s, stride, base);
+        in[s] = detail::load_group(fanins[i], s, g);
       }
       Pack next[kSymCount] = {Pack::broadcast(0.0), Pack::broadcast(0.0),
                               Pack::broadcast(0.0), Pack::broadcast(0.0)};
@@ -361,9 +369,10 @@ static inline void gate_xor(GateType type, double* SEREEP_RESTRICT out,
       }
       for (int s = 0; s < kSymCount; ++s) acc[s] = next[s];
     }
+    double* o = out + g * kGroupSize;
     for (int s = 0; s < kSymCount; ++s) {
       const int d = inverted ? detail::not_sym(s) : s;
-      acc[s].store(out + static_cast<std::size_t>(d) * stride + base);
+      acc[s].store(o + static_cast<std::size_t>(d) * kLaneWidth);
     }
   }
 }
@@ -373,29 +382,27 @@ static inline void gate_xor(GateType type, double* SEREEP_RESTRICT out,
 /// computed from the pre-scale a/ā values, then redistributed by the node's
 /// signal probability.
 static inline void attenuate(double* SEREEP_RESTRICT block, double survival,
-                      double sp_one, GroupMask active, std::size_t stride) {
-  double* SEREEP_RESTRICT pa =
-      block + static_cast<std::size_t>(detail::sym_i(Sym::kA)) * stride;
-  double* SEREEP_RESTRICT pabar =
-      block + static_cast<std::size_t>(detail::sym_i(Sym::kABar)) * stride;
-  double* SEREEP_RESTRICT pone =
-      block + static_cast<std::size_t>(detail::sym_i(Sym::kOne)) * stride;
-  double* SEREEP_RESTRICT pzero =
-      block + static_cast<std::size_t>(detail::sym_i(Sym::kZero)) * stride;
+                             double sp_one, GroupMask active) {
+  const auto at = [](Sym s) {
+    return static_cast<std::size_t>(detail::sym_i(s)) * kLaneWidth;
+  };
   const Pack sv = Pack::broadcast(survival);
   const Pack died = Pack::broadcast(1.0 - survival);
   const Pack w1 = Pack::broadcast(sp_one);
   const Pack w0 = Pack::broadcast(1.0 - sp_one);
   for (GroupMask gm = active; gm != 0; gm &= gm - 1) {
-    const std::size_t base =
-        static_cast<std::size_t>(std::countr_zero(gm)) * kLaneWidth;
-    const Pack a = Pack::load(pa + base);
-    const Pack ab = Pack::load(pabar + base);
+    double* grp = block + detail::first_group(gm) * kGroupSize;
+    double* pa = grp + at(Sym::kA);
+    double* pabar = grp + at(Sym::kABar);
+    double* pone = grp + at(Sym::kOne);
+    double* pzero = grp + at(Sym::kZero);
+    const Pack a = Pack::load(pa);
+    const Pack ab = Pack::load(pabar);
     const Pack killed = (a + ab) * died;
-    (a * sv).store(pa + base);
-    (ab * sv).store(pabar + base);
-    (Pack::load(pone + base) + killed * w1).store(pone + base);
-    (Pack::load(pzero + base) + killed * w0).store(pzero + base);
+    (a * sv).store(pa);
+    (ab * sv).store(pabar);
+    (Pack::load(pone) + killed * w1).store(pone);
+    (Pack::load(pzero) + killed * w0).store(pzero);
   }
 }
 
@@ -403,23 +410,23 @@ static inline void attenuate(double* SEREEP_RESTRICT block, double survival,
 /// cannot appear as a non-site cone member (sources, DFF — handled by the
 /// engine) are excluded by construction.
 static inline void propagate_gate(GateType type, double* SEREEP_RESTRICT out,
-                           const FaninLanes* fanins, std::size_t nf,
-                           GroupMask active, std::size_t stride) {
+                                  const FaninLanes* fanins, std::size_t nf,
+                                  GroupMask active) {
   switch (type) {
     case GateType::kBuf:
-      gate_buf(out, fanins[0], active, stride);
+      gate_buf(out, fanins[0], active);
       return;
     case GateType::kNot:
-      gate_not(out, fanins[0], active, stride);
+      gate_not(out, fanins[0], active);
       return;
     case GateType::kAnd:
     case GateType::kNand:
     case GateType::kOr:
     case GateType::kNor:
-      gate_and_or(type, out, fanins, nf, active, stride);
+      gate_and_or(type, out, fanins, nf, active);
       return;
     default:
-      gate_xor(type, out, fanins, nf, active, stride);
+      gate_xor(type, out, fanins, nf, active);
       return;
   }
 }

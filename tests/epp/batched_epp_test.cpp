@@ -409,6 +409,118 @@ TEST(BatchedEppEngine, PlaneBlocksFollowTheLiveFrontier) {
   }
 }
 
+TEST(BatchedEppEngine, PeakPlaneBlocksMatchTheParent) {
+  // The block hand-out, pinned by its peak over a whole cluster plan. The
+  // blocks ever handed out equal the largest live set, so a block released
+  // later than its last read raises these values (the free list's reuse
+  // order cannot move them). They were recorded when blocks were still
+  // assigned by a separate integer walk before the propagation pass.
+  const Circuit c = generate_circuit(iscas89_profile("s9234"), 1);
+  const SignalProbabilities sp = parker_mccluskey_sp(c);
+  const CompiledCircuit cc(c);
+  const std::vector<NodeId> sites = error_sites(c);
+  const std::vector<double> weights = LatchingModel{}.weights(c);
+  BatchedEppEngine batched(cc, sp);
+  std::size_t rows_peak = 0;
+  std::size_t compute_peak = 0;
+  for (const ConeCluster& cluster : ConeClusterPlanner(cc).plan(sites)) {
+    std::vector<NodeId> lane_sites;
+    for (const std::uint32_t idx : cluster.members) {
+      lane_sites.push_back(sites[idx]);
+    }
+    std::vector<SiteRow> rows(lane_sites.size());
+    batched.rows_cluster(lane_sites, weights, rows);
+    rows_peak = std::max(rows_peak, batched.plane_blocks());
+    std::vector<SiteEpp> records(lane_sites.size());
+    batched.compute_cluster(lane_sites, records);
+    compute_peak = std::max(compute_peak, batched.plane_blocks());
+  }
+  EXPECT_EQ(rows_peak, 1887u);
+  EXPECT_EQ(compute_peak, 1887u);
+}
+
+TEST(BatchedEppEngine, MalformedViewStaysInBounds) {
+  // A borrowed view that skipped Circuit's fanin/fanout cross-check, as the
+  // .sca fast path of a shard worker can: one fanout edge is dropped (its
+  // node's reader count runs short) and one gate's bucket sits below a
+  // fanin's (the gate reads the fanin's block and mask before the fanin
+  // has them). The values are unspecified; every address must stay inside
+  // the cluster's planes and lanes. The clusters alternate so that state
+  // left by the previous one is what an out-of-turn read would find: a
+  // few-lane cluster over many nodes, a 64-lane cluster over few, and the
+  // few-lane one again.
+  GeneratorProfile p;
+  p.name = "malformed";
+  p.num_inputs = 24;
+  p.num_outputs = 16;
+  p.num_dffs = 40;
+  p.num_gates = 1500;
+  p.target_depth = 12;
+  const Circuit c = generate_circuit(p, 11);
+  const SignalProbabilities sp = parker_mccluskey_sp(c);
+  const CompiledCircuit cc(c);
+  CompiledCircuit::Parts parts = cc.view();
+
+  // The victim pair: a gate f with two or more readers, the first of them
+  // a gate g, in the lowest bucket such a gate has (early in a large
+  // merged order, where the 64-lane cluster left its site masks).
+  std::vector<NodeId> by_cone(c.node_count());
+  for (NodeId id = 0; id < c.node_count(); ++id) by_cone[id] = id;
+  std::stable_sort(by_cone.begin(), by_cone.end(), [&](NodeId a, NodeId b) {
+    return cc.cone_size_estimate(a) < cc.cone_size_estimate(b);
+  });
+  NodeId f = kInvalidNode;
+  for (const NodeId id : by_cone) {
+    if (cc.is_sink(id) || cc.fanin(id).empty() || cc.fanout(id).size() < 2 ||
+        cc.bucket_level(id) == 0 || cc.is_dff(cc.fanout(id)[0])) {
+      continue;
+    }
+    if (f == kInvalidNode || cc.bucket_level(id) <= cc.bucket_level(f)) f = id;
+  }
+  ASSERT_NE(f, kInvalidNode);
+  const NodeId g = cc.fanout(f)[0];
+  const NodeId upstream = cc.fanin(f)[0];
+
+  std::vector<std::uint32_t> bucket(parts.bucket_level.begin(),
+                                    parts.bucket_level.end());
+  bucket[g] = bucket[f] - 1;
+  std::vector<std::uint32_t> fanout_offsets(parts.fanout_offsets.begin(),
+                                            parts.fanout_offsets.end());
+  std::vector<NodeId> fanout_ids(parts.fanout_ids.begin(),
+                                 parts.fanout_ids.end());
+  fanout_ids.erase(fanout_ids.begin() + fanout_offsets[f + 1] - 1);
+  for (std::size_t i = f + 1; i < fanout_offsets.size(); ++i) {
+    --fanout_offsets[i];
+  }
+  parts.bucket_level = bucket;
+  parts.fanout_offsets = fanout_offsets;
+  parts.fanout_ids = fanout_ids;
+  const CompiledCircuit view = CompiledCircuit::borrow(parts);
+
+  std::vector<NodeId> few = {upstream};
+  for (auto it = by_cone.rbegin(); few.size() < 4; ++it) {
+    if (*it != upstream) few.push_back(*it);
+  }
+  std::vector<NodeId> wide;
+  for (auto it = by_cone.begin(); wide.size() < BatchedEppEngine::kMaxLanes;
+       ++it) {
+    if (*it != upstream && *it != f && *it != g) wide.push_back(*it);
+  }
+  const std::vector<double> weights = LatchingModel{}.weights(c);
+  for (const bool simd_on : {true, false}) {
+    EppOptions options;
+    options.simd = simd_on;
+    BatchedEppEngine batched(view, sp, options);
+    for (const std::vector<NodeId>* sites : {&few, &wide, &few}) {
+      std::vector<SiteRow> rows(sites->size());
+      batched.rows_cluster(*sites, weights, rows);
+      std::vector<SiteEpp> records(sites->size());
+      batched.compute_cluster(*sites, records);
+      EXPECT_LE(batched.plane_blocks(), c.node_count());
+    }
+  }
+}
+
 TEST(BatchedEppEngine, GeneratedProfileSweepMatchesCompiled) {
   GeneratorProfile p;
   p.name = "batched_gen";

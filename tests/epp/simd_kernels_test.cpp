@@ -7,8 +7,9 @@
 // no tolerance. The sweep covers every combinational gate type × a pool of
 // symbol-combination distributions (pure symbols, exact-zero masses, the
 // error-site seed, off-path corners, random mixtures), arities 1..4, random
-// on/off-path masks, multi-group strides with inactive-group skipping, and
-// the attenuation kernel.
+// on/off-path masks, multi-group blocks with inactive-group skipping, and
+// the attenuation kernel. Blocks are addressed through simd::lane_offset,
+// the engine's group-contiguous layout.
 #include "src/util/simd.hpp"
 
 #include <gtest/gtest.h>
@@ -73,21 +74,21 @@ Prob4 draw(Rng& rng) {
 
 /// One randomized fanin: a lane-plane block + on-mask + off constant.
 struct TestFanin {
-  std::vector<double> block;  ///< 4 * stride doubles, plane-major
+  std::vector<double> block;  ///< simd::block_size(lanes) doubles
   simd::FaninLanes lanes;
   std::vector<Prob4> per_lane;  ///< ground truth per lane
 };
 
-TestFanin make_fanin(Rng& rng, std::size_t stride) {
+TestFanin make_fanin(Rng& rng, std::size_t lanes) {
   TestFanin f;
-  f.block.assign(kSymCount * stride, 0.0);
-  f.per_lane.resize(stride);
+  f.block.assign(simd::block_size(lanes), 0.0);
+  f.per_lane.resize(lanes);
   f.lanes.off = Prob4::off_path(rng.uniform());
   std::uint64_t on = 0;
-  for (std::size_t l = 0; l < stride; ++l) {
+  for (std::size_t l = 0; l < lanes; ++l) {
     const Prob4 d = draw(rng);
     for (int s = 0; s < kSymCount; ++s) {
-      f.block[static_cast<std::size_t>(s) * stride + l] = d.p[s];
+      f.block[simd::lane_offset(l, s)] = d.p[s];
     }
     const bool on_path = rng.below(2) == 0;
     if (on_path) on |= std::uint64_t{1} << l;
@@ -105,31 +106,31 @@ TEST_P(SimdGateKernel, MatchesScalarGateRulesPerLane) {
   const std::size_t max_arity =
       (type == GateType::kBuf || type == GateType::kNot) ? 1 : 4;
   Rng rng(0xC0FFEE ^ static_cast<std::uint64_t>(type));
-  for (const std::size_t stride : {std::size_t{8}, std::size_t{24}}) {
-    // Skip a group on the wide stride to exercise inactive-group masking.
+  for (const std::size_t width : {std::size_t{8}, std::size_t{24}}) {
+    // Skip a group on the wide block to exercise inactive-group masking.
     const simd::GroupMask active =
-        stride == 8 ? 0b1 : 0b101;  // groups {0} / {0, 2}
+        width == 8 ? 0b1 : 0b101;  // groups {0} / {0, 2}
     for (std::size_t arity = 1; arity <= max_arity; ++arity) {
       for (int round = 0; round < 8; ++round) {
         std::vector<TestFanin> fanins;
         std::vector<simd::FaninLanes> lanes;
         for (std::size_t i = 0; i < arity; ++i) {
-          fanins.push_back(make_fanin(rng, stride));
+          fanins.push_back(make_fanin(rng, width));
         }
         for (const TestFanin& f : fanins) lanes.push_back(f.lanes);
 
         // Poison the output so untouched (inactive-group) lanes are visible.
-        std::vector<double> out(kSymCount * stride, -7.0);
+        std::vector<double> out(simd::block_size(width), -7.0);
         simd::propagate_gate(type, out.data(), lanes.data(), lanes.size(),
-                             active, stride);
+                             active);
 
         std::vector<Prob4> scratch(arity);
-        for (std::size_t l = 0; l < stride; ++l) {
+        for (std::size_t l = 0; l < width; ++l) {
           const bool lane_active =
               (active >> (l / simd::kLaneWidth)) & 1;
           if (!lane_active) {
             for (int s = 0; s < kSymCount; ++s) {
-              EXPECT_EQ(out[static_cast<std::size_t>(s) * stride + l], -7.0)
+              EXPECT_EQ(out[simd::lane_offset(l, s)], -7.0)
                   << "inactive group written, lane " << l;
             }
             continue;
@@ -139,7 +140,7 @@ TEST_P(SimdGateKernel, MatchesScalarGateRulesPerLane) {
           }
           const Prob4 want = prob4_propagate(type, scratch);
           for (int s = 0; s < kSymCount; ++s) {
-            EXPECT_EQ(out[static_cast<std::size_t>(s) * stride + l], want.p[s])
+            EXPECT_EQ(out[simd::lane_offset(l, s)], want.p[s])
                 << gate_type_name(type) << " arity " << arity << " lane " << l
                 << " sym " << s;
           }
@@ -157,20 +158,20 @@ INSTANTIATE_TEST_SUITE_P(AllGateTypes, SimdGateKernel,
 
 TEST(SimdKernels, AttenuateMatchesScalarPostprocessing) {
   Rng rng(77);
-  const std::size_t stride = 16;
+  const std::size_t width = 16;
   for (const double survival : {0.5, 0.9, 0.999}) {
     for (int round = 0; round < 8; ++round) {
       const double sp_one = rng.uniform();
-      std::vector<double> block(kSymCount * stride);
-      std::vector<Prob4> lanes(stride);
-      for (std::size_t l = 0; l < stride; ++l) {
+      std::vector<double> block(simd::block_size(width));
+      std::vector<Prob4> lanes(width);
+      for (std::size_t l = 0; l < width; ++l) {
         lanes[l] = random_mix(rng);
         for (int s = 0; s < kSymCount; ++s) {
-          block[static_cast<std::size_t>(s) * stride + l] = lanes[l].p[s];
+          block[simd::lane_offset(l, s)] = lanes[l].p[s];
         }
       }
-      simd::attenuate(block.data(), survival, sp_one, 0b11, stride);
-      for (std::size_t l = 0; l < stride; ++l) {
+      simd::attenuate(block.data(), survival, sp_one, 0b11);
+      for (std::size_t l = 0; l < width; ++l) {
         Prob4 want = lanes[l];
         const double killed = want.error_mass() * (1.0 - survival);
         want[Sym::kA] *= survival;
@@ -178,8 +179,7 @@ TEST(SimdKernels, AttenuateMatchesScalarPostprocessing) {
         want[Sym::kOne] += killed * sp_one;
         want[Sym::kZero] += killed * (1.0 - sp_one);
         for (int s = 0; s < kSymCount; ++s) {
-          EXPECT_EQ(block[static_cast<std::size_t>(s) * stride + l],
-                    want.p[s])
+          EXPECT_EQ(block[simd::lane_offset(l, s)], want.p[s])
               << "survival " << survival << " lane " << l;
         }
       }
@@ -188,21 +188,22 @@ TEST(SimdKernels, AttenuateMatchesScalarPostprocessing) {
 }
 
 TEST(SimdKernels, SeedAndCopyAreExactDataMovement) {
-  const std::size_t stride = 16;
-  std::vector<double> src(kSymCount * stride), dst(kSymCount * stride, -1.0);
+  const std::size_t width = 16;
+  std::vector<double> src(simd::block_size(width));
+  std::vector<double> dst(simd::block_size(width), -1.0);
   Rng rng(5);
   for (double& v : src) v = rng.uniform();
-  simd::copy_groups(dst.data(), src.data(), 0b10, stride);  // group 1 only
-  for (std::size_t l = 0; l < stride; ++l) {
+  simd::copy_groups(dst.data(), src.data(), 0b10);  // group 1 only
+  for (std::size_t l = 0; l < width; ++l) {
     for (int s = 0; s < kSymCount; ++s) {
-      const std::size_t i = static_cast<std::size_t>(s) * stride + l;
+      const std::size_t i = simd::lane_offset(l, s);
       EXPECT_EQ(dst[i], l >= simd::kLaneWidth ? src[i] : -1.0);
     }
   }
-  simd::seed_error_lane(dst.data(), stride, 3);
+  simd::seed_error_lane(dst.data(), 3);
   const Prob4 seed = Prob4::error_site();
   for (int s = 0; s < kSymCount; ++s) {
-    EXPECT_EQ(dst[static_cast<std::size_t>(s) * stride + 3], seed.p[s]);
+    EXPECT_EQ(dst[simd::lane_offset(3, s)], seed.p[s]);
   }
 }
 

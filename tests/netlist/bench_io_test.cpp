@@ -205,8 +205,8 @@ TEST(BenchParser, DiagnosticsMatchTheParent) {
        ".bench: input 'a' declared twice"},
       {"INPUT(a)\nINPUT(b)\nOUTPUT(a)\na = NOT(b)\n",
        ".bench: input 'a' also defined as a gate"},
-      {"INPUT(a)\nOUTPUT(y)\ny = CONST1()\n",
-       "circuit: add_gate requires a combinational type, got CONST1"},
+      {"INPUT(a)\nOUTPUT(y)\ny = CONST1(a)\n",
+       ".bench line 3: illegal fanin count for CONST1"},
       {"INPUT(a)\ny = NOT(a)\n",
        "circuit: circuit has no primary output and no flip-flop"},
       {"# nothing\n", "circuit: empty circuit"},
@@ -230,6 +230,30 @@ TEST(BenchParser, DiagnosticsMatchTheParent) {
     } catch (const std::runtime_error& e) {
       EXPECT_EQ(std::string(e.what()), c.what) << c.text;
     }
+  }
+}
+
+TEST(BenchParser, ConstantsRoundTrip) {
+  // write_bench emits a constant as a zero-argument CONST0/CONST1 definition;
+  // the parser creates it as a constant node at its Kahn position, so the
+  // reload assigns the same ids and fingerprint.
+  struct Case {
+    const char* text;
+    GateType type;
+  };
+  const Case cases[] = {
+      {"INPUT(a)\nOUTPUT(y)\nk = CONST1()\ny = AND(a, k)\n",
+       GateType::kConst1},
+      {"INPUT(a)\nOUTPUT(y)\nk = CONST0()\ny = OR(a, k)\n",
+       GateType::kConst0},
+  };
+  for (const Case& c : cases) {
+    const Circuit parsed = parse_bench(c.text);
+    const Circuit reloaded = parse_bench(write_bench(parsed));
+    ASSERT_TRUE(reloaded.find("k").has_value()) << c.text;
+    EXPECT_EQ(reloaded.type(*reloaded.find("k")), c.type) << c.text;
+    EXPECT_EQ(circuit_fingerprint(reloaded), circuit_fingerprint(parsed))
+        << c.text;
   }
 }
 
