@@ -493,15 +493,10 @@ void write_bench_micro_json(const std::string& path, bool fast) {
 
   // sharded full_sweep: the multi-process tier, 2 `sereep worker` processes
   // over the same workload. The row measures END-TO-END fan-out cost per
-  // sweep — worker spawn, netlist load + compile, SP transfer, result
-  // streaming, merge — i.e. what `sereep sweep --engine=sharded --shards=2`
-  // pays; on a 1-core box that is pure overhead vs batched, the win arrives
-  // with real cores. Workers load the netlist by spec, so the circuit
-  // round-trips through a temp .bench and the PARENT side is rebuilt from
-  // the same file (a .bench reload is not node-id-identical to the
-  // in-memory generator output; both sides must read the same bytes).
-  // Bit-identity of the sharded row is judged element-wise against a
-  // batched sweep of the reloaded circuit.
+  // sweep — fleet start (the circuit's artifact write, worker exec and
+  // mmap), SP transfer, result streaming, merge — i.e. what `sereep sweep
+  // --engine=sharded --shards=2` pays. Bit-identity of the sharded rows is
+  // judged element-wise against a batched sweep of the same circuit.
   double sweep_shard_s = 0.0;
   double sweep_shard_retry_s = 0.0;
   double sweep_shard_tcp_s = 0.0;
@@ -511,124 +506,116 @@ void write_bench_micro_json(const std::string& path, bool fast) {
   const unsigned json_shards = 2;
   if (const std::string worker = sibling_binary_path("sereep");
       !worker.empty()) {
-    const std::string netlist =
-        "/tmp/sereep_micro_" + std::to_string(::getpid()) + ".bench";
-    if (save_bench_file(c, netlist)) {
-      const Circuit reloaded = load_bench_file(netlist);
-      const CompiledCircuit reloaded_cc(reloaded);
-      const SignalProbabilities reloaded_sp =
-          compiled_parker_mccluskey_sp(reloaded_cc);
-      const std::vector<NodeId> reloaded_sites = error_sites(reloaded);
-      EngineContext ctx;
-      ctx.circuit = &reloaded;
-      ctx.compiled = &reloaded_cc;
-      ctx.sp = &reloaded_sp;
-      ctx.epp = simd_on;
-      ctx.shard.shards = json_shards;
-      ctx.shard.worker_path = worker;
-      ctx.shard.netlist = netlist;
-      const std::unique_ptr<IEppEngine> sharded =
-          EngineRegistry::instance().create("sharded", ctx);
-      std::vector<NodeSer> shard_rows;
-      sweep_shard_s = timed_min(
-          [&] { shard_rows = sharded->sweep_rows(reloaded_sites, 1); });
-      const std::vector<NodeSer> want =
-          EngineRegistry::instance()
-              .create("batched", ctx)
-              ->sweep_rows(reloaded_sites, 1);
-      const auto same_rows = [&](const std::vector<NodeSer>& got) {
-        for (std::size_t i = 0; i < want.size(); ++i) {
-          if (got[i].p_sensitized != want[i].p_sensitized ||
-              got[i].ser != want[i].ser) {
-            return false;
-          }
+    EngineContext ctx;
+    ctx.circuit = &c;
+    ctx.compiled = &compiled;
+    ctx.sp = &sp;
+    ctx.epp = simd_on;
+    ctx.shard.shards = json_shards;
+    ctx.shard.worker_path = worker;
+    const std::unique_ptr<IEppEngine> sharded =
+        EngineRegistry::instance().create("sharded", ctx);
+    std::vector<NodeSer> shard_rows;
+    sweep_shard_s =
+        timed_min([&] { shard_rows = sharded->sweep_rows(sites, 1); });
+    const std::vector<NodeSer> want =
+        EngineRegistry::instance().create("batched", ctx)->sweep_rows(sites,
+                                                                      1);
+    const auto same_rows = [&](const std::vector<NodeSer>& got) {
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        if (got[i].p_sensitized != want[i].p_sensitized ||
+            got[i].ser != want[i].ser) {
+          return false;
         }
-        return got.size() == want.size();
-      };
-      shard_identical = same_rows(shard_rows);
-      // sharded_retry: the same sweep with the fault harness killing
-      // spawn 0 after its first result frame (SEREEP_FAULT_PLAN is read by
-      // the worker processes, which inherit this env). The supervisor keeps
-      // the verified prefix, respawns, and re-dispatches the residual;
-      // retry - clean prices one full recovery. Backoff is disabled so the
-      // column measures supervision cost, not a configured sleep.
-      ctx.shard.retry.on_failure = OnShardFailure::kRetry;
-      ctx.shard.retry.retries = 2;
-      ctx.shard.retry.backoff_base_ms = 0;
-      const std::unique_ptr<IEppEngine> retrying =
+      }
+      return got.size() == want.size();
+    };
+    shard_identical = same_rows(shard_rows);
+    // sharded_retry: the same sweep with the fault harness killing spawn 0
+    // after its first result frame (SEREEP_FAULT_PLAN is read by the worker
+    // processes, which inherit this env). The supervisor keeps the verified
+    // prefix, respawns, and re-dispatches the residual; retry - clean
+    // prices one full recovery. Backoff is disabled so the column measures
+    // supervision cost, not a configured sleep.
+    ctx.shard.retry.on_failure = OnShardFailure::kRetry;
+    ctx.shard.retry.retries = 2;
+    ctx.shard.retry.backoff_base_ms = 0;
+    const std::unique_ptr<IEppEngine> retrying =
+        EngineRegistry::instance().create("sharded", ctx);
+    ::setenv("SEREEP_FAULT_PLAN", "0:die-after-frames=1", 1);
+    std::vector<NodeSer> retry_rows;
+    sweep_shard_retry_s =
+        timed_min([&] { retry_rows = retrying->sweep_rows(sites, 1); });
+    ::unsetenv("SEREEP_FAULT_PLAN");
+    shard_identical = shard_identical && same_rows(retry_rows);
+    // The pre-started processes below load an artifact of the same
+    // in-memory circuit, so their node ids match the parent's.
+    const std::string netlist =
+        "/tmp/sereep_micro_" + std::to_string(::getpid()) + ".sca";
+    // sharded_tcp: the same sweep against two pre-started `sereep worker
+    // --listen` processes on 127.0.0.1 (ShardOptions::hosts), one fresh
+    // connection per dispatch. The sharded row above starts (and kills) its
+    // own loopback fleet inside every sweep, so tcp_vs_pipe (>1 =
+    // pre-started hosts faster; the name predates the one transport) prices
+    // exactly the per-sweep fleet start. Loopback only — a real network
+    // adds wire time.
+    try {
+      write_artifact(netlist, c);
+      ChildProcess w1 = ChildProcess::spawn(
+          {worker, "worker", "--netlist=" + netlist, "--listen=0"});
+      ChildProcess w2 = ChildProcess::spawn(
+          {worker, "worker", "--netlist=" + netlist, "--listen=0"});
+      const std::uint16_t p1 = parse_listening_port(w1.read_stdout_line());
+      const std::uint16_t p2 = parse_listening_port(w2.read_stdout_line());
+      ctx.shard.retry = {};  // the clean-path config, like the fleet row
+      ctx.shard.hosts = {"127.0.0.1:" + std::to_string(p1),
+                         "127.0.0.1:" + std::to_string(p2)};
+      const std::unique_ptr<IEppEngine> tcp_sharded =
           EngineRegistry::instance().create("sharded", ctx);
-      ::setenv("SEREEP_FAULT_PLAN", "0:die-after-frames=1", 1);
-      std::vector<NodeSer> retry_rows;
-      sweep_shard_retry_s = timed_min(
-          [&] { retry_rows = retrying->sweep_rows(reloaded_sites, 1); });
-      ::unsetenv("SEREEP_FAULT_PLAN");
-      shard_identical = shard_identical && same_rows(retry_rows);
-      // sharded_tcp: the same sweep against two pre-started `sereep worker
-      // --listen` processes on 127.0.0.1 (ShardOptions::hosts), one fresh
-      // connection per dispatch. The sharded row above starts (and kills)
-      // its own loopback fleet inside every sweep, so tcp_vs_pipe (>1 =
-      // pre-started hosts faster; the name predates the one transport)
-      // prices exactly the per-sweep fleet start: exec + netlist load.
-      // Loopback only — a real network adds wire time.
-      try {
-        ChildProcess w1 = ChildProcess::spawn(
-            {worker, "worker", "--netlist=" + netlist, "--listen=0"});
-        ChildProcess w2 = ChildProcess::spawn(
-            {worker, "worker", "--netlist=" + netlist, "--listen=0"});
-        const std::uint16_t p1 = parse_listening_port(w1.read_stdout_line());
-        const std::uint16_t p2 = parse_listening_port(w2.read_stdout_line());
-        ctx.shard.retry = {};  // the clean-path config, like the fleet row
-        ctx.shard.hosts = {"127.0.0.1:" + std::to_string(p1),
-                           "127.0.0.1:" + std::to_string(p2)};
-        const std::unique_ptr<IEppEngine> tcp_sharded =
-            EngineRegistry::instance().create("sharded", ctx);
-        std::vector<NodeSer> tcp_rows;
-        sweep_shard_tcp_s = timed_min(
-            [&] { tcp_rows = tcp_sharded->sweep_rows(reloaded_sites, 1); });
-        shard_identical = shard_identical && same_rows(tcp_rows);
-      } catch (const std::exception& e) {
-        // No loopback (sandboxed CI): skip the row rather than fail the
-        // whole emitter — bench_compare treats a missing column as absent.
-        std::fprintf(stderr, "micro_kernels: tcp row skipped: %s\n",
-                     e.what());
-        sweep_shard_tcp_s = 0.0;
-      }
-      // serve_request: one hot-cache `sereep serve` round trip — connect,
-      // kRequest(sweep_csv), kResponse, close — against a daemon that has
-      // already built this netlist's Session. Prices the serve tier's
-      // steady state: protocol framing + rendering + loopback transfer,
-      // with NO Session build (that amortized cost is the daemon's whole
-      // reason to exist). Absolute _ms only, so cross-machine --ratios-only
-      // comparisons skip it.
-      try {
-        ChildProcess daemon = ChildProcess::spawn(
-            {worker, "serve", "--port=0", "--request-timeout-ms=60000"});
-        const std::uint16_t sport =
-            parse_listening_port(daemon.read_stdout_line());
-        ServeRequest sreq;
-        sreq.kind = ServeRequestKind::kSweepCsv;
-        sreq.netlist = netlist;
-        const std::vector<std::uint8_t> sreq_bytes = encode_request(sreq);
-        const auto round_trip = [&] {
-          const int sfd = tcp_connect("127.0.0.1", sport, 10'000);
-          write_shard_frame(sfd, ShardFrameType::kRequest, sreq_bytes);
-          const std::optional<ShardFrame> reply =
-              read_shard_frame(sfd, 60'000);
-          ::close(sfd);
-          if (!reply || reply->type != ShardFrameType::kResponse) {
-            throw std::runtime_error("serve round trip failed");
-          }
-          benchmark::DoNotOptimize(reply->payload.data());
-        };
-        round_trip();  // warm: the daemon builds + caches the Session here
-        serve_request_s = timed_min(round_trip);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "micro_kernels: serve row skipped: %s\n",
-                     e.what());
-        serve_request_s = 0.0;
-      }
-      shard_ran = true;
+      std::vector<NodeSer> tcp_rows;
+      sweep_shard_tcp_s =
+          timed_min([&] { tcp_rows = tcp_sharded->sweep_rows(sites, 1); });
+      shard_identical = shard_identical && same_rows(tcp_rows);
+    } catch (const std::exception& e) {
+      // No loopback (a restricted CI runner): skip the row rather than fail
+      // the whole emitter — bench_compare treats a missing column as absent.
+      std::fprintf(stderr, "micro_kernels: tcp row skipped: %s\n", e.what());
+      sweep_shard_tcp_s = 0.0;
     }
+    // serve_request: one hot-cache `sereep serve` round trip — connect,
+    // kRequest(sweep_csv), kResponse, close — against a daemon that has
+    // already built this netlist's Session. Prices the serve tier's steady
+    // state: protocol framing + rendering + loopback transfer, with NO
+    // Session build (that amortized cost is the daemon's whole reason to
+    // exist). Absolute _ms only, so cross-machine --ratios-only comparisons
+    // skip it.
+    try {
+      ChildProcess daemon = ChildProcess::spawn(
+          {worker, "serve", "--port=0", "--request-timeout-ms=60000"});
+      const std::uint16_t sport =
+          parse_listening_port(daemon.read_stdout_line());
+      ServeRequest sreq;
+      sreq.kind = ServeRequestKind::kSweepCsv;
+      sreq.netlist = netlist;
+      const std::vector<std::uint8_t> sreq_bytes = encode_request(sreq);
+      const auto round_trip = [&] {
+        const int sfd = tcp_connect("127.0.0.1", sport, 10'000);
+        write_shard_frame(sfd, ShardFrameType::kRequest, sreq_bytes);
+        const std::optional<ShardFrame> reply = read_shard_frame(sfd, 60'000);
+        ::close(sfd);
+        if (!reply || reply->type != ShardFrameType::kResponse) {
+          throw std::runtime_error("serve round trip failed");
+        }
+        benchmark::DoNotOptimize(reply->payload.data());
+      };
+      round_trip();  // warm: the daemon builds + caches the Session here
+      serve_request_s = timed_min(round_trip);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "micro_kernels: serve row skipped: %s\n",
+                   e.what());
+      serve_request_s = 0.0;
+    }
+    shard_ran = true;
     std::remove(netlist.c_str());
   }
 

@@ -12,18 +12,8 @@
 // A second table reports the thread-scaling curve of the dynamic
 // work-stealing all-nodes sweep on the largest circuit.
 //
-// A third table A/Bs the sharded multi-process engine against the
-// in-process batched engine on the largest circuit (served from a temp
-// .bench so the `sereep worker` processes can load it): on a 1-core box
-// the delta IS the fan-out overhead — spawn, netlist reload, SP transfer,
-// result streaming — the quantity to watch before pointing the sharded
-// tier at a real cluster.
-//
 // Flags: --vectors=N (default 16384)  --sim-sites=K (default 10)
-//        --max-threads=T (default 8)  --max-shards=S (default 4)
-//        --sereep=PATH (default: the `sereep` next to this binary)
-#include <unistd.h>
-
+//        --max-threads=T (default 8)
 #include <algorithm>
 #include <cstdio>
 #include <optional>
@@ -31,10 +21,8 @@
 
 #include "bench/common.hpp"
 #include "sereep/sereep.hpp"
-#include "src/netlist/bench_io.hpp"
 #include "src/netlist/generator.hpp"
 #include "src/sim/fault_injection.hpp"
-#include "src/util/exe_path.hpp"
 #include "src/util/strings.hpp"
 #include "src/util/table.hpp"
 #include "src/util/timer.hpp"
@@ -49,10 +37,6 @@ int main(int argc, char** argv) {
       flags.get_count("sim-sites", 10, 1, 1'000'000'000));
   const auto max_threads =
       static_cast<unsigned>(flags.get_count("max-threads", 8, 1, 1024));
-  // Validated up front with the rest — a bad flag must fail before the
-  // multi-minute sweep tables run, not after them.
-  const auto max_shards = static_cast<unsigned>(
-      flags.get_count("max-shards", 4, 2, Options::kMaxShards));
 
   std::printf("Scaling sweep — per-node cost vs circuit size\n\n");
   AsciiTable table({"Gates", "Depth", "EPP/node(us)", "EPPc/node(us)", "Spdup",
@@ -147,52 +131,5 @@ int main(int argc, char** argv) {
   std::printf("Work-stealing sweep, %zu gates, %zu sites:\n%s\n",
               ls.circuit().gate_count(), n_sites,
               threads_table.render().c_str());
-
-  // Shard-scaling A/B: batched (the shards=1 row, in-process) vs the
-  // sharded engine at 2..max-shards worker processes, on the largest
-  // circuit round-tripped through a temp .bench (both the parent session
-  // and the workers read the same file — node ids must agree).
-  const std::string sereep_path = flags.get(
-      "sereep", sibling_binary_path("sereep", /*require_executable=*/false));
-  if (sereep_path.empty() || ::access(sereep_path.c_str(), X_OK) != 0) {
-    std::printf("Sharded A/B skipped: worker binary not found (%s); pass "
-                "--sereep=PATH.\n",
-                sereep_path.empty() ? "<none>" : sereep_path.c_str());
-    return 0;
-  }
-  const std::string netlist =
-      "/tmp/sereep_scaling_" + std::to_string(::getpid()) + ".bench";
-  if (!save_bench_file(ls.circuit(), netlist)) {
-    std::printf("Sharded A/B skipped: cannot write %s\n", netlist.c_str());
-    return 0;
-  }
-  AsciiTable shard_table(
-      {"Shards", "Sweep(ms)", "vs batched", "Sites/s", "Identical"});
-  Session batched_file = Session::open(netlist);
-  Stopwatch batched_clock;
-  const std::vector<double> want = batched_file.sweep_p_sensitized();
-  const double batched_s = batched_clock.seconds();
-  const std::size_t file_sites = batched_file.sites().size();
-  shard_table.add_row({"1 (batched)", format_fixed(batched_s * 1e3, 1),
-                       "1.00", format_fixed(file_sites / batched_s, 0),
-                       "-"});
-  for (unsigned shards = 2; shards <= max_shards; shards *= 2) {
-    Options opt;
-    opt.engine = "sharded";
-    opt.shard.shards = shards;
-    opt.shard.worker_path = sereep_path;
-    Session session = Session::open(netlist, std::move(opt));
-    Stopwatch clock;
-    const std::vector<double> got = session.sweep_p_sensitized();
-    const double s = clock.seconds();
-    shard_table.add_row(
-        {std::to_string(shards), format_fixed(s * 1e3, 1),
-         format_fixed(batched_s / s, 2), format_fixed(file_sites / s, 0),
-         got == want ? "yes" : "NO"});
-  }
-  std::printf("Sharded multi-process sweep (end-to-end, incl. worker "
-              "spawn + netlist reload):\n%s\n",
-              shard_table.render().c_str());
-  std::remove(netlist.c_str());
   return 0;
 }

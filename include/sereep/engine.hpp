@@ -63,7 +63,7 @@ struct EngineCaps {
   /// Has lane-plane SIMD kernels (run when EppOptions::simd is set).
   bool simd = false;
   /// Sweeps fan out across worker PROCESSES (the sharded tier) — needs TCP
-  /// hosts, or a worker binary + a loadable netlist spec (ShardOptions).
+  /// hosts or a worker binary (ShardOptions).
   bool processes = false;
 };
 

@@ -100,12 +100,12 @@ struct ShardRetryOptions {
 
 /// Sharded-engine layer configuration (the "sharded" registry key): sweeps
 /// fan out over TCP to `shards` `sereep worker --listen` PROCESSES, each of
-/// which loads its netlist once, computes its assigned sites with the
-/// batched engine, and streams results back. Without `hosts`, every sweep
-/// starts its own loopback fleet (one `worker_path worker --netlist=netlist
-/// --listen=0` per shard) and kills it when the sweep returns; with
-/// `hosts`, it dispatches to workers already running there
-/// (src/epp/shard_protocol.hpp documents the frame format,
+/// which computes its assigned sites with the batched engine and streams
+/// results back. Without `hosts`, every sweep starts its own loopback fleet
+/// on the circuit being swept (one `worker_path worker --listen=0` per
+/// shard, each mapping a private .sca the parent writes) and kills it when
+/// the sweep returns; with `hosts`, it dispatches to workers already
+/// running there (src/epp/shard_protocol.hpp documents the frame format,
 /// src/epp/shard_transport.hpp the transport). Results are bit-for-bit
 /// identical to the in-process batched engine — the shard planner only
 /// partitions work.
@@ -116,16 +116,10 @@ struct ShardOptions {
 
   /// Path to the worker binary (the `sereep` CLI) a local fleet runs. The
   /// CLI fills this with its own executable path; library users must point
-  /// it at a built `sereep`. Empty (and no `hosts`) = sharding unavailable
-  /// (see fallback_to_in_process).
+  /// it at a built `sereep`. Empty with no `hosts`: a sweep of two or more
+  /// shards throws, because a requested sharded run that quietly ran
+  /// single-process would mask a broken deployment.
   std::string worker_path;
-
-  /// Netlist spec a local fleet loads — a .bench/.v/.sca path or an
-  /// embedded name, exactly the vocabulary of load_netlist(). Session::open()
-  /// records its spec here automatically; sessions built from an in-memory
-  /// Circuit have no spec, so a local fleet is unavailable for them unless
-  /// one is supplied.
-  std::string netlist;
 
   /// Running workers, each a "host:port" naming a `sereep worker
   /// --listen=PORT` process. Non-empty replaces the per-sweep local fleet:
@@ -133,24 +127,14 @@ struct ShardOptions {
   /// count up one sequence) connects to hosts[k % hosts.size()], as it
   /// connects to local worker k % N of an N-worker fleet, so retries rotate
   /// across hosts and one dead host cannot absorb a shard's whole retry
-  /// budget. The workers load their OWN --netlist (cross-checked every
-  /// dispatch by the fingerprint handshake), so `worker_path`/`netlist` are
-  /// not required here. The protocol is unauthenticated — trusted networks
-  /// only.
+  /// budget. The workers serve their OWN --netlist (cross-checked every
+  /// dispatch by the fingerprint handshake), so `worker_path` is not
+  /// required here, and they cannot follow an edit: Session::apply_edit()
+  /// sets `shards` to 1 on a session with hosts. The protocol is
+  /// unauthenticated — trusted networks only.
   /// Validated by Options::validate(): each entry must parse as host:port
   /// with a port in 1..65535, at most kMaxShards entries.
   std::vector<std::string> hosts;
-
-  /// Policy when sharding is UNAVAILABLE (no hosts, and an empty
-  /// worker_path or netlist): true silently serves the sweep from the
-  /// in-process batched path (results are identical anyway); false — the
-  /// default — fails loudly, because an explicitly requested sharded run
-  /// that quietly runs single-process would mask a broken deployment. Worker DEATH is governed by
-  /// `retry.on_failure`, never by this flag: under the default kFail policy
-  /// it is a hard error — partial sweeps must not masquerade as complete
-  /// ones — and under kRetry/kDegrade the supervisor recomputes the lost
-  /// residual rather than ever serving partial data.
-  bool fallback_to_in_process = false;
 
   /// Fault tolerance: retry budget, progress deadline, failure policy.
   ShardRetryOptions retry;

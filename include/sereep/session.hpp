@@ -137,11 +137,12 @@ class Session {
   ///     and splices them over their rows, bit-identical to a from-scratch
   ///     rebuild + full sweep (pinned by tests/epp/engine_equivalence_test.cpp's
   ///     edit fuzz).
-  /// The edited circuit exists only in this process, so the first edit
-  /// drops the recorded netlist spec (and, for a session opened from a .sca
-  /// artifact, the artifact fingerprint; its borrowed view is re-flattened)
-  /// and sets shard.shards to 1: a sharded session sweeps in-process from
-  /// then on, never on workers that would load the old netlist.
+  /// A session opened from a .sca artifact drops the artifact fingerprint
+  /// on its first edit and re-flattens its borrowed view. A sharded session
+  /// keeps fanning out: each sweep's local fleet maps an artifact of the
+  /// edited circuit. Remote `shard.hosts` serve the netlist they were
+  /// started on, so with hosts the first edit sets shard.shards to 1 and
+  /// the session sweeps in-process from then on.
   /// Batches are all-or-nothing: an invalid op throws std::runtime_error with
   /// the circuit, every artifact and every result exactly as before the call.
   EditResult apply_edit(const EditPlan& plan);
@@ -162,7 +163,7 @@ class Session {
     return sp_diagnostics_;
   }
   /// The sharded engine's last-sweep record (shard layout, worker count,
-  /// whether it fell back in-process) — non-null only when the session's
+  /// whether it ran in-process) — non-null only when the session's
   /// engine is the sharded tier and has been built. Worker FAILURES are
   /// exceptions from the sweep itself, carrying the shard index and exit
   /// status; this accessor is for verifying that healthy sweeps really fan

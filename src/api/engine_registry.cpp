@@ -170,7 +170,7 @@ EngineRegistry& EngineRegistry::instance() {
           });
     // The multi-process tier (src/epp/sharded_epp.hpp): sweeps fan out to
     // `sereep worker` processes when ShardOptions names TCP hosts or a
-    // worker binary and netlist spec; per-site queries run in-process.
+    // worker binary; per-site queries run in-process.
     // Bit-for-bit equal to batched — sharding only partitions work.
     r.add("sharded", {.threads = true, .simd = true, .processes = true},
           [](const EngineContext& ctx) {

@@ -67,11 +67,6 @@ Session& Session::operator=(Session&&) noexcept = default;
 Session::~Session() = default;
 
 Session Session::open(const std::string& spec, Options options) {
-  // Record the spec for the sharded engine's workers: they must load the
-  // SAME netlist the session analyses. Sessions built from an in-memory
-  // Circuit have no spec, which is exactly what ShardOptions::netlist being
-  // empty means.
-  if (options.shard.netlist.empty()) options.shard.netlist = spec;
   if (is_artifact_path(spec)) {
     std::shared_ptr<const ArtifactView> artifact =
         ArtifactCache::global().load(spec);
@@ -165,16 +160,13 @@ EditResult Session::apply_edit(const EditPlan& plan) {
   // so a throw here leaves every artifact and the table valid as they are.
   EditResult result = apply_edit_plan(*circuit_, plan);
   ++inc_stats_.edits;
-  // An edited netlist exists only in this process: the spec recorded for
-  // sharded workers (and, for .sca sessions, the artifact fingerprint the
-  // serve cache and pre-dispatch handshake key on) describes the PRE-edit
-  // bits, so both are dropped, and no worker, local or remote, could load
-  // the edited circuit. The sharded engine therefore sweeps in-process from
-  // now on (shards = 1 is its configured in-process path), which is always
-  // correct.
+  // The artifact fingerprint the serve cache keys on describes the PRE-edit
+  // bits. A local shard fleet maps an artifact of the circuit it sweeps, so
+  // it follows the edit; remote hosts serve the netlist they were started
+  // on and cannot, so a session with hosts sweeps in-process from now on
+  // (shards = 1 is the engine's configured in-process path).
   artifact_fingerprint_.reset();
-  options_.shard.netlist.clear();
-  options_.shard.shards = 1;
+  if (!options_.shard.hosts.empty()) options_.shard.shards = 1;
 
   // Compiled view: a retype-only batch over owned arrays patches the type
   // table in place (the CSR layout is untouched by definition); anything

@@ -1,10 +1,10 @@
 // ArtifactCache — process-wide sharing of mmapped .sca artifacts.
 //
 // An ArtifactView is immutable and thread-safe, so every consumer in the
-// process can share one mapping: the serve daemon's concurrent sessions, a
-// TCP worker host's forked children (the mapping is inherited copy-on-write
-// and the pages are PROT_READ, so it is simply shared), and repeated
-// Session::open() calls against the same file. The cache holds weak
+// process can share one mapping: the serve daemon's concurrent sessions and
+// repeated Session::open() calls against the same file. (A TCP worker host
+// maps its .sca once without the cache; its forked connection children
+// inherit that PROT_READ mapping and simply share it.) The cache holds weak
 // references only — an artifact lives exactly as long as someone uses it,
 // and a dead entry costs one map-sized address range of nothing.
 //

@@ -104,7 +104,7 @@ CircuitFingerprint write_artifact(const std::string& path,
                                   const ArtifactWriteOptions& options = {});
 
 /// Reads just the fingerprint from an artifact header — the cheap identity
-/// probe the sharded dispatcher and the serve session cache use (no mmap,
+/// probe ArtifactCache and the serve session cache use (no mmap,
 /// no section validation; magic/endian/version are still checked). Throws
 /// ArtifactError if the file is not a readable .sca header.
 [[nodiscard]] CircuitFingerprint peek_artifact_fingerprint(
@@ -126,8 +126,9 @@ struct ArtifactSectionInfo {
 /// A validated, mmapped artifact. Construction maps the file read-only and
 /// runs the full check pass (CRCs + structural invariants); every accessor
 /// afterwards is a pointer into the mapping. Immutable and thread-safe to
-/// share; the serve daemon and the TCP worker hold one instance per distinct
-/// artifact (ArtifactCache) across all concurrent sessions.
+/// share; the serve daemon holds one instance per distinct artifact
+/// (ArtifactCache) across all concurrent sessions, and a TCP worker host maps
+/// its one .sca directly for every connection child it forks.
 class ArtifactView {
  public:
   /// Maps and validates. Throws ArtifactError with a diagnostic naming the

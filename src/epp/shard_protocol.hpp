@@ -24,8 +24,7 @@
 //   parent -> worker   kJob       EPP options, the output kind, the PARENT
 //                                 netlist's fingerprint, SP table, latch
 //                                 weights (row jobs), assigned site list
-//   worker -> parent   kProgress  ack: job decoded (count 0) — flows before
-//                                 the (possibly slow) netlist load
+//   worker -> parent   kProgress  ack: job decoded (count 0)
 //   worker -> parent   kHello     handshake: the fingerprint of the netlist
 //                                 the WORKER loaded, echoed back
 //   worker -> parent   kProgress  cumulative record count, before each

@@ -7,14 +7,14 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <memory>
+#include <filesystem>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 
 #include "sereep/session.hpp"  // load_netlist — the worker's input vocabulary
-#include "src/artifact/artifact_cache.hpp"
 #include "src/artifact/compiled_artifact.hpp"
 #include "src/epp/shard_protocol.hpp"
 #include "src/epp/sharded_epp.hpp"
@@ -22,7 +22,40 @@
 
 namespace sereep {
 
-ShardFleet::ShardFleet(const ShardOptions& shard, std::size_t local_workers)
+namespace {
+
+/// `${TMPDIR:-/tmp}/sereep-fleet-XXXXXX`, made by mkdtemp (mode 0700) and
+/// removed with everything in it on destruction.
+class FleetDir {
+ public:
+  FleetDir() {
+    const char* tmpdir = std::getenv("TMPDIR");
+    const std::string parent =
+        tmpdir != nullptr && *tmpdir != '\0' ? tmpdir : "/tmp";
+    path_ = parent + "/sereep-fleet-XXXXXX";
+    if (::mkdtemp(path_.data()) == nullptr) {
+      throw std::runtime_error(
+          "sharded engine: cannot create the local fleet's directory under '" +
+          parent + "': " + std::strerror(errno));
+    }
+  }
+  ~FleetDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  FleetDir(const FleetDir&) = delete;
+  FleetDir& operator=(const FleetDir&) = delete;
+
+  [[nodiscard]] const std::string& path() const noexcept { return path_; }
+
+ private:
+  std::string path_;
+};
+
+}  // namespace
+
+ShardFleet::ShardFleet(const ShardOptions& shard, const Circuit& circuit,
+                       std::size_t local_workers)
     : connect_timeout_ms_(shard.retry.timeout_ms > 0
                               ? static_cast<int>(shard.retry.timeout_ms)
                               : 10'000) {
@@ -36,13 +69,32 @@ ShardFleet::ShardFleet(const ShardOptions& shard, std::size_t local_workers)
     return;
   }
   peer_ = "worker '" + shard.worker_path + "'";
-  // Start the whole fleet before reading any port line, so the workers load
-  // their netlists concurrently.
+  // The workers' one input: the circuit being swept. Each maps the file
+  // before it prints its port line, so `dir` (file included) goes when this
+  // constructor returns or throws. A directory or file that cannot be
+  // written means no local worker can start: every endpoint records it, and
+  // the failure policy decides, as for a worker whose exec failed.
+  std::optional<FleetDir> dir;
+  std::string artifact;
+  try {
+    dir.emplace();
+    artifact = dir->path() + "/circuit.sca";
+    write_artifact(artifact, circuit, {.sp = {}, .include_plan = false});
+  } catch (const std::exception& e) {
+    for (std::size_t i = 0; i < local_workers; ++i) {
+      endpoints_.push_back(
+          {.address = {},
+           .start_error = "local worker " + std::to_string(i) +
+                          " did not start: " + e.what()});
+    }
+    return;
+  }
+  // Start the whole fleet before reading any port line, so the workers map
+  // the artifact concurrently.
   local_.reserve(local_workers);
   for (std::size_t i = 0; i < local_workers; ++i) {
-    local_.push_back(ChildProcess::spawn({shard.worker_path, "worker",
-                                          "--netlist=" + shard.netlist,
-                                          "--listen=0"}));
+    local_.push_back(ChildProcess::spawn(
+        {shard.worker_path, "worker", "--netlist=" + artifact, "--listen=0"}));
   }
   const int line_timeout_ms =
       shard.retry.timeout_ms > 0 ? static_cast<int>(shard.retry.timeout_ms)
@@ -108,19 +160,23 @@ int run_tcp_worker(const std::string& netlist_spec,
   ::signal(SIGPIPE, SIG_IGN);
   ::signal(SIGCHLD, SIG_IGN);
   try {
-    // Load once, serve many: every connection child inherits the parsed
-    // circuit through fork's copy-on-write pages. For a .sca spec the host
-    // instead pre-warms the process-wide ArtifactCache — children inherit
-    // the read-only mapping outright (no COW faults, no restore at all)
-    // and run_shard_worker's artifact fast path finds it by path.
-    std::shared_ptr<const ArtifactView> artifact;
-    std::optional<Circuit> parsed;
+    // Load once, serve many: every connection child inherits the compiled
+    // view through fork. A .sca is mapped read-only, so children share the
+    // mapping outright and the file may go once the port line is out; any
+    // other spec is parsed and flattened here, once.
+    std::optional<ArtifactView> artifact;
+    std::optional<CompiledCircuit> flattened;
+    NetlistFingerprint fingerprint;
     if (is_artifact_path(netlist_spec)) {
-      artifact = ArtifactCache::global().load(netlist_spec);
+      artifact.emplace(netlist_spec);
+      fingerprint = artifact->fingerprint();
     } else {
-      parsed.emplace(load_netlist(netlist_spec));
+      const Circuit circuit = load_netlist(netlist_spec);
+      fingerprint = netlist_fingerprint(circuit);
+      flattened.emplace(circuit);
     }
-    const Circuit* circuit = parsed.has_value() ? &*parsed : nullptr;
+    const CompiledCircuit& compiled =
+        artifact.has_value() ? artifact->compiled() : *flattened;
     const int listen_fd = tcp_listen(bind_addr, port);
     std::printf("sereep worker listening on %s:%u\n", bind_addr.c_str(),
                 static_cast<unsigned>(tcp_local_port(listen_fd)));
@@ -142,7 +198,7 @@ int run_tcp_worker(const std::string& netlist_spec,
         ::prctl(PR_SET_PDEATHSIG, SIGKILL);
         if (::getppid() != self) ::_exit(1);
         ::close(listen_fd);
-        ::_exit(run_shard_worker(netlist_spec, conn, circuit));
+        ::_exit(run_shard_worker(compiled, fingerprint, conn));
       }
       ::close(conn);
       if (pid < 0) {

@@ -8,10 +8,16 @@
 //     `sereep worker --listen=PORT` processes (started by hand, possibly on
 //     other machines). Their processes belong to someone else; the fleet
 //     only opens and closes connections.
-//   local — without hosts, the fleet starts one loopback `worker_path
-//     worker --netlist=SPEC --listen=0` per planned shard through
-//     ChildProcess (src/util/subprocess.hpp), reads each worker's port line,
-//     and kills every worker's process group when the sweep returns.
+//   local — without hosts, the fleet writes the circuit being swept to a
+//     private artifact, `${TMPDIR:-/tmp}/sereep-fleet-XXXXXX/circuit.sca`
+//     (the directory is mkdtemp'd, mode 0700), and starts one loopback
+//     `worker_path worker --netlist=<that file> --listen=0` per planned
+//     shard through ChildProcess (src/util/subprocess.hpp). Each worker maps
+//     the file before it prints its port line, so the fleet removes the file
+//     and its directory once every line has arrived or failed (RAII: a throw
+//     removes them too). It kills every worker's process group when the
+//     sweep returns. The workers hold the parent's own circuit, edited or
+//     in-memory alike, so their fingerprints always match.
 //
 // Either way dispatch ordinal k opens one fresh connection to worker
 // k % N, writes the kJob frame, half-closes the socket (the worker sees EOF
@@ -24,10 +30,10 @@
 // its connection as a RETRYABLE failure, never thrown — under a retry
 // policy it is just that shard's first failure. That covers a refused or
 // timed-out connect, EPIPE on the job write, and a local worker that never
-// started: exec failed, it exited before printing its port line, or no line
-// arrived within the progress deadline (ShardRetryOptions::timeout_ms; 0
-// waits forever). Only local resource exhaustion (pipe2/fork failing)
-// throws.
+// started: the fleet's directory or artifact could not be written, exec
+// failed, it exited before printing its port line, or no line arrived within
+// the progress deadline (ShardRetryOptions::timeout_ms; 0 waits forever).
+// Only local resource exhaustion (pipe2/fork failing) throws.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +43,7 @@
 #include <vector>
 
 #include "sereep/options.hpp"
+#include "src/netlist/circuit.hpp"
 #include "src/util/subprocess.hpp"
 
 namespace sereep {
@@ -54,11 +61,12 @@ struct ShardConnection {
 class ShardFleet {
  public:
   /// Uses shard.hosts when set; otherwise starts `local_workers` loopback
-  /// workers over shard.worker_path and shard.netlist. Connects time out
-  /// after shard.retry.timeout_ms, or after a bounded default when the
+  /// shard.worker_path workers on an artifact of `circuit`. Connects time
+  /// out after shard.retry.timeout_ms, or after a bounded default when the
   /// deadline is disabled (a blackholed host must become a retryable named
   /// failure, not a hang).
-  ShardFleet(const ShardOptions& shard, std::size_t local_workers);
+  ShardFleet(const ShardOptions& shard, const Circuit& circuit,
+             std::size_t local_workers);
   /// Closes every open connection, then SIGKILLs and reaps each local
   /// worker's process group — its connection children, hung ones included,
   /// go with it. An exception mid-sweep therefore leaks no process.
@@ -103,16 +111,17 @@ class ShardFleet {
   unsigned closed_ = 0;
 };
 
-/// The accept loop behind `sereep worker --listen=PORT`: loads the netlist
-/// ONCE, binds `bind_addr:port` (0 = ephemeral), prints exactly one
+/// The accept loop behind `sereep worker --listen=PORT`, and the only code
+/// that knows a spec's format: loads `netlist_spec` ONCE into a compiled
+/// view plus fingerprint (a .sca is mapped; anything else is parsed and
+/// flattened), binds `bind_addr:port` (0 = ephemeral), prints exactly one
 /// "sereep worker listening on ADDR:PORT\n" line to stdout, then serves
-/// each connection in a forked child running run_shard_worker() with the
-/// preloaded circuit (fork shares the pages copy-on-write, so per-job cost
-/// is compile + sweep, not parse). The child takes the dispatch ordinal
-/// from the job frame — the key SEREEP_FAULT_PLAN directives target — and
-/// dies with the accept loop (PR_SET_PDEATHSIG), so killing the worker
-/// never orphans a hung child. Never returns except on setup failure
-/// (non-zero).
+/// each connection in a forked child running run_shard_worker() on that
+/// view (fork shares the pages, so per-job cost is the sweep alone). The
+/// child takes the dispatch ordinal from the job frame — the key
+/// SEREEP_FAULT_PLAN directives target — and dies with the accept loop
+/// (PR_SET_PDEATHSIG), so killing the worker never orphans a hung child.
+/// Never returns except on setup failure (non-zero).
 int run_tcp_worker(const std::string& netlist_spec,
                    const std::string& bind_addr, std::uint16_t port);
 

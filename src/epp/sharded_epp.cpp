@@ -13,9 +13,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "sereep/session.hpp"  // load_netlist — the worker's input vocabulary
-#include "src/artifact/artifact_cache.hpp"
-#include "src/artifact/compiled_artifact.hpp"
 #include "src/epp/batched_epp.hpp"
 #include "src/epp/fault_plan.hpp"
 #include "src/epp/shard_plan.hpp"
@@ -27,7 +24,7 @@ namespace {
 
 /// Worker-side fingerprint-mismatch messages start with this marker so the
 /// supervisor can classify the kError as NON-retryable (a respawned worker
-/// would load the same wrong netlist) without a second protocol frame type.
+/// would serve the same wrong netlist) without a second protocol frame type.
 constexpr std::string_view kFingerprintMismatchMark =
     "netlist fingerprint mismatch";
 
@@ -258,28 +255,19 @@ std::vector<Rec> ShardedEppEngine::run(std::span<const NodeId> sites,
                                        std::span<const double> latch_weights) {
   ++diagnostics_.sweeps;
   reset_sweep_diagnostics();
-  // shards == 1 and degenerate site counts are CONFIGURED in-process runs,
-  // not fallbacks; only a missing transport (no TCP hosts AND no worker
-  // binary / netlist spec) consults the fallback policy.
+  // shards == 1 and degenerate site counts are CONFIGURED in-process runs.
   if (shard_.shards > 1 && sites.size() >= 2) {
-    // TCP hosts know their own netlist (each worker's --netlist flag, cross-
-    // checked by the fingerprint handshake), so hosts alone suffice.
-    if (!shard_.hosts.empty() ||
-        (!shard_.worker_path.empty() && !shard_.netlist.empty())) {
-      const std::vector<Shard> shards =
-          plan_shards(resolve_planner()->plan(sites), shard_.shards);
-      // One cluster == one shard: fanning out buys nothing, skip the workers.
-      if (shards.size() > 1) {
-        return run_sharded<Rec>(sites, shards, threads, latch_weights);
-      }
-    } else if (!shard_.fallback_to_in_process) {
+    if (shard_.hosts.empty() && shard_.worker_path.empty()) {
       throw std::runtime_error(
-          "sharded engine: sharding unavailable — Options::shard." +
-          std::string(shard_.worker_path.empty() ? "worker_path" : "netlist") +
-          " is empty and shard.hosts names no TCP workers (Session::open() "
-          "records the netlist spec automatically; sessions over in-memory "
-          "circuits must set one). Set one of them, or opt into "
-          "shard.fallback_to_in_process.");
+          "sharded engine: sharding unavailable — Options::shard.worker_path "
+          "is empty and shard.hosts names no TCP workers. Point worker_path "
+          "at a built `sereep`, list hosts, or set shard.shards to 1.");
+    }
+    const std::vector<Shard> shards =
+        plan_shards(resolve_planner()->plan(sites), shard_.shards);
+    // One cluster == one shard: fanning out buys nothing, skip the workers.
+    if (shards.size() > 1) {
+      return run_sharded<Rec>(sites, shards, threads, latch_weights);
     }
   }
   diagnostics_.shard_sites.assign(1, sites.size());
@@ -306,23 +294,6 @@ template <typename Rec>
 std::vector<Rec> ShardedEppEngine::run_sharded(
     std::span<const NodeId> sites, std::span<const Shard> shards,
     unsigned threads, std::span<const double> latch_weights) {
-  // Pre-dispatch refusal for artifact-fed fleets: the .sca header carries
-  // the fingerprint, so a shard.netlist pointing at the WRONG artifact is
-  // detectable for the cost of one 128-byte read — before a single worker
-  // is spawned, rather than via every worker's handshake failing.
-  if (is_artifact_path(shard_.netlist)) {
-    const NetlistFingerprint stored =
-        peek_artifact_fingerprint(shard_.netlist);
-    if (!(stored == fingerprint_)) {
-      throw std::runtime_error(
-          "sharded engine: netlist fingerprint mismatch: parent expects " +
-          to_string(fingerprint_) + " but artifact '" + shard_.netlist +
-          "' holds " + to_string(stored) +
-          " — non-retryable: point shard.netlist at the artifact the "
-          "parent opened");
-    }
-  }
-
   const ShardRetryOptions& retry = shard_.retry;
   const int timeout_ms = static_cast<int>(retry.timeout_ms);
 
@@ -332,7 +303,7 @@ std::vector<Rec> ShardedEppEngine::run_sharded(
   diagnostics_.in_process = false;
 
   SigPipeGuard sigpipe;
-  ShardFleet fleet(shard_, shards.size());
+  ShardFleet fleet(shard_, circuit_, shards.size());
   diagnostics_.transport = "tcp";
   unsigned next_spawn = 0;
 
@@ -412,11 +383,11 @@ std::vector<Rec> ShardedEppEngine::run_sharded(
 
       if (r.timed_out) ++diagnostics_.deadline_expiries;
       if (r.fingerprint_conflict) {
-        // Deterministic configuration error: every respawn would load the
+        // Deterministic configuration error: every respawn would serve the
         // same divergent netlist, so retrying only burns the budget.
         throw shard_error(r.error +
-                          " — non-retryable: fix shard.netlist to name "
-                          "the exact netlist the parent opened");
+                          " — non-retryable: start the host's worker on "
+                          "the netlist the parent opened");
       }
       if (retry.on_failure == OnShardFailure::kFail) {
         throw shard_error(r.error);
@@ -476,8 +447,8 @@ std::vector<Rec> ShardedEppEngine::run_sharded(
 
 // ---- the worker side -------------------------------------------------------
 
-int run_shard_worker(const std::string& netlist_spec, int fd,
-                     const Circuit* preloaded) {
+int run_shard_worker(const CompiledCircuit& compiled,
+                     const NetlistFingerprint& fingerprint, int fd) {
   const auto send_error = [fd](const std::string& message) {
     try {
       const std::vector<std::uint8_t> payload(message.begin(), message.end());
@@ -510,63 +481,37 @@ int run_shard_worker(const std::string& netlist_spec, int fd,
     // response frame.
     if (fault.has_value() && fault->mode == FaultMode::kExit) ::_exit(9);
 
-    // Ack before the (possibly slow) netlist load: the supervisor's progress
-    // deadline gets a byte to reset on, so a long load never reads as a
-    // hang. The deadline only needs to cover load + one compute slice.
+    // Ack the decoded job: the supervisor's progress deadline gets a byte to
+    // reset on before the handshake.
     write_shard_frame(fd, ShardFrameType::kProgress, encode_progress(0));
     if (fault.has_value() && fault->mode == FaultMode::kDieBeforeHandshake) {
       ::_exit(9);
     }
 
-    // Artifact fast path: a .sca spec skips netlist parsing AND circuit
-    // restoration entirely — the validated header fingerprint is the
-    // identity the handshake needs, and the kernels run off the mmapped
-    // compiled view (shared across every worker in this process via the
-    // ArtifactCache; connection children inherit the accept loop's mapping).
-    std::shared_ptr<const ArtifactView> artifact;
-    std::optional<Circuit> local;
-    const Circuit* circuit_ptr = preloaded;
-    NetlistFingerprint fp;
-    std::size_t node_count = 0;
-    if (preloaded == nullptr && is_artifact_path(netlist_spec)) {
-      artifact = ArtifactCache::global().load(netlist_spec);
-      fp = artifact->fingerprint();
-      node_count = artifact->node_count();
-    } else {
-      if (circuit_ptr == nullptr) {
-        local.emplace(load_netlist(netlist_spec));
-        circuit_ptr = &*local;
-      }
-      fp = netlist_fingerprint(*circuit_ptr);
-      node_count = circuit_ptr->node_count();
+    if (!(fingerprint == job.fingerprint)) {
+      // A worker started on another netlist than the parent opened (a
+      // re-converted .bench reorders node ids) would scatter records to the
+      // WRONG sites. The kFingerprintMismatchMark prefix tells the
+      // supervisor this is non-retryable.
+      throw std::runtime_error(std::string(kFingerprintMismatchMark) +
+                               ": parent expects " +
+                               to_string(job.fingerprint) +
+                               " but this worker serves " +
+                               to_string(fingerprint));
     }
-    if (!(fp == job.fingerprint)) {
-      // The classic foot-gun: a .bench reload is NOT node-id-identical to
-      // in-memory generator output (DFF ordering differs), so records would
-      // scatter to the WRONG sites. The kFingerprintMismatchMark prefix
-      // tells the supervisor this is non-retryable.
-      throw std::runtime_error(
-          std::string(kFingerprintMismatchMark) + ": parent expects " +
-          to_string(job.fingerprint) + " but '" + netlist_spec +
-          "' loaded as " + to_string(fp) +
-          " — point shard.netlist at the exact netlist the parent opened");
-    }
+    const std::size_t node_count = compiled.node_count();
     const bool rows = job.output == ShardOutput::kRow;
     if (job.sp.size() != node_count ||
         job.latch_weights.size() != (rows ? node_count : 0)) {
       throw std::runtime_error(
           "SP / latch-weight tables cover " + std::to_string(job.sp.size()) +
           " / " + std::to_string(job.latch_weights.size()) +
-          " nodes but '" + netlist_spec + "' has " +
+          " nodes but this worker's netlist has " +
           std::to_string(node_count) +
           " — parent and worker loaded different netlists");
     }
-    write_shard_frame(fd, ShardFrameType::kHello, encode_hello(fp));
+    write_shard_frame(fd, ShardFrameType::kHello, encode_hello(fingerprint));
 
-    const CompiledCircuit compiled =
-        artifact != nullptr
-            ? CompiledCircuit::borrow(artifact->compiled().view())
-            : CompiledCircuit(*circuit_ptr);
     SignalProbabilities sp;
     sp.p1 = std::move(job.sp);
 

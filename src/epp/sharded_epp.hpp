@@ -5,16 +5,17 @@
 // the in-process work stealer uses) and fan them out over TCP to `sereep
 // worker --listen` processes (shard_transport.hpp): the remote hosts named
 // in ShardOptions::hosts, or else a loopback fleet the sweep starts itself,
-// one worker per shard, and kills when it returns. Each worker receives its
-// assignment as one kJob frame (shard_protocol.hpp — the parent's SP table
-// travels with it, so workers never recompute SPs, and so do the latch
-// weights of a rows sweep), sweeps its sites with the batched engine, and
-// streams compact rows (sweep_rows) or SiteEpp records (sweep) back. The parent scatters every row or record
-// into the caller's site order, so the merged result is BIT-FOR-BIT
-// identical to an in-process batched sweep
-// — per-site values are pure functions of (circuit, SP, EPP options),
-// independent of clustering, threading and sharding; the engine-equivalence
-// tests pin this with EXPECT_EQ.
+// one worker per shard on a private artifact of the circuit being swept,
+// and kills when it returns. Each worker receives its assignment as one
+// kJob frame (shard_protocol.hpp — the parent's SP table travels with it,
+// so workers never recompute SPs, and so do the latch weights of a rows
+// sweep), sweeps its sites with the batched engine, and streams compact
+// rows (sweep_rows) or SiteEpp records (sweep) back. The parent scatters
+// every row or record into the caller's site order, so the merged result
+// is BIT-FOR-BIT identical to an in-process batched sweep — per-site values
+// are pure functions of (circuit, SP, EPP options), independent of
+// clustering, threading and sharding; the engine-equivalence tests pin
+// this with EXPECT_EQ.
 //
 // Failure contract (ShardRetryOptions governs it):
 //   kFail (default) — a worker that never starts or is unreachable, exits,
@@ -34,14 +35,16 @@
 //     bit-identically.
 //   kDegrade — like kRetry, but budget exhaustion sweeps the residual
 //     IN-PROCESS with the batched engine instead of aborting.
-// A netlist-fingerprint mismatch (worker loaded a different circuit than the
-// parent) is NON-retryable under every policy: it is a deterministic
-// configuration error that a respawn can only repeat, so it throws
-// immediately, naming both fingerprints.
+// A netlist-fingerprint mismatch (a host's worker serves a different circuit
+// than the parent; a local fleet maps the parent's own and cannot) is
+// NON-retryable under every policy: it is a deterministic configuration
+// error that a respawn can only repeat, so it throws immediately, naming
+// both fingerprints.
 //
-// In-process fallback exists only for "sharding unavailable" configurations
-// (no worker binary / no loadable netlist spec) and only when
-// ShardOptions::fallback_to_in_process opts in; see the policy note there.
+// With neither hosts nor a worker binary, a sweep of two or more shards
+// throws: an unavailable transport is a configuration error, never a quiet
+// in-process run. shards == 1, fewer than two sites and a one-cluster plan
+// are configured in-process runs.
 //
 // Per-site queries (compute / p_sensitized) never dispatch — a process round
 // trip per site would be absurd — they run the in-process compiled engine,
@@ -62,7 +65,7 @@ namespace sereep {
 
 /// IEppEngine over worker processes. Construct through the registry
 /// ("sharded") or directly from an EngineContext whose `shard` layer names
-/// the worker binary and netlist spec.
+/// the worker binary or the hosts.
 class ShardedEppEngine final : public IEppEngine {
  public:
   /// What the last sweep actually did — surfaced through
@@ -130,8 +133,8 @@ class ShardedEppEngine final : public IEppEngine {
       std::span<const NodeId> sites, std::span<const Shard> shards,
       unsigned threads, std::span<const double> latch_weights);
 
-  /// In-process batched sweep — the fallback, the shards==1 path and the
-  /// kDegrade residual.
+  /// In-process batched sweep — the shards==1 path, one-cluster plans and
+  /// the kDegrade residual.
   template <typename Rec>
   [[nodiscard]] std::vector<Rec> sweep_in_process(
       std::span<const NodeId> sites, unsigned threads,
@@ -139,7 +142,7 @@ class ShardedEppEngine final : public IEppEngine {
 
   /// The single per-sweep reset point for every non-cumulative Diagnostics
   /// field — called by run() before dispatch so no path (sharded,
-  /// in-process, fallback, or a sweep that throws mid-flight) can leak a
+  /// in-process, or a sweep that throws mid-flight) can leak a
   /// previous sweep's counters into the next one's report.
   void reset_sweep_diagnostics();
 
@@ -162,21 +165,20 @@ class ShardedEppEngine final : public IEppEngine {
 };
 
 /// The worker side of one connection: reads one kJob frame from `fd`, acks
-/// it with a kProgress frame, loads `netlist_spec` (or reuses `preloaded` —
-/// the accept loop parses once and forks per connection), verifies the
-/// loaded circuit's fingerprint against the job's (kError naming both sides
-/// on mismatch), echoes its fingerprint in a kHello frame, computes the
-/// assigned sites with the batched engine, and streams kProgress, then
-/// kRowBatch or kResults (the job's output kind), then kDone frames back on
-/// `fd` (kError + non-zero return on failure, including a job frame older
-/// than kMinShardJobVersion). `sereep worker --listen=PORT` serves it per
-/// connection (run_tcp_worker).
+/// it with a kProgress frame, verifies `fingerprint` — the identity of the
+/// netlist `compiled` was loaded from — against the job's (kError naming
+/// both sides on mismatch), echoes it in a kHello frame, computes the
+/// assigned sites with the batched engine over `compiled`, and streams
+/// kProgress, then kRowBatch or kResults (the job's output kind), then kDone
+/// frames back on `fd` (kError + non-zero return on failure, including a
+/// job frame older than kMinShardJobVersion). `sereep worker --listen=PORT`
+/// serves it per connection (run_tcp_worker).
 ///
 /// The job's dispatch ordinal keys SEREEP_FAULT_PLAN (src/epp/fault_plan.hpp)
 /// structured fault injection, so tests can target "the first worker" vs
 /// "the retry worker" deterministically; "exit" dies right after the job
 /// read, before any response (the parent sees EOF before any frame).
-int run_shard_worker(const std::string& netlist_spec, int fd,
-                     const Circuit* preloaded = nullptr);
+int run_shard_worker(const CompiledCircuit& compiled,
+                     const NetlistFingerprint& fingerprint, int fd);
 
 }  // namespace sereep

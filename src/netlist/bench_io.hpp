@@ -40,8 +40,11 @@ namespace sereep {
 /// parse failure.
 [[nodiscard]] Circuit load_bench_file(const std::string& path);
 
-/// Serializes a circuit back to .bench text. parse_bench(write_bench(c)) is
-/// structurally identical to c (same nodes, names, connectivity, outputs).
+/// Serializes a circuit back to .bench text. parse_bench(write_bench(c)) has
+/// c's node names, connectivity and outputs, but not always its node order,
+/// so node ids, the circuit fingerprint and the last bits of sums taken in
+/// node order can differ; each conversion may reorder again (`sereep gen
+/// --profile=s953 --seed=1` converted twice compiles to three fingerprints).
 [[nodiscard]] std::string write_bench(const Circuit& circuit);
 
 /// Writes .bench text to a file. Returns false on I/O failure.

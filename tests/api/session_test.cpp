@@ -377,51 +377,53 @@ TEST(Session, StructuralEditReflattensCompiled) {
 
 TEST(Session, ArtifactSessionGoesInMemoryOnFirstEdit) {
   // A Session opened from a .sca artifact serves the ARTIFACT's circuit;
-  // after an edit that identity is stale. The fingerprint and the sharded
-  // netlist spec must drop on the first edit so a sharded sweep cannot
-  // pre-dispatch the on-disk netlist to workers that would then compute
-  // the un-edited circuit (the fingerprint handshake refuses instead).
+  // after an edit that identity is stale, so the fingerprint the serve
+  // cache keys on drops on the first edit.
   const std::string path = ::testing::TempDir() + "sereep_edit_session_" +
                            std::to_string(::getpid()) + ".sca";
   write_artifact(path, make_c17());
   Session session = Session::open(path);
   ASSERT_TRUE(session.artifact_fingerprint().has_value());
-  ASSERT_EQ(session.options().shard.netlist, path);
 
   session.apply_edit(parse_edit_spec("retype 10 AND"));
   EXPECT_FALSE(session.artifact_fingerprint().has_value());
-  EXPECT_TRUE(session.options().shard.netlist.empty());
   // And the session keeps answering — fully in-memory now.
   EXPECT_EQ(session.sweep().size(), session.sites().size());
   std::remove(path.c_str());
 }
 
-TEST(Session, EditedShardedSessionSweepsInProcess) {
-  // Workers load the netlist by spec, and an edited circuit exists only in
-  // this process: after apply_edit a sharded session sweeps in-process (its
-  // configured shards = 1 path, no fallback option involved) and renders
-  // the bytes of a batched session given the same edit.
-  const std::string path = ::testing::TempDir() + "sereep_edit_sharded_" +
-                           std::to_string(::getpid()) + ".bench";
-  ASSERT_TRUE(save_bench_file(make_s27(), path));
+TEST(Session, EditedShardedSessionKeepsFanningOut) {
+  // Each sweep's local fleet maps an artifact of the circuit being swept,
+  // so after apply_edit a sharded session still sweeps on its workers and
+  // renders the bytes of a batched session given the same edit.
   Options options;
   options.engine = "sharded";
   options.shard.shards = 2;
   options.shard.worker_path = SEREEP_CLI_PATH;
-  Session sharded = Session::open(path, std::move(options));
-  Session batched = Session::open(path);
+  Session sharded = Session::open("s27", std::move(options));
+  Session batched = Session::open("s27");
   EXPECT_EQ(sharded.sweep_csv(), batched.sweep_csv());
   ASSERT_NE(sharded.shard_diagnostics(), nullptr);
-  EXPECT_FALSE(sharded.shard_diagnostics()->in_process);  // really fans out
+  EXPECT_FALSE(sharded.shard_diagnostics()->in_process);
 
   const EditPlan plan = parse_edit_spec("retype G11 NAND");
   sharded.apply_edit(plan);
   batched.apply_edit(plan);
+  EXPECT_EQ(sharded.options().shard.shards, 2u);
   EXPECT_EQ(sharded.ser_csv(), batched.ser_csv());
   EXPECT_EQ(sharded.sweep_csv(), batched.sweep_csv());
+  // A records sweep covers every site of the edited circuit, so it fans
+  // out whatever the splice above re-swept.
+  const std::vector<SiteEpp> want = batched.sweep();
+  const std::vector<SiteEpp> got = sharded.sweep();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].site, want[i].site);
+    EXPECT_EQ(got[i].p_sensitized, want[i].p_sensitized);
+  }
   ASSERT_NE(sharded.shard_diagnostics(), nullptr);
-  EXPECT_TRUE(sharded.shard_diagnostics()->in_process);
-  std::remove(path.c_str());
+  EXPECT_FALSE(sharded.shard_diagnostics()->in_process);
+  EXPECT_EQ(sharded.shard_diagnostics()->transport, "tcp");
 }
 
 TEST(Session, FailedEditPlanKeepsSessionConsistent) {

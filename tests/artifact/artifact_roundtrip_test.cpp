@@ -251,8 +251,8 @@ TEST(ArtifactSession, ByteIdenticalRenderingsAcrossEngines) {
 }
 
 TEST(ArtifactSession, ShardedWorkersLoadTheArtifact) {
-  // Sharded sweeps point shard.netlist at the .sca: every worker process
-  // mmap-loads it (run_shard_worker's artifact fast path) and the result is
+  // A session opened from a .sca shards like any other: its fleet maps an
+  // artifact of the circuit the session restored, and the result is
   // byte-identical to the batched engine at every shard count.
   const Circuit circuit = generate_circuit(iscas89_profile("s953"), 42);
   ScopedFile f(temp_sca("sharded"));

@@ -17,21 +17,20 @@
 //   * the batched engine's SIMD lane-plane kernels ON and OFF (the scalar
 //     per-lane fallback is a peer tier of the hierarchy — see
 //     SimdOnAndOffBitIdentical and tests/README.md),
-//   * the sharded multi-process tier: the fuzz circuit round-trips to disk
-//     and is swept through real `sereep worker` processes
-//     (ShardedProcessSweepBitIdentical).
+//   * the sharded multi-process tier: the in-memory fuzz circuit is swept
+//     through real `sereep worker` processes, which map the artifact the
+//     parent writes (ShardedProcessSweepBitIdentical), before and after
+//     edits (IncrementalEditSessionsBitIdenticalToRebuild).
 //
 // Future engines join the hierarchy by being added here; a refactor that
 // changes any floating-point result in any profile fails this file first.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "sereep/sereep.hpp"
 #include "src/epp/batched_epp.hpp"
-#include "src/netlist/bench_io.hpp"
 #include "src/epp/compiled_epp.hpp"
 #include "src/epp/epp_engine.hpp"
 #include "src/netlist/compiled.hpp"
@@ -232,22 +231,16 @@ TEST_P(EngineEquivalence, SimdOnAndOffBitIdentical) {
 }
 
 TEST_P(EngineEquivalence, ShardedProcessSweepBitIdentical) {
-  // The multi-process tier joins the hierarchy here: the fuzz circuit is
-  // written to disk (the workers' input vocabulary is a netlist spec), then
-  // swept through real `sereep worker` processes and compared EXPECT_EQ
-  // against the in-process batched session — shard merging must be a pure
-  // re-route, exactly like every other engine selection.
-  const Circuit c = make_fuzz_circuit(GetParam());
-  const std::string path = ::testing::TempDir() + "/sereep_eq_" +
-                           GetParam().tag + ".bench";
-  ASSERT_TRUE(save_bench_file(c, path));
-
-  Session batched = Session::open(path);
+  // The multi-process tier joins the hierarchy here: the in-memory fuzz
+  // circuit is swept through real `sereep worker` processes and compared
+  // EXPECT_EQ against the in-process batched session — shard merging must
+  // be a pure re-route, exactly like every other engine selection.
+  Session batched(make_fuzz_circuit(GetParam()));
   Options opt;
   opt.engine = "sharded";
   opt.shard.shards = 3;
   opt.shard.worker_path = SEREEP_CLI_PATH;
-  Session sharded = Session::open(path, std::move(opt));
+  Session sharded(make_fuzz_circuit(GetParam()), std::move(opt));
 
   const std::vector<SiteEpp> want = batched.sweep();
   const std::vector<SiteEpp> got = sharded.sweep();
@@ -256,7 +249,6 @@ TEST_P(EngineEquivalence, ShardedProcessSweepBitIdentical) {
     testutil::expect_site_epp_equal(batched.circuit(), want[i], got[i]);
   }
   EXPECT_EQ(sharded.sweep_p_sensitized(), batched.sweep_p_sensitized());
-  std::remove(path.c_str());
 }
 
 TEST_P(EngineEquivalence, OptionVariantsStayBitIdentical) {
@@ -397,26 +389,31 @@ TEST_P(EngineEquivalence, IncrementalEditSessionsBitIdenticalToRebuild) {
   // patches, incremental SP repair, dirty-cone splices into the result
   // table — and every read must stay EXPECT_EQ to a Session rebuilt from
   // scratch over the edited node table, across thread counts and both SIMD
-  // configurations. A splice that misses one affected site fails here.
+  // configurations, and through a sharded session whose every sweep maps
+  // an artifact of the edited circuit into real `sereep worker` processes.
+  // A splice that misses one affected site fails here.
   const FuzzProfile& profile = GetParam();
   Rng rng(profile.seed ^ 0xed17ULL);
 
   // Thread count, SIMD mode and SER models are fixed per session
   // (reconfiguration legitimately drops the result table), so the matrix
-  // runs as three warmed sessions receiving the same edits. The 2-thread
+  // runs as four warmed sessions receiving the same edits. The 2-thread
   // lane is warmed by sweep_p_sensitized() alone (a rows fill) and weighs
   // its sinks with a non-default latching model; the others start from
-  // rows folded out of sweep()'s records.
+  // rows folded out of sweep()'s records. The last lane is sharded: 2
+  // shards of 1 thread each.
   struct Lane {
     unsigned threads;
     bool simd;
     bool warm_rows;
     bool nondefault_latching;
+    bool sharded;
     std::unique_ptr<Session> session;
   };
-  Lane lanes[] = {{1, false, false, false, nullptr},
-                  {2, true, true, true, nullptr},
-                  {8, false, false, false, nullptr}};
+  Lane lanes[] = {{1, false, false, false, false, nullptr},
+                  {2, true, true, true, false, nullptr},
+                  {8, false, false, false, false, nullptr},
+                  {1, true, false, false, true, nullptr}};
   LatchingModel nondefault(1.5, 0.1, 0.2);
   nondefault.set_po_probability(0.5);
   for (Lane& lane : lanes) {
@@ -424,6 +421,11 @@ TEST_P(EngineEquivalence, IncrementalEditSessionsBitIdenticalToRebuild) {
     opt.threads = lane.threads;
     opt.epp.simd = lane.simd;
     if (lane.nondefault_latching) opt.ser.latching = nondefault;
+    if (lane.sharded) {
+      opt.engine = "sharded";
+      opt.shard.shards = 2;
+      opt.shard.worker_path = SEREEP_CLI_PATH;
+    }
     lane.session =
         std::make_unique<Session>(make_fuzz_circuit(profile), std::move(opt));
     if (lane.warm_rows) {
@@ -480,7 +482,8 @@ TEST_P(EngineEquivalence, IncrementalEditSessionsBitIdenticalToRebuild) {
     for (Lane& lane : lanes) {
       const std::string where = std::string(profile.tag) + " round " +
                                 std::to_string(round) + " threads=" +
-                                std::to_string(lane.threads);
+                                std::to_string(lane.threads) +
+                                (lane.sharded ? " sharded" : "");
       // Table reads first — they are what the splice produced — then the
       // engine-driven records.
       EXPECT_EQ(lane.session->sweep_p_sensitized(), want_psens) << where;
@@ -490,6 +493,14 @@ TEST_P(EngineEquivalence, IncrementalEditSessionsBitIdenticalToRebuild) {
       ASSERT_EQ(got.size(), want.size()) << where;
       for (std::size_t i = 0; i < want.size(); ++i) {
         testutil::expect_site_epp_equal(edited, want[i], got[i]);
+      }
+      if (lane.sharded) {
+        // That records sweep covered every site: with two or more clusters
+        // to split, it ran on the workers.
+        ASSERT_NE(lane.session->shard_diagnostics(), nullptr) << where;
+        EXPECT_EQ(lane.session->shard_diagnostics()->in_process,
+                  full.planner().plan(full.sites()).size() < 2)
+            << where;
       }
       // The splice must actually be incremental, not a silent full rebuild:
       // after a warmed read, every edit routes through the spliced path.

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "sereep/sereep.hpp"
-#include "src/artifact/compiled_artifact.hpp"
 #include "src/netlist/benchmarks.hpp"
 #include "src/epp/shard_plan.hpp"
 #include "src/epp/shard_protocol.hpp"
@@ -215,9 +214,10 @@ TEST(ShardProtocol, OlderFramesReadButPreV6JobsAreRefused) {
     EXPECT_EQ(decode_done(frame->payload), 7u);
   }
 
+  const Circuit c17 = make_c17();
   ShardJob job;
-  job.fingerprint = netlist_fingerprint(make_c17());
-  job.sp.assign(make_c17().node_count(), 0.5);
+  job.fingerprint = netlist_fingerprint(c17);
+  job.sp.assign(c17.node_count(), 0.5);
   job.sites = {0};
   // The worker's one connection: parent end sv[0], worker end sv[1].
   int sv[2];
@@ -227,7 +227,7 @@ TEST(ShardProtocol, OlderFramesReadButPreV6JobsAreRefused) {
   ASSERT_EQ(::write(sv[0], bytes.data(), bytes.size()),
             static_cast<ssize_t>(bytes.size()));
   ::shutdown(sv[0], SHUT_WR);
-  EXPECT_EQ(run_shard_worker("c17", sv[1]), 1);
+  EXPECT_EQ(run_shard_worker(CompiledCircuit(c17), job.fingerprint, sv[1]), 1);
   ::close(sv[1]);
   const std::optional<ShardFrame> reply = read_shard_frame(sv[0]);
   ASSERT_TRUE(reply.has_value());
@@ -490,9 +490,9 @@ TEST(ShardedEngine, BitIdenticalToBatchedOnEmbeddedCircuits) {
 }
 
 TEST(ShardedEngine, BitIdenticalOnAGeneratedNetlistFromDisk) {
-  // The worker loads the netlist by spec; a generated circuit written to a
-  // temp .bench exercises the full file round trip (both sides parse the
-  // same bytes — the parent session opens the same path).
+  // A generated circuit written to a temp .bench and opened from there:
+  // the parent parses the file, the workers map the parent's artifact of
+  // the circuit it parsed.
   GeneratorProfile profile;
   profile.name = "shardfuzz";
   profile.num_inputs = 16;
@@ -631,17 +631,33 @@ TEST(ShardedEngine, MissingWorkerBinaryErrorsLoudly) {
   EXPECT_THROW((void)session.sweep(), std::runtime_error);
 }
 
-/// Sets SEREEP_FAULT_PLAN for one test scope; workers inherit it through
-/// the environment. Always unsets on exit so faults never leak across
-/// tests.
-class FaultPlanEnv {
+/// Sets an environment variable for one test scope; workers inherit it.
+/// Restores the prior value on exit so nothing leaks across tests.
+class ScopedEnv {
  public:
-  explicit FaultPlanEnv(const char* plan) {
-    EXPECT_EQ(::setenv("SEREEP_FAULT_PLAN", plan, 1), 0);
+  ScopedEnv(const char* name, const std::string& value) : name_(name) {
+    if (const char* prior = std::getenv(name)) prior_ = prior;
+    EXPECT_EQ(::setenv(name, value.c_str(), 1), 0);
   }
-  ~FaultPlanEnv() { ::unsetenv("SEREEP_FAULT_PLAN"); }
-  FaultPlanEnv(const FaultPlanEnv&) = delete;
-  FaultPlanEnv& operator=(const FaultPlanEnv&) = delete;
+  ~ScopedEnv() {
+    if (prior_.has_value()) {
+      ::setenv(name_, prior_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> prior_;
+};
+
+/// SEREEP_FAULT_PLAN for one test scope.
+struct FaultPlanEnv : ScopedEnv {
+  explicit FaultPlanEnv(const char* plan)
+      : ScopedEnv("SEREEP_FAULT_PLAN", plan) {}
 };
 
 TEST(ShardedEngine, WorkerKilledMidStreamErrorsLoudly) {
@@ -665,10 +681,10 @@ TEST(ShardedEngine, WorkerKilledMidStreamErrorsLoudly) {
 }
 
 /// Live `sereep worker` processes — listen workers and their connection
-/// children alike — whose command line names `netlist`. Zombies have an
-/// empty command line, so only running processes count.
-std::vector<pid_t> workers_serving(const std::string& netlist) {
-  const std::string flag = "--netlist=" + netlist;
+/// children alike — whose --netlist lies under `dir`. Zombies have an empty
+/// command line, so only running processes count.
+std::vector<pid_t> workers_under(const std::string& dir) {
+  const std::string flag = "--netlist=" + dir + "/";
   std::vector<pid_t> pids;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator("/proc", ec)) {
@@ -678,7 +694,9 @@ std::vector<pid_t> workers_serving(const std::string& netlist) {
     std::vector<std::string> args;
     for (std::string arg; std::getline(in, arg, '\0');) args.push_back(arg);
     if (args.size() >= 3 && args[1] == "worker" &&
-        std::find(args.begin(), args.end(), flag) != args.end()) {
+        std::any_of(args.begin(), args.end(), [&](const std::string& arg) {
+          return arg.starts_with(flag);
+        })) {
       pids.push_back(static_cast<pid_t>(std::stol(pid)));
     }
   }
@@ -689,17 +707,20 @@ TEST(ShardedEngine, NoWorkerOutlivesAKilledParent) {
   // SIGKILL gives the sweeping CLI no chance to tear its fleet down. Its
   // listen workers must die with it, and their hung connection children
   // with them (PR_SET_PDEATHSIG at both levels) — never re-parented to
-  // init and left running.
-  const std::string path = ::testing::TempDir() + "sereep_orphan_" +
-                           std::to_string(::getpid()) + ".bench";
-  ASSERT_TRUE(save_bench_file(load_netlist("s953"), path));
+  // init and left running. The CLI runs under a test-private TMPDIR, so its
+  // workers are the ones mapping an artifact under it, and the fleet's
+  // directory there must be gone as well.
+  const std::string tmpdir = ::testing::TempDir() + "sereep_orphan_" +
+                             std::to_string(::getpid());
+  ASSERT_EQ(::mkdir(tmpdir.c_str(), 0700), 0);
   std::optional<ChildProcess> cli;
   {
     // Both shards hang, so the sweep never returns and every worker stays
     // up until the kill: two listen workers and two connection children.
     FaultPlanEnv env("0:hang;1:hang");
+    ScopedEnv tmp("TMPDIR", tmpdir);
     cli.emplace(ChildProcess::spawn(
-        {SEREEP_CLI_PATH, "sweep", path, "--engine=sharded", "--shards=2"}));
+        {SEREEP_CLI_PATH, "sweep", "s953", "--engine=sharded", "--shards=2"}));
   }
   const auto wait_until = [&](auto done, std::chrono::milliseconds limit) {
     const auto deadline = std::chrono::steady_clock::now() + limit;
@@ -707,35 +728,100 @@ TEST(ShardedEngine, NoWorkerOutlivesAKilledParent) {
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
   };
-  wait_until([&] { return workers_serving(path).size() >= 4; },
+  wait_until([&] { return workers_under(tmpdir).size() >= 4; },
              std::chrono::seconds(20));
-  ASSERT_GE(workers_serving(path).size(), 2u) << "the workers never came up";
+  ASSERT_GE(workers_under(tmpdir).size(), 2u) << "the workers never came up";
 
   cli->send_signal(SIGKILL);
-  wait_until([&] { return workers_serving(path).empty(); },
+  wait_until([&] { return workers_under(tmpdir).empty(); },
              std::chrono::seconds(2));
-  const std::vector<pid_t> orphans = workers_serving(path);
+  const std::vector<pid_t> orphans = workers_under(tmpdir);
   EXPECT_TRUE(orphans.empty()) << orphans.size()
                                << " workers outlived their SIGKILLed parent";
   for (const pid_t pid : orphans) ::kill(pid, SIGKILL);
-  std::remove(path.c_str());
+  EXPECT_TRUE(std::filesystem::is_empty(tmpdir))
+      << "the fleet's artifact directory outlived its SIGKILLed parent";
+  std::filesystem::remove_all(tmpdir);
 }
 
-TEST(ShardedEngine, UnavailableShardingFailsUnlessFallbackOptedIn) {
-  // A session over an in-memory circuit has no netlist spec for workers.
+TEST(ShardedEngine, InMemorySessionFansOut) {
+  // No file stands behind an in-memory circuit: its fleet maps the artifact
+  // the parent writes, so it fans out like a session opened from a spec.
+  Session batched(make_s27());
+  Session sharded(make_s27(), sharded_options(2));
+  expect_sweeps_equal(batched, sharded);
+  const ShardedEppEngine::Diagnostics* diag = sharded.shard_diagnostics();
+  ASSERT_NE(diag, nullptr);
+  EXPECT_FALSE(diag->in_process);
+  EXPECT_EQ(diag->transport, "tcp");
+  EXPECT_GE(diag->workers_spawned, 2u);
+}
+
+TEST(ShardedEngine, NoWorkerPathAndNoHostsThrows) {
+  // With neither a worker binary nor hosts there is no transport: a sweep
+  // of two or more shards fails loudly instead of quietly running
+  // in-process.
   Options opt = sharded_options(2);
   opt.shard.worker_path.clear();
-  Session strict(make_s27(), opt);
-  EXPECT_THROW((void)strict.sweep(), std::runtime_error);
+  Session session(make_s27(), opt);
+  try {
+    (void)session.sweep();
+    FAIL() << "a sharded sweep with no transport must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("worker_path"), std::string::npos)
+        << e.what();
+  }
+}
 
-  opt.shard.fallback_to_in_process = true;
-  Session fallback(make_s27(), opt);
-  Session batched(make_s27());
-  expect_sweeps_equal(batched, fallback);
-  const ShardedEppEngine::Diagnostics* diag = fallback.shard_diagnostics();
-  ASSERT_NE(diag, nullptr);
-  EXPECT_TRUE(diag->in_process);
-  EXPECT_EQ(diag->workers_spawned, 0u);
+TEST(ShardedEngine, UnwritableTmpdirFailsBeforeAnyWorkerStarts) {
+  // The fleet's artifact directory is made under TMPDIR. A TMPDIR naming a
+  // regular file admits no directory, for root too: the sweep must throw,
+  // name it, and start no worker (the worker binary here is a script that
+  // leaves a marker file before it execs the real one); under kDegrade it
+  // finishes in-process instead.
+  const std::string base = ::testing::TempDir() + "sereep_no_tmpdir_" +
+                           std::to_string(::getpid());
+  const std::string not_a_dir = base + ".file";
+  const std::string marker = base + ".started";
+  const std::string script = base + ".sh";
+  {
+    std::ofstream file(not_a_dir);
+    std::ofstream out(script);
+    out << "#!/bin/sh\ntouch '" << marker << "'\nexec '" << SEREEP_CLI_PATH
+        << "' \"$@\"\n";
+  }
+  ASSERT_EQ(::chmod(script.c_str(), 0755), 0);
+  Options opt = sharded_options(2);
+  opt.shard.worker_path = script;
+  Session session = Session::open("s953", opt);
+  Session batched = Session::open("s953");
+  {
+    ScopedEnv tmp("TMPDIR", not_a_dir);
+    try {
+      (void)session.sweep();
+      FAIL() << "a fleet without a directory must abort the sweep";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(not_a_dir), std::string::npos)
+          << e.what();
+    }
+    // It is a start failure like any other: kDegrade finishes in-process.
+    opt.shard.retry.on_failure = OnShardFailure::kDegrade;
+    opt.shard.retry.retries = 0;
+    Session degrade = Session::open("s953", opt);
+    EXPECT_EQ(degrade.sweep_csv(), batched.sweep_csv());
+    ASSERT_NE(degrade.shard_diagnostics(), nullptr);
+    EXPECT_EQ(degrade.shard_diagnostics()->degraded_shards,
+              degrade.shard_diagnostics()->shard_sites.size());
+  }
+  EXPECT_FALSE(std::filesystem::exists(marker)) << "a worker was started";
+  // With a usable TMPDIR the same session fans out.
+  EXPECT_EQ(session.sweep_csv(), batched.sweep_csv());
+  ASSERT_NE(session.shard_diagnostics(), nullptr);
+  EXPECT_FALSE(session.shard_diagnostics()->in_process);
+  EXPECT_TRUE(std::filesystem::exists(marker));
+  for (const std::string& path : {not_a_dir, marker, script}) {
+    std::remove(path.c_str());
+  }
 }
 
 TEST(ShardedEngine, SingleShardIsAConfiguredInProcessRun) {
@@ -950,64 +1036,6 @@ TEST(ShardedRetry, BudgetExhaustionUnderDegradeFinishesInProcess) {
   EXPECT_EQ(diag->respawns, 2u);
   EXPECT_GT(diag->redispatched_sites, 0u);
   expect_reap_hygiene(diag);
-}
-
-TEST(ShardedRetry, FingerprintMismatchIsNonRetryable) {
-  // The parent analyses an in-memory s27 but points workers at c17: every
-  // respawn would load the same wrong netlist, so the supervisor must throw
-  // IMMEDIATELY — naming both fingerprints — without burning the budget.
-  Options opt = retry_options(2, 5);
-  opt.shard.netlist = "c17";
-  Session session(make_s27(), std::move(opt));
-  try {
-    (void)session.sweep();
-    FAIL() << "a fingerprint mismatch must abort the sweep";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("netlist fingerprint mismatch"), std::string::npos)
-        << what;
-    EXPECT_NE(what.find("non-retryable"), std::string::npos) << what;
-    // Both sides' fingerprints appear (two digest hex literals).
-    EXPECT_NE(what.find("0x"), std::string::npos) << what;
-    EXPECT_NE(what.rfind("0x"), what.find("0x")) << what;
-  }
-  const ShardedEppEngine::Diagnostics* diag = session.shard_diagnostics();
-  ASSERT_NE(diag, nullptr);
-  EXPECT_EQ(diag->respawns, 0u) << "mismatch must not be retried";
-}
-
-TEST(ShardedRetry, ArtifactFingerprintMismatchRefusedBeforeDispatch) {
-  // Deliberate desync, artifact flavor: the parent analyses an in-memory
-  // s27 but shard.netlist points at a c17 ARTIFACT. Unlike the netlist
-  // case — where the mismatch surfaces in each worker's handshake — the
-  // artifact header carries the fingerprint, so the supervisor can peek 128
-  // bytes and refuse BEFORE spawning anything, naming both digests and the
-  // offending path.
-  const std::string path = ::testing::TempDir() + "sereep_desync_c17.sca";
-  write_artifact(path, make_c17());
-  Options opt = retry_options(2, 5);
-  opt.shard.netlist = path;
-  Session session(make_s27(), std::move(opt));
-  try {
-    (void)session.sweep();
-    FAIL() << "an artifact fingerprint mismatch must abort the sweep";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("netlist fingerprint mismatch"), std::string::npos)
-        << what;
-    EXPECT_NE(what.find("non-retryable"), std::string::npos) << what;
-    EXPECT_NE(what.find(path), std::string::npos)
-        << "the diagnostic should name the artifact: " << what;
-    EXPECT_NE(what.find("0x"), std::string::npos) << what;
-    EXPECT_NE(what.rfind("0x"), what.find("0x")) << what;
-  }
-  const ShardedEppEngine::Diagnostics* diag = session.shard_diagnostics();
-  if (diag != nullptr) {
-    EXPECT_EQ(diag->workers_spawned, 0u)
-        << "the refusal must happen before any worker is forked";
-    EXPECT_EQ(diag->respawns, 0u);
-  }
-  std::remove(path.c_str());
 }
 
 TEST(ShardedRetry, RecoveredSweepReproducesGoldenCsvBytes) {

@@ -306,10 +306,38 @@ TEST(TcpTransport, FingerprintMismatchIsNonRetryableOverTcp) {
     EXPECT_NE(what.find("netlist fingerprint mismatch"), std::string::npos)
         << what;
     EXPECT_NE(what.find("non-retryable"), std::string::npos) << what;
+    // Both digests: the parent's and the one the worker serves.
+    EXPECT_NE(what.find("0x"), std::string::npos) << what;
+    EXPECT_NE(what.rfind("0x"), what.find("0x")) << what;
   }
   const ShardedEppEngine::Diagnostics* diag = session.shard_diagnostics();
   ASSERT_NE(diag, nullptr);
   EXPECT_EQ(diag->respawns, 0u);
+}
+
+TEST(TcpTransport, EditedSessionWithHostsSweepsInProcess) {
+  // Hosts serve the netlist they were started on and cannot follow an
+  // edit: after apply_edit a session with hosts sweeps in-process, with the
+  // bytes of a batched session given the same edit.
+  std::vector<TcpWorker> workers;
+  workers.push_back(start_worker("s27"));
+  workers.push_back(start_worker("s27"));
+  Session tcp = Session::open("s27", tcp_options(endpoints(workers), 2));
+  Session batched = Session::open("s27");
+  EXPECT_EQ(tcp.sweep_csv(), batched.sweep_csv());
+  ASSERT_NE(tcp.shard_diagnostics(), nullptr);
+  EXPECT_FALSE(tcp.shard_diagnostics()->in_process);
+
+  const EditPlan plan = parse_edit_spec("retype G11 NAND");
+  tcp.apply_edit(plan);
+  batched.apply_edit(plan);
+  EXPECT_EQ(tcp.options().shard.shards, 1u);
+  EXPECT_EQ(tcp.ser_csv(), batched.ser_csv());
+  EXPECT_EQ(tcp.sweep_csv(), batched.sweep_csv());
+  expect_sweeps_equal(batched, tcp);  // a records sweep over every site
+  ASSERT_NE(tcp.shard_diagnostics(), nullptr);
+  EXPECT_TRUE(tcp.shard_diagnostics()->in_process);
+  EXPECT_EQ(tcp.shard_diagnostics()->transport, "in-process");
 }
 
 TEST(TcpTransport, DeadPortFailsLoudlyUnderTheDefaultPolicy) {
