@@ -98,14 +98,16 @@ struct ShardRetryOptions {
   unsigned backoff_max_ms = 2000;
 };
 
-/// Sharded-engine layer configuration (the "sharded" registry key): sweeps
-/// fan out over TCP to `shards` `sereep worker --listen` PROCESSES, each of
-/// which computes its assigned sites with the batched engine and streams
-/// results back. Without `hosts`, every sweep starts its own loopback fleet
-/// on the circuit being swept (one `worker_path worker --listen=0` per
-/// shard, each mapping a private .sca the parent writes) and kills it when
-/// the sweep returns; with `hosts`, it dispatches to workers already
-/// running there (src/epp/shard_protocol.hpp documents the frame format,
+/// Sharded-engine layer configuration (the "sharded" registry key): result
+/// table fills (the engine's rows sweeps) fan out over TCP to `shards`
+/// `sereep worker --listen` PROCESSES, each of which computes its assigned
+/// sites with the batched engine and streams one 20-byte row per site back.
+/// Records sweeps (Session::sweep()) and per-site queries run in-process.
+/// Without `hosts`, every fanned-out sweep starts its own loopback fleet on
+/// the circuit being swept (one `worker_path worker --listen=0` per shard,
+/// each mapping a private .sca the parent writes) and kills it when the
+/// sweep returns; with `hosts`, it dispatches to workers already running
+/// there (src/epp/shard_protocol.hpp documents the frame format,
 /// src/epp/shard_transport.hpp the transport). Results are bit-for-bit
 /// identical to the in-process batched engine — the shard planner only
 /// partitions work.
@@ -116,8 +118,8 @@ struct ShardOptions {
 
   /// Path to the worker binary (the `sereep` CLI) a local fleet runs. The
   /// CLI fills this with its own executable path; library users must point
-  /// it at a built `sereep`. Empty with no `hosts`: a sweep of two or more
-  /// shards throws, because a requested sharded run that quietly ran
+  /// it at a built `sereep`. Empty with no `hosts`: a rows sweep of two or
+  /// more shards throws, because a requested sharded run that quietly ran
   /// single-process would mask a broken deployment.
   std::string worker_path;
 

@@ -166,8 +166,8 @@ class Session {
   /// whether it ran in-process) — non-null only when the session's
   /// engine is the sharded tier and has been built. Worker FAILURES are
   /// exceptions from the sweep itself, carrying the shard index and exit
-  /// status; this accessor is for verifying that healthy sweeps really fan
-  /// out.
+  /// status; this accessor is for verifying that healthy table fills
+  /// really fan out.
   [[nodiscard]] const ShardedEppEngine::Diagnostics* shard_diagnostics()
       const noexcept;
   /// NOTE: sweeps consult the plan lazily — batched-engine sessions running
@@ -191,7 +191,10 @@ class Session {
   /// Full SiteEpp records for every error site, in sites() order, from the
   /// engine's records sweep on every call. An empty result table is filled
   /// from them (node_ser_from_epp), so a ser() after a sweep() sweeps
-  /// nothing.
+  /// nothing. A sharded session computes records in-process (its
+  /// shard_diagnostics() reads in_process, no worker starts): only table
+  /// fills fan out — to re-run one on a warm session, call
+  /// engine().sweep_rows(sites(), threads).
   [[nodiscard]] std::vector<SiteEpp> sweep();
 
   /// All-nodes P_sensitized, indexed by NodeId (non-sites 0.0), from the

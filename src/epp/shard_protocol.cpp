@@ -1,6 +1,7 @@
 #include "src/epp/shard_protocol.hpp"
 
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <array>
@@ -89,12 +90,15 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-void write_all(int fd, const std::uint8_t* data, std::size_t size) {
+/// Sends all of `data` on the socket `fd`. MSG_NOSIGNAL turns a dead peer
+/// into EPIPE for this call alone, so no process-wide SIGPIPE setting is
+/// needed (or touched) to survive one.
+void send_all(int fd, const std::uint8_t* data, std::size_t size) {
   while (size > 0) {
-    const ssize_t n = ::write(fd, data, size);
+    const ssize_t n = ::send(fd, data, size, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      throw std::runtime_error(std::string("shard protocol: write: ") +
+      throw std::runtime_error(std::string("shard protocol: send: ") +
                                std::strerror(errno));
     }
     data += n;
@@ -162,7 +166,6 @@ std::vector<std::uint8_t> encode_job_prefix(const ShardJob& job) {
   w.f64(job.epp.electrical_survival);
   w.u32(job.threads);
   w.u8(job.epp.simd ? 2 : 1);
-  w.u8(static_cast<std::uint8_t>(job.output));
   w.u64(job.fingerprint.nodes);
   w.u64(job.fingerprint.digest);
   w.u64(job.sp.size());
@@ -194,13 +197,6 @@ ShardJob decode_job(std::span<const std::uint8_t> payload) {
   job.epp.electrical_survival = r.f64();
   job.threads = r.u32();
   job.epp.simd = r.u8() == 2;
-  const std::uint8_t output = r.u8();
-  if (output != static_cast<std::uint8_t>(ShardOutput::kRow) &&
-      output != static_cast<std::uint8_t>(ShardOutput::kRecord)) {
-    throw std::runtime_error("shard protocol: unknown job output kind " +
-                             std::to_string(output));
-  }
-  job.output = static_cast<ShardOutput>(output);
   job.fingerprint.nodes = r.u64();
   job.fingerprint.digest = r.u64();
   job.sp.resize(r.count(r.u64(), 8));
@@ -212,51 +208,6 @@ ShardJob decode_job(std::span<const std::uint8_t> payload) {
   for (NodeId& site : job.sites) site = r.u32();
   r.expect_end();
   return job;
-}
-
-std::vector<std::uint8_t> encode_results(std::span<const SiteEpp> records) {
-  std::vector<std::uint8_t> out;
-  ByteWriter w(out);
-  w.u32(static_cast<std::uint32_t>(records.size()));
-  for (const SiteEpp& rec : records) {
-    w.u32(rec.site);
-    w.f64(rec.p_sensitized);
-    w.f64(rec.p_sens_lower);
-    w.f64(rec.p_sens_upper);
-    w.f64(rec.self_dpin_mass);
-    w.u64(rec.cone_size);
-    w.u64(rec.reconvergent_gates);
-    w.u32(static_cast<std::uint32_t>(rec.sinks.size()));
-    for (const SinkEpp& sink : rec.sinks) {
-      w.u32(sink.sink);
-      w.f64(sink.error_mass);
-      for (int s = 0; s < 4; ++s) w.f64(sink.distribution.p[s]);
-    }
-  }
-  return out;
-}
-
-std::vector<SiteEpp> decode_results(std::span<const std::uint8_t> payload) {
-  ByteReader r(payload);
-  // 56 bytes = one record with no sinks — the minimum wire footprint.
-  std::vector<SiteEpp> records(r.count(r.u32(), 56));
-  for (SiteEpp& rec : records) {
-    rec.site = r.u32();
-    rec.p_sensitized = r.f64();
-    rec.p_sens_lower = r.f64();
-    rec.p_sens_upper = r.f64();
-    rec.self_dpin_mass = r.f64();
-    rec.cone_size = r.u64();
-    rec.reconvergent_gates = r.u64();
-    rec.sinks.resize(r.count(r.u32(), 44));  // 44 bytes per sink entry
-    for (SinkEpp& sink : rec.sinks) {
-      sink.sink = r.u32();
-      sink.error_mass = r.f64();
-      for (int s = 0; s < 4; ++s) sink.distribution.p[s] = r.f64();
-    }
-  }
-  r.expect_end();
-  return records;
 }
 
 std::vector<std::uint8_t> encode_rows(std::span<const SiteRow> rows) {
@@ -332,8 +283,8 @@ void write_shard_frame(int fd, ShardFrameType type,
   w.u16(static_cast<std::uint16_t>(type));
   w.u64(payload.size());
   w.u32(shard_crc32(payload));
-  write_all(fd, header.data(), header.size());
-  write_all(fd, payload.data(), payload.size());
+  send_all(fd, header.data(), header.size());
+  send_all(fd, payload.data(), payload.size());
 }
 
 std::optional<ShardFrame> read_shard_frame(int fd, int timeout_ms,
@@ -349,7 +300,7 @@ std::optional<ShardFrame> read_shard_frame(int fd, int timeout_ms,
   frame.version = r.u16();
   if (frame.version < kMinShardProtocolVersion ||
       frame.version > kShardProtocolVersion) {
-    // v4..v6 frame identically to v3 (only the job payload moved, and the
+    // v4..v7 frame identically to v3 (only the job payload moved, and the
     // worker checks that itself), so older peers stay accepted; anything
     // outside the window is a mismatched binary.
     throw std::runtime_error(

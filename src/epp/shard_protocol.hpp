@@ -2,7 +2,7 @@
 //
 // The sharded sweep engine (sharded_epp.hpp) talks to its worker processes
 // over TCP sockets (and `sereep serve` to its clients) with a binary frame
-// stream; the codecs work on any byte stream:
+// stream; frames are written to sockets and read from any byte stream:
 //
 //   +--------+---------+------+--------------+-------------+---------------+
 //   | magic  | version | type | payload size | payload CRC | payload bytes |
@@ -20,34 +20,33 @@
 // result stream the supervisor treats it like any corrupt frame (distrust
 // the attempt, recompute the shard).
 //
-// Conversation (one per worker; v6):
-//   parent -> worker   kJob       EPP options, the output kind, the PARENT
-//                                 netlist's fingerprint, SP table, latch
-//                                 weights (row jobs), assigned site list
+// Conversation (one per worker; v7):
+//   parent -> worker   kJob       EPP options, the PARENT netlist's
+//                                 fingerprint, SP table, latch weights,
+//                                 assigned site list
 //   worker -> parent   kProgress  ack: job decoded (count 0)
 //   worker -> parent   kHello     handshake: the fingerprint of the netlist
 //                                 the WORKER loaded, echoed back
-//   worker -> parent   kProgress  cumulative record count, before each
-//                                 compute slice (supervisor deadline food)
-//   worker -> parent   kRowBatch  row jobs: a batch of SiteRow entries, 20
-//                    / kResults   bytes each; record jobs: a batch of SiteEpp
-//                                 records (repeated)
-//   worker -> parent   kDone      total record count (completeness check)
+//   worker -> parent   kProgress  cumulative row count, before each compute
+//                                 slice (supervisor deadline food)
+//   worker -> parent   kRowBatch  a batch of SiteRow entries, 20 bytes each
+//                                 (repeated)
+//   worker -> parent   kDone      total row count (completeness check)
 //   worker -> parent   kError     human-readable failure message
 //
-// Table fills (Session's result table) send row jobs: the worker folds the
-// latch-weighted term beside P_sensitized inside its sweep and streams
-// P_sensitized plus that term per site; the parent assembles the NodeSer
-// rows. Session::sweep() and the multicycle matrix need per-sink
-// distributions and send record jobs.
+// There is one job kind: a table fill (Session's result table). The worker
+// folds the latch-weighted term beside P_sensitized inside its sweep and
+// streams P_sensitized plus that term per site; the parent assembles the
+// NodeSer rows. Full records (per-sink distributions) never cross the wire:
+// the sharded engine computes them in-process.
 //
 // The fingerprint handshake exists because a .bench reload is NOT
 // node-id-identical to in-memory generator output: a worker that loads a
-// different netlist than the parent would stream records for the WRONG
+// different netlist than the parent would stream rows for the WRONG
 // sites. The job carries the parent's fingerprint so the worker can reject
 // the mismatch with a diagnostic naming both sides; kHello echoes the
 // worker's own fingerprint so the parent double-checks before trusting any
-// record — and so a re-dispatched retry stays bit-identical by construction.
+// row — and so a re-dispatched retry stays bit-identical by construction.
 //
 // The worker streams results as it computes; the parent requires the kDone
 // total to match both the streamed count and its assignment, so a worker
@@ -79,28 +78,30 @@ inline constexpr std::uint32_t kShardMagic = 0x53'52'50'46;  // "SRPF"
 /// kEdit request kind (the edit-spec string travels only for that kind, so
 /// every pre-existing payload layout is untouched). v6: the job's output
 /// kind (the byte v5 spent on a P_sensitized-only flag), the latch-weight
-/// table after the SP table, and the kRowBatch frame. Every other layout is
-/// v3's, so read_shard_frame accepts
+/// table after the SP table, and the kRowBatch frame. v7: one job kind —
+/// the job's output byte and the full-record frame (type 2) are gone.
+/// Every other layout is v3's, so read_shard_frame accepts
 /// kMinShardProtocolVersion..kShardProtocolVersion (a v3 serve client
-/// talking to a v6 daemon keeps working; anything older is rejected loudly
-/// by the version check); workers decode jobs only from v6+ frames
+/// talking to a v7 daemon keeps working; anything older is rejected loudly
+/// by the version check); workers decode jobs only from v7+ frames
 /// (kMinShardJobVersion).
-inline constexpr std::uint16_t kShardProtocolVersion = 6;
-/// Oldest peer version read_shard_frame still accepts. v3..v6 frames differ
+inline constexpr std::uint16_t kShardProtocolVersion = 7;
+/// Oldest peer version read_shard_frame still accepts. v3..v7 frames differ
 /// only in which types/kinds they can carry, never in layout — kJob aside.
 inline constexpr std::uint16_t kMinShardProtocolVersion = 3;
-/// Oldest kJob frame version a worker decodes: v6 changed the job layout, so
-/// a pre-v6 parent's job is refused with a kError naming both versions.
-inline constexpr std::uint16_t kMinShardJobVersion = 6;
+/// Oldest kJob frame version a worker decodes: v7 changed the job layout, so
+/// an older parent's job is refused with a kError naming both versions.
+inline constexpr std::uint16_t kMinShardJobVersion = 7;
 
 /// Frame kinds (the `type` header field).
 enum class ShardFrameType : std::uint16_t {
   kJob = 1,       ///< parent -> worker: the shard's whole assignment
-  kResults = 2,   ///< worker -> parent: a batch of SiteEpp records
-  kDone = 3,      ///< worker -> parent: total streamed record count (u64)
+  // 2 is retired (v2..v6 full-record batches): never reuse it, since an
+  // older worker may still send it.
+  kDone = 3,      ///< worker -> parent: total streamed row count (u64)
   kError = 4,     ///< peer -> peer: failure message (UTF-8 bytes)
   kHello = 5,     ///< worker -> parent: fingerprint of the loaded netlist
-  kProgress = 6,  ///< worker -> parent: cumulative record count (u64)
+  kProgress = 6,  ///< worker -> parent: cumulative row count (u64)
   kRequest = 7,   ///< client -> serve daemon: one analysis request
   kResponse = 8,  ///< serve daemon -> client: rendered response bytes
   /// serve daemon -> client, sent INSTEAD of accepting a request when the
@@ -108,7 +109,7 @@ enum class ShardFrameType : std::uint16_t {
   /// closes right after; the client's move is bounded retry with backoff
   /// (`sereep client --retries`) — v4.
   kBusy = 9,
-  kRowBatch = 10,  ///< worker -> parent: SiteRow entries (row jobs) — v6
+  kRowBatch = 10,  ///< worker -> parent: SiteRow entries — v6
 };
 
 /// CRC-32 (IEEE 802.3 / zlib polynomial, reflected) of `data` — the value
@@ -135,12 +136,6 @@ struct ShardFrame {
   std::vector<std::uint8_t> payload;
 };
 
-/// What a job's worker streams back.
-enum class ShardOutput : std::uint8_t {
-  kRow = 1,     ///< one SiteRow per site, in kRowBatch frames
-  kRecord = 2,  ///< one full SiteEpp record per site, in kResults frames
-};
-
 /// Everything a worker needs to compute its shard. The SP table is the
 /// PARENT'S — workers must not recompute it (a different SP source or seed
 /// would change results); the netlist itself travels out of band (the
@@ -150,16 +145,13 @@ struct ShardJob {
   /// scalar path, 2 = SIMD kernels (timing only — bit-identical).
   EppOptions epp;
   unsigned threads = 1;
-  /// A table fill's SiteRow entries or full records; one byte on the wire.
-  ShardOutput output = ShardOutput::kRecord;
   /// The PARENT circuit's fingerprint: the worker rejects its own load on a
   /// mismatch (diagnostic naming both) instead of streaming wrong-site
-  /// records.
+  /// rows.
   NetlistFingerprint fingerprint;
   std::vector<double> sp;       ///< per-node P(1), indexed by NodeId
-  /// Row jobs: the parent's per-node latch weights (LatchingModel::weights,
-  /// indexed by NodeId), so workers need no SER model of their own. Empty
-  /// for record jobs.
+  /// The parent's per-node latch weights (LatchingModel::weights, indexed
+  /// by NodeId), so workers need no SER model of their own.
   std::vector<double> latch_weights;
   /// The supervisor's dispatch ordinal (initial fan-out and every retry
   /// re-dispatch count up the same sequence). Workers are long-lived
@@ -185,11 +177,6 @@ struct ShardJob {
 void append_job_dispatch(std::vector<std::uint8_t>& payload,
                          std::uint32_t spawn, std::span<const NodeId> sites);
 
-[[nodiscard]] std::vector<std::uint8_t> encode_results(
-    std::span<const SiteEpp> records);
-[[nodiscard]] std::vector<SiteEpp> decode_results(
-    std::span<const std::uint8_t> payload);
-
 /// A row batch carries 20 bytes per site (site, P_sensitized, latched).
 [[nodiscard]] std::vector<std::uint8_t> encode_rows(
     std::span<const SiteRow> rows);
@@ -205,7 +192,7 @@ void append_job_dispatch(std::vector<std::uint8_t>& payload,
 [[nodiscard]] NetlistFingerprint decode_hello(
     std::span<const std::uint8_t> payload);
 
-/// kProgress payload: cumulative streamed-record count (same u64 shape as
+/// kProgress payload: cumulative streamed-row count (same u64 shape as
 /// kDone, distinct type so the supervisor never confuses liveness with
 /// completion).
 [[nodiscard]] std::vector<std::uint8_t> encode_progress(std::uint64_t count);
@@ -223,9 +210,12 @@ class ShardTimeoutError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Writes one complete frame (header + payload), retrying short writes.
-/// Throws std::runtime_error on any write failure — with SIGPIPE ignored,
-/// a dead reader surfaces here as EPIPE.
+/// Writes one complete frame (header + payload) to the socket `fd`,
+/// retrying short sends. Every frame the library writes goes to a socket
+/// (a worker or serve connection), so it sends with MSG_NOSIGNAL: a dead
+/// reader surfaces here as an EPIPE std::runtime_error, never as a SIGPIPE,
+/// whatever the process's SIGPIPE disposition. Any other send failure
+/// (ENOTSOCK for a pipe among them) throws too.
 void write_shard_frame(int fd, ShardFrameType type,
                        std::span<const std::uint8_t> payload);
 

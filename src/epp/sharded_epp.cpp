@@ -1,19 +1,14 @@
 #include "src/epp/sharded_epp.hpp"
 
-#include <signal.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <optional>
 #include <stdexcept>
 #include <thread>
-#include <type_traits>
 #include <utility>
 
-#include "src/epp/batched_epp.hpp"
 #include "src/epp/fault_plan.hpp"
 #include "src/epp/shard_plan.hpp"
 #include "src/epp/shard_transport.hpp"
@@ -28,32 +23,13 @@ namespace {
 constexpr std::string_view kFingerprintMismatchMark =
     "netlist fingerprint mismatch";
 
-/// Ignores SIGPIPE for the duration of a sharded sweep (restoring the prior
-/// disposition on exit), so a worker that dies while the parent is feeding
-/// its job surfaces as an EPIPE write error — an exception with a shard
-/// number attached — instead of killing the whole parent process.
-class SigPipeGuard {
- public:
-  SigPipeGuard() {
-    struct sigaction ignore = {};
-    ignore.sa_handler = SIG_IGN;
-    ::sigaction(SIGPIPE, &ignore, &saved_);
-  }
-  ~SigPipeGuard() { ::sigaction(SIGPIPE, &saved_, nullptr); }
-  SigPipeGuard(const SigPipeGuard&) = delete;
-  SigPipeGuard& operator=(const SigPipeGuard&) = delete;
-
- private:
-  struct sigaction saved_ = {};
-};
-
 /// What one drain attempt over a worker's result stream produced.
 struct DrainOutcome {
   bool ok = false;           ///< stream completed and every check passed
-  std::size_t verified = 0;  ///< records validated + scattered this attempt
+  std::size_t verified = 0;  ///< rows validated + scattered this attempt
   /// True when the `verified` prefix is keepable: the stream failed CLEANLY
   /// (EOF at a frame boundary, deadline expiry, a worker kError) after
-  /// records that each matched their expected site. False when the stream
+  /// rows that each matched their expected site. False when the stream
   /// itself is suspect (corrupt frame, order/count mismatch) — the retry
   /// must recompute this attempt's whole assignment.
   bool trust_prefix = true;
@@ -62,22 +38,17 @@ struct DrainOutcome {
   std::string error;                 ///< failure description (when !ok)
 };
 
-/// A sweep whose output is `Rec` = SiteEpp sends record jobs (kResults
-/// frames come back); `Rec` = SiteRow sends row jobs (kRowBatch frames).
-template <typename Rec>
-constexpr bool kRecordJob = std::is_same_v<Rec, SiteEpp>;
-
-/// Drains one worker's stream, validating every record (or row) against the
-/// expected plan-order site and scattering it into out[slots[k]] as it
+/// Drains one worker's stream, validating every row against the expected
+/// plan-order site and scattering its table row into out[slots[k]] as it
 /// arrives — so whatever a dying worker DID deliver is already merged (and
 /// keepable when trust_prefix holds). Never throws; every failure mode is a
 /// classified DrainOutcome.
-template <typename Rec>
 DrainOutcome drain_attempt(int fd, int timeout_ms,
                            std::span<const NodeId> expected,
                            std::span<const std::uint32_t> slots,
                            const NetlistFingerprint& parent_fp,
-                           std::vector<Rec>& out) {
+                           const Circuit& circuit, const SeuRateModel& seu,
+                           std::span<NodeSer> out) {
   DrainOutcome r;
   bool hello_seen = false;
   try {
@@ -105,33 +76,21 @@ DrainOutcome drain_attempt(int fd, int timeout_ms,
           hello_seen = true;
           break;
         }
-        case ShardFrameType::kResults:
         case ShardFrameType::kRowBatch: {
           if (!hello_seen) {
             r.trust_prefix = false;
             r.error = "results arrived before the fingerprint handshake";
             return r;
           }
-          if (kRecordJob<Rec> != (frame->type == ShardFrameType::kResults)) {
-            r.trust_prefix = false;
-            r.error = "result frame of the wrong kind for this job";
-            return r;
-          }
-          std::vector<Rec> batch;
-          if constexpr (kRecordJob<Rec>) {
-            batch = decode_results(frame->payload);
-          } else {
-            batch = decode_rows(frame->payload);
-          }
-          for (Rec& rec : batch) {
+          for (const SiteRow& row : decode_rows(frame->payload)) {
             if (r.verified >= expected.size() ||
-                rec.site != expected[r.verified]) {
+                row.site != expected[r.verified]) {
               r.trust_prefix = false;
-              r.error = "record order mismatch at record " +
+              r.error = "row order mismatch at row " +
                         std::to_string(r.verified);
               return r;
             }
-            out[slots[r.verified]] = std::move(rec);
+            out[slots[r.verified]] = node_ser_from_row(circuit, row, seu);
             ++r.verified;
           }
           break;
@@ -160,7 +119,8 @@ DrainOutcome drain_attempt(int fd, int timeout_ms,
         }
         default:
           // kJob, serve traffic (kRequest/kResponse/kBusy) or a type no
-          // sereep build sends: the stream is not a worker's, so nothing
+          // sereep build sends (2, the full-record batch v6 workers
+          // streamed, among them): the stream is not a worker's, so nothing
           // it carried can be trusted.
           r.trust_prefix = false;
           r.error = "unexpected frame type " +
@@ -197,64 +157,31 @@ void backoff_sleep(const ShardRetryOptions& retry, unsigned failures) {
 }  // namespace
 
 ShardedEppEngine::ShardedEppEngine(const EngineContext& context)
-    : circuit_(*context.circuit),
-      compiled_(*context.compiled),
-      sp_(*context.sp),
-      epp_(context.epp),
-      ser_(context.ser),
+    : BatchedEngine(context),
       shard_(context.shard),
-      fingerprint_(netlist_fingerprint(*context.circuit)),
-      planner_(context.planner),
-      planner_source_(context.planner_source),
-      single_(*context.compiled, *context.sp, context.epp) {}
+      fingerprint_(netlist_fingerprint(*context.circuit)) {}
 
-const ConeClusterPlanner* ShardedEppEngine::resolve_planner() {
-  if (planner_ == nullptr && planner_source_) {
-    planner_ = planner_source_();
-    planner_source_ = nullptr;
-  }
-  if (planner_ == nullptr) {
-    owned_planner_ = std::make_unique<ConeClusterPlanner>(compiled_);
-    planner_ = owned_planner_.get();
-  }
-  return planner_;
+void ShardedEppEngine::begin_sweep() {
+  const std::size_t sweeps = diagnostics_.sweeps + 1;
+  diagnostics_ = Diagnostics{};
+  diagnostics_.sweeps = sweeps;
+}
+
+void ShardedEppEngine::record_in_process(std::size_t sites) {
+  diagnostics_.shard_sites.assign(1, sites);
+  diagnostics_.in_process = true;
 }
 
 std::vector<SiteEpp> ShardedEppEngine::sweep(std::span<const NodeId> sites,
                                              unsigned threads) {
-  return run<SiteEpp>(sites, threads, {});
+  begin_sweep();
+  record_in_process(sites.size());
+  return BatchedEngine::sweep(sites, threads);
 }
 
 std::vector<NodeSer> ShardedEppEngine::sweep_rows(
     std::span<const NodeId> sites, unsigned threads) {
-  const std::vector<double> weights = ser_.latching.weights(circuit_);
-  const std::vector<SiteRow> rows = run<SiteRow>(sites, threads, weights);
-  std::vector<NodeSer> out;
-  out.reserve(rows.size());
-  for (const SiteRow& row : rows) {
-    out.push_back(node_ser_from_row(circuit_, row, ser_.seu));
-  }
-  return out;
-}
-
-void ShardedEppEngine::reset_sweep_diagnostics() {
-  diagnostics_.workers_spawned = 0;
-  diagnostics_.workers_reaped = 0;
-  diagnostics_.respawns = 0;
-  diagnostics_.deadline_expiries = 0;
-  diagnostics_.degraded_shards = 0;
-  diagnostics_.redispatched_sites = 0;
-  diagnostics_.shard_sites.clear();
-  diagnostics_.in_process = false;
-  diagnostics_.transport = "in-process";
-}
-
-template <typename Rec>
-std::vector<Rec> ShardedEppEngine::run(std::span<const NodeId> sites,
-                                       unsigned threads,
-                                       std::span<const double> latch_weights) {
-  ++diagnostics_.sweeps;
-  reset_sweep_diagnostics();
+  begin_sweep();
   // shards == 1 and degenerate site counts are CONFIGURED in-process runs.
   if (shard_.shards > 1 && sites.size() >= 2) {
     if (shard_.hosts.empty() && shard_.worker_path.empty()) {
@@ -264,45 +191,24 @@ std::vector<Rec> ShardedEppEngine::run(std::span<const NodeId> sites,
           "at a built `sereep`, list hosts, or set shard.shards to 1.");
     }
     const std::vector<Shard> shards =
-        plan_shards(resolve_planner()->plan(sites), shard_.shards);
+        plan_shards(planner().plan(sites), shard_.shards);
     // One cluster == one shard: fanning out buys nothing, skip the workers.
-    if (shards.size() > 1) {
-      return run_sharded<Rec>(sites, shards, threads, latch_weights);
-    }
+    if (shards.size() > 1) return run_sharded(sites, shards, threads);
   }
-  diagnostics_.shard_sites.assign(1, sites.size());
-  diagnostics_.in_process = true;
-  return sweep_in_process<Rec>(sites, threads, latch_weights);
+  record_in_process(sites.size());
+  return BatchedEngine::sweep_rows(sites, threads);
 }
 
-template <typename Rec>
-std::vector<Rec> ShardedEppEngine::sweep_in_process(
-    std::span<const NodeId> sites, unsigned threads,
-    std::span<const double> latch_weights) {
-  std::vector<Rec> out(sites.size());
-  if constexpr (kRecordJob<Rec>) {
-    sweep_sites(compiled_, *resolve_planner(), sites, sp_, epp_, threads,
-                {.records = out});
-  } else {
-    sweep_sites(compiled_, *resolve_planner(), sites, sp_, epp_, threads,
-                {.rows = out, .latch_weights = latch_weights});
-  }
-  return out;
-}
-
-template <typename Rec>
-std::vector<Rec> ShardedEppEngine::run_sharded(
+std::vector<NodeSer> ShardedEppEngine::run_sharded(
     std::span<const NodeId> sites, std::span<const Shard> shards,
-    unsigned threads, std::span<const double> latch_weights) {
+    unsigned threads) {
   const ShardRetryOptions& retry = shard_.retry;
   const int timeout_ms = static_cast<int>(retry.timeout_ms);
 
   for (const Shard& s : shards) {
     diagnostics_.shard_sites.push_back(s.members.size());
   }
-  diagnostics_.in_process = false;
 
-  SigPipeGuard sigpipe;
   ShardFleet fleet(shard_, circuit_, shards.size());
   diagnostics_.transport = "tcp";
   unsigned next_spawn = 0;
@@ -310,10 +216,9 @@ std::vector<Rec> ShardedEppEngine::run_sharded(
   ShardJob job;
   job.epp = epp_;
   job.threads = threads;
-  job.output = kRecordJob<Rec> ? ShardOutput::kRecord : ShardOutput::kRow;
   job.fingerprint = fingerprint_;
   job.sp = sp_.p1;
-  job.latch_weights.assign(latch_weights.begin(), latch_weights.end());
+  job.latch_weights = ser_.latching.weights(circuit_);
   // One prefix (options + the full SP and weight tables — the bulk of the
   // bytes) for the whole sweep; only the dispatch ordinal and the site list
   // vary per shard AND per retry (residuals are a subset), so every
@@ -350,7 +255,7 @@ std::vector<Rec> ShardedEppEngine::run_sharded(
   // Phase 2 — supervise: drain shards in plan order (deterministic merge no
   // matter how workers interleave in time); each shard runs its own
   // retry/re-dispatch loop against the failure policy.
-  std::vector<Rec> out(sites.size());
+  std::vector<NodeSer> out(sites.size());
   for (std::size_t i = 0; i < shards.size(); ++i) {
     std::vector<NodeId>& exp = expected[i];
     std::vector<std::uint32_t>& slot = slots[i];
@@ -374,7 +279,7 @@ std::vector<Rec> ShardedEppEngine::run_sharded(
         r.error = attempt->send_error;
       } else {
         r = drain_attempt(attempt->fd, timeout_ms, exp, slot, fingerprint_,
-                          out);
+                          circuit_, ser_.seu, out);
       }
       // Either way this connection is done. A hung worker child is
       // abandoned here; a local one dies with its fleet.
@@ -401,20 +306,20 @@ std::vector<Rec> ShardedEppEngine::run_sharded(
                    slot.begin() + static_cast<std::ptrdiff_t>(r.verified));
       }
       if (exp.empty()) {
-        // Every record arrived and verified; only the completion frame was
+        // Every row arrived and verified; only the completion frame was
         // lost. Nothing to recompute.
         break;
       }
       ++failures;
       if (failures > retry.retries) {
         if (retry.on_failure == OnShardFailure::kDegrade) {
-          // Budget exhausted: finish the residual in-process with the
-          // batched engine — bit-identical by the purity argument, at
-          // in-process speed for just this remainder.
-          std::vector<Rec> residual =
-              sweep_in_process<Rec>(exp, threads, latch_weights);
+          // Budget exhausted: finish the residual in-process through the
+          // base class's rows sweep — bit-identical by the purity argument,
+          // at in-process speed for just this remainder.
+          const std::vector<NodeSer> residual =
+              BatchedEngine::sweep_rows(exp, threads);
           for (std::size_t k = 0; k < exp.size(); ++k) {
-            out[slot[k]] = std::move(residual[k]);
+            out[slot[k]] = residual[k];
           }
           ++diagnostics_.degraded_shards;
           diagnostics_.redispatched_sites += exp.size();
@@ -490,7 +395,7 @@ int run_shard_worker(const CompiledCircuit& compiled,
 
     if (!(fingerprint == job.fingerprint)) {
       // A worker started on another netlist than the parent opened (a
-      // re-converted .bench reorders node ids) would scatter records to the
+      // re-converted .bench reorders node ids) would scatter rows to the
       // WRONG sites. The kFingerprintMismatchMark prefix tells the
       // supervisor this is non-retryable.
       throw std::runtime_error(std::string(kFingerprintMismatchMark) +
@@ -500,9 +405,8 @@ int run_shard_worker(const CompiledCircuit& compiled,
                                to_string(fingerprint));
     }
     const std::size_t node_count = compiled.node_count();
-    const bool rows = job.output == ShardOutput::kRow;
     if (job.sp.size() != node_count ||
-        job.latch_weights.size() != (rows ? node_count : 0)) {
+        job.latch_weights.size() != node_count) {
       throw std::runtime_error(
           "SP / latch-weight tables cover " + std::to_string(job.sp.size()) +
           " / " + std::to_string(job.latch_weights.size()) +
@@ -516,7 +420,7 @@ int run_shard_worker(const CompiledCircuit& compiled,
     sp.p1 = std::move(job.sp);
 
     // Fires the fault plan's mid-stream modes at the result-frame boundary
-    // `frames_done` (checked before each kResults write and once after the
+    // `frames_done` (checked before each kRowBatch write and once after the
     // loop, so every directive also covers the all-frames-streamed edge).
     const auto fault_gate = [&](long frames_done) {
       if (!fault.has_value()) return;
@@ -563,22 +467,11 @@ int run_shard_worker(const CompiledCircuit& compiled,
       // starve across a long cluster extraction.
       write_shard_frame(fd, ShardFrameType::kProgress,
                         encode_progress(streamed));
-      std::vector<std::uint8_t> payload;
-      if (rows) {
-        std::vector<SiteRow> batch(count);
-        sweep_sites(compiled, planner, slice, sp, job.epp, job.threads,
-                    {.rows = batch, .latch_weights = job.latch_weights});
-        payload = encode_rows(batch);
-      } else {
-        std::vector<SiteEpp> records(count);
-        sweep_sites(compiled, planner, slice, sp, job.epp, job.threads,
-                    {.records = records});
-        payload = encode_results(records);
-      }
+      std::vector<SiteRow> batch(count);
+      sweep_sites(compiled, planner, slice, sp, job.epp, job.threads,
+                  {.rows = batch, .latch_weights = job.latch_weights});
       fault_gate(result_frames);
-      write_shard_frame(fd, rows ? ShardFrameType::kRowBatch
-                                     : ShardFrameType::kResults,
-                        payload);
+      write_shard_frame(fd, ShardFrameType::kRowBatch, encode_rows(batch));
       ++result_frames;
       streamed += count;
     }

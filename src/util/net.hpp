@@ -2,7 +2,9 @@
 // wrappers over the BSD socket calls so every user gets the same error
 // strings, SO_REUSEADDR hygiene, and deadline-bounded connect behavior.
 // Frame I/O on the returned fds goes through shard_protocol's
-// read_shard_frame/write_shard_frame, which work on any byte stream.
+// read_shard_frame/write_shard_frame; every frame the library writes goes to
+// one of these sockets, sent with MSG_NOSIGNAL (a hung-up peer is an EPIPE
+// error, never a SIGPIPE).
 #pragma once
 
 #include <cstdint>

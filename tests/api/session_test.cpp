@@ -25,6 +25,7 @@
 #include "src/netlist/generator.hpp"
 #include "src/ser/ser_estimator.hpp"
 #include "src/sim/fault_injection.hpp"
+#include "tests/epp/site_epp_testutil.hpp"
 
 namespace sereep {
 namespace {
@@ -412,15 +413,11 @@ TEST(Session, EditedShardedSessionKeepsFanningOut) {
   EXPECT_EQ(sharded.options().shard.shards, 2u);
   EXPECT_EQ(sharded.ser_csv(), batched.ser_csv());
   EXPECT_EQ(sharded.sweep_csv(), batched.sweep_csv());
-  // A records sweep covers every site of the edited circuit, so it fans
-  // out whatever the splice above re-swept.
-  const std::vector<SiteEpp> want = batched.sweep();
-  const std::vector<SiteEpp> got = sharded.sweep();
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].site, want[i].site);
-    EXPECT_EQ(got[i].p_sensitized, want[i].p_sensitized);
-  }
+  // A rows sweep over every site of the edited circuit fans out whatever
+  // the splice above re-swept.
+  testutil::expect_rows_equal(
+      batched.engine().sweep_rows(batched.sites(), 1),
+      sharded.engine().sweep_rows(sharded.sites(), 1));
   ASSERT_NE(sharded.shard_diagnostics(), nullptr);
   EXPECT_FALSE(sharded.shard_diagnostics()->in_process);
   EXPECT_EQ(sharded.shard_diagnostics()->transport, "tcp");

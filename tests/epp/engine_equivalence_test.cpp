@@ -17,10 +17,10 @@
 //   * the batched engine's SIMD lane-plane kernels ON and OFF (the scalar
 //     per-lane fallback is a peer tier of the hierarchy — see
 //     SimdOnAndOffBitIdentical and tests/README.md),
-//   * the sharded multi-process tier: the in-memory fuzz circuit is swept
-//     through real `sereep worker` processes, which map the artifact the
-//     parent writes (ShardedProcessSweepBitIdentical), before and after
-//     edits (IncrementalEditSessionsBitIdenticalToRebuild).
+//   * the sharded multi-process tier: the in-memory fuzz circuit's result
+//     table is filled through real `sereep worker` processes, which map
+//     the artifact the parent writes (ShardedProcessSweepBitIdentical),
+//     before and after edits (IncrementalEditSessionsBitIdenticalToRebuild).
 //
 // Future engines join the hierarchy by being added here; a refactor that
 // changes any floating-point result in any profile fails this file first.
@@ -232,9 +232,10 @@ TEST_P(EngineEquivalence, SimdOnAndOffBitIdentical) {
 
 TEST_P(EngineEquivalence, ShardedProcessSweepBitIdentical) {
   // The multi-process tier joins the hierarchy here: the in-memory fuzz
-  // circuit is swept through real `sereep worker` processes and compared
-  // EXPECT_EQ against the in-process batched session — shard merging must
-  // be a pure re-route, exactly like every other engine selection.
+  // circuit's result table is filled through real `sereep worker`
+  // processes and compared EXPECT_EQ against the in-process batched
+  // session — shard merging must be a pure re-route, exactly like every
+  // other engine selection.
   Session batched(make_fuzz_circuit(GetParam()));
   Options opt;
   opt.engine = "sharded";
@@ -242,13 +243,16 @@ TEST_P(EngineEquivalence, ShardedProcessSweepBitIdentical) {
   opt.shard.worker_path = SEREEP_CLI_PATH;
   Session sharded(make_fuzz_circuit(GetParam()), std::move(opt));
 
-  const std::vector<SiteEpp> want = batched.sweep();
-  const std::vector<SiteEpp> got = sharded.sweep();
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    testutil::expect_site_epp_equal(batched.circuit(), want[i], got[i]);
-  }
+  const CircuitSer& want = batched.ser();
+  const CircuitSer& got = sharded.ser();
+  EXPECT_EQ(got.total_ser, want.total_ser);
+  testutil::expect_rows_equal(want.nodes, got.nodes);
+  EXPECT_EQ(sharded.sweep_csv(), batched.sweep_csv());
   EXPECT_EQ(sharded.sweep_p_sensitized(), batched.sweep_p_sensitized());
+  // With two or more clusters to split, the fill ran on the workers.
+  ASSERT_NE(sharded.shard_diagnostics(), nullptr);
+  EXPECT_EQ(sharded.shard_diagnostics()->in_process,
+            batched.planner().plan(batched.sites()).size() < 2);
 }
 
 TEST_P(EngineEquivalence, OptionVariantsStayBitIdentical) {
@@ -495,12 +499,16 @@ TEST_P(EngineEquivalence, IncrementalEditSessionsBitIdenticalToRebuild) {
         testutil::expect_site_epp_equal(edited, want[i], got[i]);
       }
       if (lane.sharded) {
-        // That records sweep covered every site: with two or more clusters
-        // to split, it ran on the workers.
-        ASSERT_NE(lane.session->shard_diagnostics(), nullptr) << where;
+        // Records run in-process; a rows sweep over every site re-runs the
+        // table fill: with two or more clusters to split, on the workers.
+        SCOPED_TRACE(where);
+        testutil::expect_rows_equal(
+            want_ser.nodes,
+            lane.session->engine().sweep_rows(lane.session->sites(),
+                                              lane.threads));
+        ASSERT_NE(lane.session->shard_diagnostics(), nullptr);
         EXPECT_EQ(lane.session->shard_diagnostics()->in_process,
-                  full.planner().plan(full.sites()).size() < 2)
-            << where;
+                  full.planner().plan(full.sites()).size() < 2);
       }
       // The splice must actually be incremental, not a silent full rebuild:
       // after a warmed read, every edit routes through the spliced path.

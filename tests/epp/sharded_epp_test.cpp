@@ -15,8 +15,9 @@
 // corrupt frames, a worker binary that never starts — and the recovered
 // sweep must still be bit-identical, with every recovery visible in
 // Diagnostics and every dispatch torn down (workers_reaped ==
-// workers_spawned, the hygiene assertion). Sweeps here run on the loopback
-// fleet each sweep starts; tests/epp/tcp_transport_test.cpp covers remote
+// workers_spawned, the hygiene assertion). Table fills — the only sweeps
+// that fan out; records sweeps run in-process — run here on the loopback
+// fleet each one starts; tests/epp/tcp_transport_test.cpp covers remote
 // hosts. No worker may outlive its parent, even a SIGKILLed one.
 #include <gtest/gtest.h>
 #include <signal.h>
@@ -25,9 +26,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -117,7 +121,6 @@ TEST(ShardProtocol, JobRoundTripsExactly) {
   job.epp.electrical_survival = 0.97251;
   job.threads = 7;
   job.epp.simd = false;
-  job.output = ShardOutput::kRow;
   job.fingerprint = {.nodes = 12345, .digest = 0x1122334455667788};
   job.sp = {0.0, 1.0, 0.5, 0.123456789012345678, 1e-300};
   job.latch_weights = {0.115, 1.0, 0.5, 0.0, 5e-324};
@@ -128,7 +131,6 @@ TEST(ShardProtocol, JobRoundTripsExactly) {
   EXPECT_EQ(back.epp.electrical_survival, job.epp.electrical_survival);
   EXPECT_EQ(back.threads, job.threads);
   EXPECT_EQ(back.epp.simd, job.epp.simd);
-  EXPECT_EQ(back.output, job.output);
   EXPECT_EQ(back.fingerprint, job.fingerprint);
   EXPECT_EQ(back.sp, job.sp);
   EXPECT_EQ(back.latch_weights, job.latch_weights);
@@ -137,22 +139,15 @@ TEST(ShardProtocol, JobRoundTripsExactly) {
 
   // The kernel choice is the byte after track_polarity (u8),
   // electrical_survival (f64) and threads (u32): 1 = scalar, 2 = SIMD, the
-  // values every worker of this protocol version decodes. The output kind
-  // follows it: 1 = rows, 2 = records; anything else is refused.
+  // values every worker of this protocol version decodes. The netlist
+  // fingerprint follows it directly: a v7 job has no output-kind byte.
   constexpr std::size_t kSimdByte = 1 + 8 + 4;
   for (const bool simd : {false, true}) {
     job.epp.simd = simd;
     const std::vector<std::uint8_t> bytes = encode_job(job);
     EXPECT_EQ(bytes[kSimdByte], simd ? 2 : 1);
+    EXPECT_EQ(bytes[kSimdByte + 1], 12345 & 0xff);  // fingerprint.nodes
     EXPECT_EQ(decode_job(bytes).epp.simd, simd);
-  }
-  for (const ShardOutput output : {ShardOutput::kRow, ShardOutput::kRecord}) {
-    job.output = output;
-    std::vector<std::uint8_t> bytes = encode_job(job);
-    EXPECT_EQ(bytes[kSimdByte + 1], output == ShardOutput::kRow ? 1 : 2);
-    EXPECT_EQ(decode_job(bytes).output, output);
-    bytes[kSimdByte + 1] = 0;  // v5 spelled full records 0
-    EXPECT_THROW((void)decode_job(bytes), std::runtime_error);
   }
 }
 
@@ -195,11 +190,12 @@ std::vector<std::uint8_t> frame_bytes(std::uint16_t version,
   return out;
 }
 
-TEST(ShardProtocol, OlderFramesReadButPreV6JobsAreRefused) {
-  // Frames from v3..v5 peers (serve clients) frame identically and still
-  // read; the job layout changed in v6, so a worker refuses an older job
-  // with a kError naming both versions instead of misreading its bytes.
-  for (const std::uint16_t version : {3, 4, 5, 6}) {
+TEST(ShardProtocol, OlderFramesReadButPreV7JobsAreRefused) {
+  // Frames from v3..v6 peers (serve clients) frame identically and still
+  // read; the job layout changed in v7 (its output byte went), so a worker
+  // refuses an older job with a kError naming both versions instead of
+  // misreading its bytes.
+  for (const std::uint16_t version : {3, 4, 5, 6, 7}) {
     int fds[2];
     ASSERT_EQ(::pipe(fds), 0);
     const std::vector<std::uint8_t> bytes =
@@ -223,7 +219,7 @@ TEST(ShardProtocol, OlderFramesReadButPreV6JobsAreRefused) {
   int sv[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
   const std::vector<std::uint8_t> bytes =
-      frame_bytes(5, ShardFrameType::kJob, encode_job(job));
+      frame_bytes(6, ShardFrameType::kJob, encode_job(job));
   ASSERT_EQ(::write(sv[0], bytes.data(), bytes.size()),
             static_cast<ssize_t>(bytes.size()));
   ::shutdown(sv[0], SHUT_WR);
@@ -233,8 +229,8 @@ TEST(ShardProtocol, OlderFramesReadButPreV6JobsAreRefused) {
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->type, ShardFrameType::kError);  // before any ack
   const std::string message(reply->payload.begin(), reply->payload.end());
-  EXPECT_NE(message.find("v5"), std::string::npos) << message;
   EXPECT_NE(message.find("v6"), std::string::npos) << message;
+  EXPECT_NE(message.find("v7"), std::string::npos) << message;
   EXPECT_FALSE(read_shard_frame(sv[0]).has_value());
   ::close(sv[0]);
 }
@@ -243,6 +239,7 @@ TEST(ShardProtocol, HelloAndProgressRoundTrip) {
   const NetlistFingerprint fp{.nodes = 123, .digest = 0xdeadbeefcafebabe};
   EXPECT_EQ(decode_hello(encode_hello(fp)), fp);
   EXPECT_EQ(decode_progress(encode_progress(77)), 77u);
+  EXPECT_EQ(decode_done(encode_done(12345)), 12345u);
   // A progress payload is half a hello payload — size confusion must throw,
   // not read garbage.
   EXPECT_THROW((void)decode_hello(encode_progress(1)), std::runtime_error);
@@ -271,26 +268,6 @@ TEST(ShardProtocol, ProgressDeadlineThrowsDistinctType) {
   ::close(fds[1]);
 }
 
-TEST(ShardProtocol, ResultsRoundTripBitForBit) {
-  SiteEpp rec;
-  rec.site = 42;
-  rec.p_sensitized = 0.12345678901234567;
-  rec.p_sens_lower = 0.1;
-  rec.p_sens_upper = 0.2;
-  rec.self_dpin_mass = 3.5e-17;
-  rec.cone_size = 1234;
-  rec.reconvergent_gates = 9;
-  rec.sinks.push_back(
-      {.sink = 7, .error_mass = 0.25, .distribution = Prob4{}});
-  rec.sinks[0].distribution.p[0] = 0.5;
-  rec.sinks[0].distribution.p[3] = 1e-308;  // denormal-adjacent survives
-  const std::vector<SiteEpp> back =
-      decode_results(encode_results(std::vector<SiteEpp>{rec}));
-  ASSERT_EQ(back.size(), 1u);
-  testutil::expect_site_epp_equal(make_c17(), rec, back[0]);
-  EXPECT_EQ(decode_done(encode_done(12345)), 12345u);
-}
-
 TEST(ShardProtocol, SplitJobEncodingEqualsOneShot) {
   // The fan-out loop reuses one encoded prefix + per-shard site lists; the
   // bytes must be exactly what a one-shot encode_job would produce.
@@ -306,14 +283,14 @@ TEST(ShardProtocol, SplitJobEncodingEqualsOneShot) {
 
 TEST(ShardProtocol, ImplausibleElementCountsRejectedBeforeAllocation) {
   // A corrupted count field must be a protocol error, not a multi-GB
-  // vector resize: payload claims 2^32-1 records but carries 4 bytes.
+  // vector resize: payload claims 2^32-1 rows but carries 4 bytes.
   std::vector<std::uint8_t> payload = {0xff, 0xff, 0xff, 0xff};
-  EXPECT_THROW((void)decode_results(payload), std::runtime_error);
+  EXPECT_THROW((void)decode_rows(payload), std::runtime_error);
   // And a job whose SP count outruns the payload.
   ShardJob job;
   job.sp = {0.5};
   std::vector<std::uint8_t> bytes = encode_job(job);
-  bytes[31] = 0xff;  // sp count follows the 15-byte option block + 16-byte
+  bytes[30] = 0xff;  // sp count follows the 14-byte option block + 16-byte
                      // netlist fingerprint
   EXPECT_THROW((void)decode_job(bytes), std::runtime_error);
 }
@@ -327,8 +304,10 @@ TEST(ShardProtocol, TruncatedPayloadThrows) {
 }
 
 TEST(ShardProtocol, FrameStreamOverAPipe) {
+  // write_shard_frame sends on sockets (MSG_NOSIGNAL), so the "pipe" is a
+  // connected socket pair.
   int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   write_shard_frame(fds[1], ShardFrameType::kDone, encode_done(3));
   ::close(fds[1]);
   const std::optional<ShardFrame> frame = read_shard_frame(fds[0]);
@@ -337,6 +316,30 @@ TEST(ShardProtocol, FrameStreamOverAPipe) {
   EXPECT_EQ(decode_done(frame->payload), 3u);
   EXPECT_FALSE(read_shard_frame(fds[0]).has_value());  // clean EOF
   ::close(fds[0]);
+}
+
+TEST(ShardProtocol, WriteToAHungUpPeerThrowsInsteadOfRaisingSigpipe) {
+  // Frames are sent with MSG_NOSIGNAL, so a peer that hung up is an EPIPE
+  // error for the one writer, whatever the process's SIGPIPE disposition —
+  // no sweep flips that process-wide setting to survive a dead worker. The
+  // child runs at SIG_DFL, where a plain write() would die of the signal.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        std::signal(SIGPIPE, SIG_DFL);
+        int fds[2];
+        if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) std::_Exit(2);
+        ::close(fds[1]);
+        try {
+          write_shard_frame(fds[0], ShardFrameType::kDone, encode_done(1));
+        } catch (const std::runtime_error& e) {
+          const bool epipe = std::string(e.what()).find(std::strerror(
+                                 EPIPE)) != std::string::npos;
+          std::_Exit(epipe ? 0 : 3);
+        }
+        std::_Exit(4);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(ShardProtocol, GarbageAndMidFrameEofThrow) {
@@ -348,9 +351,9 @@ TEST(ShardProtocol, GarbageAndMidFrameEofThrow) {
   EXPECT_THROW((void)read_shard_frame(fds[0]), std::runtime_error);
   ::close(fds[0]);
 
-  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   // A valid header promising 100 payload bytes, then death.
-  write_shard_frame(fds[1], ShardFrameType::kResults,
+  write_shard_frame(fds[1], ShardFrameType::kRowBatch,
                     std::vector<std::uint8_t>(100));
   // Re-read only part: write a fresh truncated copy instead.
   ::close(fds[1]);
@@ -364,7 +367,7 @@ TEST(ShardProtocol, GarbageAndMidFrameEofThrow) {
   header[2] = 0x52;
   header[3] = 0x53;
   header[4] = 1;  // version 1
-  header[6] = 2;  // kResults
+  header[6] = 10;  // kRowBatch
   header[8] = 100;  // promises 100 bytes that never arrive
   ASSERT_EQ(::write(fds[1], header, sizeof header),
             static_cast<ssize_t>(sizeof header));
@@ -378,7 +381,7 @@ TEST(ShardProtocol, CorruptedPayloadFailsTheCrcCheck) {
   // must reject it by CRC, naming the cause — silent acceptance would let
   // a flaky transport corrupt merged sweep values undetected.
   int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   write_shard_frame(fds[1], ShardFrameType::kDone, encode_done(3));
   ::close(fds[1]);
   std::vector<std::uint8_t> stream(20 + 8);
@@ -418,7 +421,7 @@ TEST(ShardProtocol, OversizedDeclaredLengthRespectsCallerBound) {
   std::vector<std::uint8_t> frame;
   {
     int fds[2];
-    ASSERT_EQ(::pipe(fds), 0);
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
     write_shard_frame(fds[1], ShardFrameType::kRequest,
                       std::vector<std::uint8_t>(64));
     ::close(fds[1]);
@@ -449,27 +452,14 @@ Options sharded_options(unsigned shards, unsigned threads = 1) {
 }
 
 void expect_sweeps_equal(Session& expected, Session& actual) {
-  // The table first — on fresh sessions each side's one rows fill, so the
-  // sharded side streams row jobs — then full records.
-  const CircuitSer& want_rows = expected.ser();
-  const CircuitSer& got_rows = actual.ser();
-  EXPECT_EQ(got_rows.total_ser, want_rows.total_ser);
-  ASSERT_EQ(got_rows.nodes.size(), want_rows.nodes.size());
-  for (std::size_t i = 0; i < want_rows.nodes.size(); ++i) {
-    const NodeSer& w = want_rows.nodes[i];
-    const NodeSer& g = got_rows.nodes[i];
-    EXPECT_EQ(g.node, w.node);
-    EXPECT_EQ(g.r_seu, w.r_seu);
-    EXPECT_EQ(g.p_latched, w.p_latched);
-    EXPECT_EQ(g.p_sensitized, w.p_sensitized);
-    EXPECT_EQ(g.ser, w.ser);
-  }
-  const std::vector<SiteEpp> want = expected.sweep();
-  const std::vector<SiteEpp> got = actual.sweep();
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    testutil::expect_site_epp_equal(expected.circuit(), want[i], got[i]);
-  }
+  // Table reads only: on a fresh sharded session the first is its one rows
+  // fill, which fans out (records sweeps never do), and the rest read the
+  // table it filled.
+  const CircuitSer& want = expected.ser();
+  const CircuitSer& got = actual.ser();
+  EXPECT_EQ(got.total_ser, want.total_ser);
+  testutil::expect_rows_equal(want.nodes, got.nodes);
+  EXPECT_EQ(actual.sweep_csv(), expected.sweep_csv());
   EXPECT_EQ(actual.sweep_p_sensitized(), expected.sweep_p_sensitized());
 }
 
@@ -572,7 +562,7 @@ TEST(ShardedEngine, DeadWorkerBinaryErrorsLoudly) {
   opt.shard.worker_path = "/bin/false";  // spawns, exits 1, streams nothing
   Session session = Session::open("s953", std::move(opt));
   try {
-    (void)session.sweep();
+    (void)session.ser();
     FAIL() << "a dead worker must abort the sweep";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
@@ -614,7 +604,7 @@ TEST(ShardedEngine, SilentWorkerFailsItsStartAtTheDeadline) {
   opt.shard.retry.timeout_ms = 200;
   Session session = Session::open("s953", std::move(opt));
   try {
-    (void)session.sweep();
+    (void)session.ser();
     FAIL() << "a worker that never starts must abort the sweep";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
@@ -628,7 +618,7 @@ TEST(ShardedEngine, MissingWorkerBinaryErrorsLoudly) {
   Options opt = sharded_options(2);
   opt.shard.worker_path = "/nonexistent/sereep";
   Session session = Session::open("s953", std::move(opt));
-  EXPECT_THROW((void)session.sweep(), std::runtime_error);
+  EXPECT_THROW((void)session.ser(), std::runtime_error);
 }
 
 /// Sets an environment variable for one test scope; workers inherit it.
@@ -671,7 +661,7 @@ TEST(ShardedEngine, WorkerKilledMidStreamErrorsLoudly) {
     FaultPlanEnv env(plan);
     Session session = Session::open("s953", sharded_options(2));
     try {
-      (void)session.sweep();
+      (void)session.ser();
       FAIL() << "plan " << plan << " must abort the sweep";
     } catch (const std::runtime_error& e) {
       const std::string what = e.what();
@@ -757,15 +747,51 @@ TEST(ShardedEngine, InMemorySessionFansOut) {
   EXPECT_GE(diag->workers_spawned, 2u);
 }
 
+TEST(ShardedEngine, RecordsSweepRunsInProcessAndRowsFanOut) {
+  // Only table fills cross the wire. A records sweep (per-sink
+  // distributions) is the base batched engine's, in-process: it starts no
+  // worker, so the fleet's TMPDIR never sees a directory. A rows sweep on
+  // the same session still fans out.
+  const std::string tmpdir = ::testing::TempDir() + "sereep_records_" +
+                             std::to_string(::getpid());
+  ASSERT_EQ(::mkdir(tmpdir.c_str(), 0700), 0);
+  {
+    ScopedEnv tmp("TMPDIR", tmpdir);
+    Session batched = Session::open("s27");
+    Session sharded = Session::open("s27", sharded_options(2));
+    const std::vector<SiteEpp> want = batched.sweep();
+    const std::vector<SiteEpp> got = sharded.sweep();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      testutil::expect_site_epp_equal(batched.circuit(), want[i], got[i]);
+    }
+    const ShardedEppEngine::Diagnostics* diag = sharded.shard_diagnostics();
+    ASSERT_NE(diag, nullptr);
+    EXPECT_TRUE(diag->in_process);
+    EXPECT_EQ(diag->workers_spawned, 0u);
+    EXPECT_TRUE(std::filesystem::is_empty(tmpdir));
+
+    testutil::expect_rows_equal(
+        batched.engine().sweep_rows(batched.sites(), 1),
+        sharded.engine().sweep_rows(sharded.sites(), 1));
+    diag = sharded.shard_diagnostics();
+    EXPECT_FALSE(diag->in_process);
+    EXPECT_EQ(diag->transport, "tcp");
+    EXPECT_GE(diag->workers_spawned, 2u);
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(tmpdir));
+  std::filesystem::remove_all(tmpdir);
+}
+
 TEST(ShardedEngine, NoWorkerPathAndNoHostsThrows) {
-  // With neither a worker binary nor hosts there is no transport: a sweep
-  // of two or more shards fails loudly instead of quietly running
+  // With neither a worker binary nor hosts there is no transport: a table
+  // fill of two or more shards fails loudly instead of quietly running
   // in-process.
   Options opt = sharded_options(2);
   opt.shard.worker_path.clear();
   Session session(make_s27(), opt);
   try {
-    (void)session.sweep();
+    (void)session.ser();
     FAIL() << "a sharded sweep with no transport must throw";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("worker_path"), std::string::npos)
@@ -798,7 +824,7 @@ TEST(ShardedEngine, UnwritableTmpdirFailsBeforeAnyWorkerStarts) {
   {
     ScopedEnv tmp("TMPDIR", not_a_dir);
     try {
-      (void)session.sweep();
+      (void)session.ser();
       FAIL() << "a fleet without a directory must abort the sweep";
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find(not_a_dir), std::string::npos)
@@ -874,16 +900,12 @@ TEST(ShardedRetry, RecoversFromDeathAtEveryProtocolPhase) {
   // the second shard instead (1:exit). Every schedule must recover via
   // re-dispatch and stay bit-identical.
   Session batched = Session::open("s953");
-  const std::vector<SiteEpp> want = batched.sweep();
   for (const char* plan : {"0:exit", "0:die-before-handshake",
                            "0:die-after-frames=0", "1:exit"}) {
+    SCOPED_TRACE(plan);
     FaultPlanEnv env(plan);
     Session sharded = Session::open("s953", retry_options(2, 2));
-    const std::vector<SiteEpp> got = sharded.sweep();
-    ASSERT_EQ(got.size(), want.size()) << plan;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      testutil::expect_site_epp_equal(batched.circuit(), want[i], got[i]);
-    }
+    testutil::expect_rows_equal(batched.ser().nodes, sharded.ser().nodes);
     const ShardedEppEngine::Diagnostics* diag = sharded.shard_diagnostics();
     ASSERT_NE(diag, nullptr);
     EXPECT_GE(diag->respawns, 1u) << plan;
@@ -927,12 +949,7 @@ TEST(ShardedRetry, KeepsVerifiedPrefixAndRedispatchesOnlyResidual) {
   FaultPlanEnv env("0:die-after-frames=1");
   Session batched = Session::open(path);
   Session sharded = Session::open(path, retry_options(2, 2));
-  const std::vector<SiteEpp> want = batched.sweep();
-  const std::vector<SiteEpp> got = sharded.sweep();
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    testutil::expect_site_epp_equal(batched.circuit(), want[i], got[i]);
-  }
+  testutil::expect_rows_equal(batched.ser().nodes, sharded.ser().nodes);
   const ShardedEppEngine::Diagnostics* diag = sharded.shard_diagnostics();
   ASSERT_NE(diag, nullptr);
   ASSERT_GE(diag->shard_sites.size(), 1u);
@@ -983,7 +1000,7 @@ TEST(ShardedRetry, HangingWorkerUnderFailPolicyAbortsAtTheDeadline) {
   opt.shard.retry.timeout_ms = 300;
   Session session = Session::open("s953", std::move(opt));
   try {
-    (void)session.sweep();
+    (void)session.ser();
     FAIL() << "a hung worker must abort under the fail policy";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
@@ -1013,7 +1030,7 @@ TEST(ShardedRetry, BudgetExhaustionFailsLoudly) {
   FaultPlanEnv env("0:exit;2:exit;3:exit");
   Session session = Session::open("s953", retry_options(2, 2));
   try {
-    (void)session.sweep();
+    (void)session.ser();
     FAIL() << "an exhausted retry budget must abort the sweep";
   } catch (const std::runtime_error& e) {
     const std::string what = e.what();
@@ -1057,7 +1074,6 @@ TEST(ShardedRetry, FaultScheduleFuzzStaysBitIdentical) {
   // bit-identical results with clean process accounting. Plans are fixed
   // (not random at runtime) so a failure names its schedule.
   Session batched = Session::open("s953");
-  const std::vector<SiteEpp> want = batched.sweep();
   for (const char* plan : {
            "0:exit;1:die-after-frames=0",
            "0:die-before-handshake;2:corrupt-frame",
@@ -1066,29 +1082,26 @@ TEST(ShardedRetry, FaultScheduleFuzzStaysBitIdentical) {
            "0:slow-stream=20;1:exit",
            "0:die-after-frames=0;2:die-after-frames=0;3:exit",
        }) {
+    SCOPED_TRACE(plan);
     FaultPlanEnv env(plan);
     Session sharded = Session::open(
         "s953",
         retry_options(2, 3, OnShardFailure::kRetry, /*timeout_ms=*/1500));
-    const std::vector<SiteEpp> got = sharded.sweep();
-    ASSERT_EQ(got.size(), want.size()) << plan;
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      testutil::expect_site_epp_equal(batched.circuit(), want[i], got[i]);
-    }
+    testutil::expect_rows_equal(batched.ser().nodes, sharded.ser().nodes);
     expect_reap_hygiene(sharded.shard_diagnostics());
   }
 }
 
 TEST(ShardedRetry, DiagnosticsResetBetweenSweepsOnOneSession) {
-  // Two sweeps on the SAME Session: the first recovers from a worker death
-  // (respawns >= 1), the second runs clean. Every per-sweep counter must
-  // describe ONLY the last sweep — a second report still showing the first
-  // sweep's respawns would make a healthy fleet look like it is dying. Only
-  // the cumulative `sweeps` counter may grow.
+  // Two rows sweeps on the SAME Session: the first recovers from a worker
+  // death (respawns >= 1), the second runs clean. Every per-sweep counter
+  // must describe ONLY the last sweep — a second report still showing the
+  // first sweep's respawns would make a healthy fleet look like it is
+  // dying. Only the cumulative `sweeps` counter may grow.
   Session sharded = Session::open("s953", retry_options(2, 2));
   {
     FaultPlanEnv env("0:exit");
-    (void)sharded.sweep();
+    (void)sharded.engine().sweep_rows(sharded.sites(), 1);
   }
   const ShardedEppEngine::Diagnostics* diag = sharded.shard_diagnostics();
   ASSERT_NE(diag, nullptr);
@@ -1097,7 +1110,8 @@ TEST(ShardedRetry, DiagnosticsResetBetweenSweepsOnOneSession) {
   EXPECT_GT(diag->redispatched_sites, 0u);
   const unsigned faulted_spawns = diag->workers_spawned;
 
-  (void)sharded.sweep();  // no fault plan in the environment now
+  // No fault plan in the environment now.
+  (void)sharded.engine().sweep_rows(sharded.sites(), 1);
   diag = sharded.shard_diagnostics();
   ASSERT_NE(diag, nullptr);
   EXPECT_EQ(diag->sweeps, 2u) << "sweeps is the one cumulative counter";

@@ -3,7 +3,8 @@
 // every component of every per-sink Prob4 distribution. Sinks are compared
 // by id (robust to tie-order among DFFs sharing a D pin, which carry
 // identical latched distributions — and latch weights — by construction).
-// A rows-sweep row must equal the reference fold of the site's record; the
+// A rows-sweep row must equal the reference fold of the site's record, and
+// two result tables (NodeSer rows) must match field for field; the
 // sweep-driver helpers run both output forms over a site list.
 #pragma once
 
@@ -18,6 +19,7 @@
 #include "src/netlist/compiled.hpp"
 #include "src/netlist/cone_cluster.hpp"
 #include "src/ser/latching.hpp"
+#include "src/ser/ser_estimator.hpp"
 
 namespace sereep::testutil {
 
@@ -62,6 +64,19 @@ inline void expect_row_equal(const Circuit& c, const SiteRow& want,
   EXPECT_EQ(got.site, want.site);
   EXPECT_EQ(got.p_sensitized, want.p_sensitized) << c.node(want.site).name;
   EXPECT_EQ(got.latched, want.latched) << c.node(want.site).name;
+}
+
+/// Two result tables' rows, every field EXPECT_EQ (no tolerance).
+inline void expect_rows_equal(std::span<const NodeSer> want,
+                              std::span<const NodeSer> got) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].node, want[i].node) << "row " << i;
+    EXPECT_EQ(got[i].r_seu, want[i].r_seu) << "row " << i;
+    EXPECT_EQ(got[i].p_latched, want[i].p_latched) << "row " << i;
+    EXPECT_EQ(got[i].p_sensitized, want[i].p_sensitized) << "row " << i;
+    EXPECT_EQ(got[i].ser, want[i].ser) << "row " << i;
+  }
 }
 
 /// The sweep driver over `sites` of `c` (a fresh compiled view and plan):

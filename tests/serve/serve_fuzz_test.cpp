@@ -74,7 +74,7 @@ class ServeFuzz : public ::testing::Test {
     req.kind = ServeRequestKind::kSweepCsv;
     req.netlist = "c17";
     int fds[2];
-    EXPECT_EQ(::pipe(fds), 0);
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
     write_shard_frame(fds[1], ShardFrameType::kRequest, encode_request(req));
     ::close(fds[1]);
     std::vector<std::uint8_t> bytes(4096);

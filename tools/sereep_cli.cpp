@@ -647,8 +647,9 @@ int cmd_engines() {
   std::printf("%s", t.render().c_str());
   std::printf(
       "All built-in engines are bit-for-bit equal; the choice is timing "
-      "only.\nProcesses = sweeps fan out across `sereep worker` processes "
-      "(--shards=N).\n");
+      "only.\nProcesses = result-table fills (sweep, ser, harden) fan out "
+      "across `sereep worker` processes (--shards=N); per-site queries run "
+      "in-process.\n");
   return 0;
 }
 
