@@ -14,7 +14,7 @@
 // hot-cache `sereep serve` round trip, the .sca artifact mmap-load vs
 // cold parse+compile comparison, and the incremental what-if rows — a
 // single-gate edit and a 1%-of-gates batch re-swept through the Session
-// dirty-cone splice vs the full sweep (schema v9) — on a >= 10k-gate
+// dirty-cone splice vs the full sweep (schema v10) — on a >= 10k-gate
 // generated circuit — so the perf trajectory is tracked across PRs (see
 // write_bench_micro_json). Pass --json=path to redirect it,
 // --json= (empty) to skip, and --fast to exercise the JSON emitter on a
@@ -303,8 +303,7 @@ Circuit make_json_circuit(bool fast) {
   return generate_circuit(p, 2024);
 }
 
-/// Per-level cluster statistics for the JSON (old = Bloom-only, new =
-/// two-level with the dominator-sink regroup).
+/// Cluster-plan statistics for the JSON's "clusters" block.
 struct ClusterStats {
   std::size_t count = 0;
   std::size_t multi = 0;
@@ -425,14 +424,10 @@ void write_bench_micro_json(const std::string& path, bool fast) {
   // batched propagate: the cone-sharing sweep on pre-planned clusters (warm
   // planner; engines constructed inside the clock like the other rows pay
   // their engine ctor). Singleton clusters run on the compiled engine —
-  // exactly the per-worker loop of sweep_sites' rows sweep. Old/new
-  // cluster quality: the Bloom-only plan vs the two-level plan with the
-  // dominator-sink singleton regroup; the sweep runs the two-level plan,
-  // once with the SIMD lane-plane kernels and once on the scalar per-lane
-  // fallback (both must be bit-identical).
+  // exactly the per-worker loop of sweep_sites' rows sweep. The sweep runs
+  // the plan once with the SIMD lane-plane kernels and once on the scalar
+  // per-lane fallback (both must be bit-identical).
   const ConeClusterPlanner planner(compiled);
-  const ClusterStats stats_bloom = cluster_stats(
-      planner.plan(sites, ConeClusterPlanner::PlanLevel::kBloomOnly));
   const auto clusters = planner.plan(sites);
   const ClusterStats stats_two = cluster_stats(clusters);
   // Per-site results land in a scatter buffer so the bit-identity check sums
@@ -619,10 +614,10 @@ void write_bench_micro_json(const std::string& path, bool fast) {
     std::remove(netlist.c_str());
   }
 
-  // artifact (schema v8): the .sca mmap-load path vs the cold open it
-  // replaces. cold = parse the .bench + flatten to CSR + the SP pass —
-  // what every worker spawn and serve cache miss used to pay before
-  // artifacts; mmap = ArtifactView construction, i.e. map + CRC + the full
+  // artifact (schema v10): the .sca mmap-load path vs the cold open it
+  // replaces. cold = parse the .bench + flatten to CSR — the work a .sca
+  // saves (an artifact session runs the same SP pass and plan as a .bench
+  // one); mmap = ArtifactView construction, i.e. map + CRC + the full
   // structural validation pass. The ratio is the format's reason to exist
   // (expect orders of magnitude on the 12k circuit).
   double artifact_cold_s = 0.0;
@@ -637,13 +632,12 @@ void write_bench_micro_json(const std::string& path, bool fast) {
         artifact_cold_s = timed_min_per_call([&] {
           const Circuit loaded = load_bench_file(bench_path);
           const CompiledCircuit cc(loaded);
-          benchmark::DoNotOptimize(compiled_parker_mccluskey_sp(cc).size());
+          benchmark::DoNotOptimize(cc.view().types.data());
         });
         write_artifact(sca_path, load_bench_file(bench_path));
         artifact_mmap_s = timed_min_per_call([&] {
           const ArtifactView view(sca_path);
           benchmark::DoNotOptimize(view.compiled().view().types.data());
-          benchmark::DoNotOptimize(view.sp_table().data());
         });
       } catch (const std::exception& e) {
         std::fprintf(stderr, "micro_kernels: artifact row skipped: %s\n",
@@ -797,7 +791,7 @@ void write_bench_micro_json(const std::string& path, bool fast) {
   }
   std::fprintf(f,
                "{\n"
-               "  \"schema\": \"sereep.bench_micro.v9\",\n"
+               "  \"schema\": \"sereep.bench_micro.v10\",\n"
                "  \"circuit\": {\"name\": \"%s\", \"gates\": %zu, "
                "\"nodes\": %zu, \"sites\": %zu, \"depth\": %u},\n"
                "  \"results_bit_identical\": %s,\n"
@@ -808,19 +802,14 @@ void write_bench_micro_json(const std::string& path, bool fast) {
                c.name().c_str(), c.gate_count(), c.node_count(), sites.size(),
                c.depth(), identical ? "true" : "false",
                simd::enabled() ? "true" : "false", simd::kLaneWidth);
-  const auto cluster_block = [&](const char* name, const ClusterStats& s,
-                                 const char* trailing) {
-    std::fprintf(f,
-                 "    \"%s\": {\"count\": %zu, \"multi_site\": %zu, "
-                 "\"clustered_sites\": %zu, \"singleton_sites\": %zu, "
-                 "\"max_lanes\": %zu}%s\n",
-                 name, s.count, s.multi, s.clustered_sites, s.singletons,
-                 s.max_lanes, trailing);
-  };
-  std::fprintf(f, "  \"clusters\": {\n");
-  cluster_block("single_level", stats_bloom, ",");
-  cluster_block("two_level", stats_two, "");
-  std::fprintf(f, "  },\n  \"kernels\": {\n");
+  std::fprintf(f,
+               "  \"clusters\": {\n"
+               "    \"two_level\": {\"count\": %zu, \"multi_site\": %zu, "
+               "\"clustered_sites\": %zu, \"singleton_sites\": %zu, "
+               "\"max_lanes\": %zu}\n"
+               "  },\n  \"kernels\": {\n",
+               stats_two.count, stats_two.multi, stats_two.clustered_sites,
+               stats_two.singletons, stats_two.max_lanes);
   // sp_pass throughput is per NODE (the pass visits every node once); the
   // EPP rows below are per error site.
   std::fprintf(f,
@@ -910,7 +899,7 @@ void write_bench_micro_json(const std::string& path, bool fast) {
          shard_ran ? serve_request_s : 0.0,
          (artifact_mmap_s > 0 || inc_single_s > 0) ? "," : "");
   if (artifact_mmap_s > 0) {
-    // Schema v8: compiled-artifact load. Both _ms columns gate same-machine
+    // Schema v10: compiled-artifact load. Both _ms columns gate same-machine
     // (absolute I/O + CPU on this host); "speedup" is the portable ratio
     // bench_compare gates under --ratios-only.
     std::fprintf(f,
@@ -946,11 +935,11 @@ void write_bench_micro_json(const std::string& path, bool fast) {
   std::printf(
       "BENCH_micro.json: %zu sites, full sweep %.0f ms (ref) vs %.0f ms "
       "(compiled) vs %.0f ms (batched) = %.2fx / %.2fx; batched-vs-compiled "
-      "%.2fx; simd %.2fx; sp-pass %.2fx; singletons %zu -> %zu -> %s\n",
+      "%.2fx; simd %.2fx; sp-pass %.2fx; singletons %zu -> %s\n",
       sites.size(), sweep_ref_s * 1e3, sweep_cmp_s * 1e3, sweep_bat_s * 1e3,
       sweep_ref_s / sweep_cmp_s, sweep_ref_s / sweep_bat_s,
       sweep_cmp_s / sweep_bat_s, prop_bat_scalar_s / prop_bat_s,
-      sp_ref_s / sp_cmp_s, stats_bloom.singletons, stats_two.singletons,
+      sp_ref_s / sp_cmp_s, stats_two.singletons,
       path.c_str());
   if (shard_ran) {
     std::printf(
@@ -973,7 +962,7 @@ void write_bench_micro_json(const std::string& path, bool fast) {
   }
   if (artifact_mmap_s > 0) {
     std::printf(
-        "  artifact: cold parse+compile+sp %.1f ms vs mmap load %.2f ms "
+        "  artifact: cold parse+compile %.1f ms vs mmap load %.2f ms "
         "(%.0fx)\n",
         artifact_cold_s * 1e3, artifact_mmap_s * 1e3,
         artifact_cold_s / artifact_mmap_s);

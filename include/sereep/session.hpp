@@ -52,7 +52,7 @@ class ArtifactView;
 
 /// Loads a netlist the way every sereep front end spells it: an embedded
 /// circuit name (c17, s27, s953, ...), a compiled-artifact path (*.sca,
-/// restored through the process-wide ArtifactCache), a structural-Verilog
+/// mapped and restored from the file as it is now), a structural-Verilog
 /// path (*.v), or an ISCAS .bench path (anything else). Throws
 /// std::runtime_error with the parser's message on failure.
 [[nodiscard]] Circuit load_netlist(const std::string& spec);
@@ -89,10 +89,11 @@ class Session {
   explicit Session(Circuit circuit, Options options = {});
 
   /// load_netlist() + Session in one step — the CLI / quickstart route.
-  /// A `.sca` spec routes through the ArtifactCache: the compiled view is
-  /// borrowed zero-copy from the shared mapping, the stored SP table and
-  /// cluster plan seed the session's caches when the options match, and
-  /// artifact_fingerprint() records which artifact this session serves.
+  /// A `.sca` spec is mapped by this session: the compiled view is borrowed
+  /// zero-copy from the mapping, the SP table and cluster plan are built
+  /// from it on first need like any session's, and artifact_fingerprint()
+  /// records which artifact this session serves. The file is read as it is
+  /// at the call: a rewritten path opens the new circuit.
   [[nodiscard]] static Session open(const std::string& spec,
                                     Options options = {});
 
@@ -254,10 +255,9 @@ class Session {
   /// The planner cache, created (not built) on demand.
   PlannerCache& planner_cache();
 
-  /// Seeds the session's caches from a validated artifact (compiled view
-  /// borrowed zero-copy; SP table and cluster plan adopted only when they
-  /// match the session's options bit-exactly).
-  void adopt_artifact(std::shared_ptr<const ArtifactView> artifact);
+  /// Records a validated artifact's fingerprint and borrows its compiled
+  /// view zero-copy.
+  void adopt_artifact(std::unique_ptr<const ArtifactView> artifact);
 
   /// Drops the result table and any pending dirty frontier — the fallback
   /// for invalidations the dirty-cone machinery cannot scope.
@@ -281,7 +281,7 @@ class Session {
   std::unique_ptr<Circuit> circuit_;
   /// Keeps the mmapped artifact alive for as long as compiled_ borrows its
   /// arrays — declared before compiled_ so it is destroyed after it.
-  std::shared_ptr<const ArtifactView> artifact_;
+  std::unique_ptr<const ArtifactView> artifact_;
   std::optional<CircuitFingerprint> artifact_fingerprint_;
   Options options_;
   std::unique_ptr<BuildCounts> counts_;  ///< stable: the planner cache and

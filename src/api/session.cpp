@@ -1,11 +1,9 @@
 #include "sereep/session.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <utility>
 
-#include "src/artifact/artifact_cache.hpp"
 #include "src/artifact/compiled_artifact.hpp"
 #include "src/epp/incremental.hpp"
 #include "src/netlist/bench_io.hpp"
@@ -21,9 +19,7 @@ Circuit load_netlist(const std::string& spec) {
   for (const std::string& name : known_circuit_names()) {
     if (spec == name) return make_circuit(spec);
   }
-  if (is_artifact_path(spec)) {
-    return ArtifactCache::global().load(spec)->restore_circuit();
-  }
+  if (is_artifact_path(spec)) return ArtifactView(spec).restore_circuit();
   if (spec.ends_with(".v")) return load_verilog_file(spec);
   return load_bench_file(spec);
 }
@@ -36,19 +32,10 @@ struct Session::PlannerCache {
   const CompiledCircuit* compiled = nullptr;
   BuildCounts* counts = nullptr;
   std::unique_ptr<ConeClusterPlanner> planner;
-  // A kTwoLevel plan stored in a .sca artifact: handed to the planner so a
-  // whole-circuit plan() call returns it instead of re-planning (the
-  // planner is deterministic, so the copy is exact).
-  std::vector<NodeId> preplan_sites;
-  std::vector<ConeCluster> preplan_clusters;
 
   const ConeClusterPlanner& get() {
     if (planner == nullptr) {
       planner = std::make_unique<ConeClusterPlanner>(*compiled);
-      if (!preplan_sites.empty()) {
-        planner->set_preplanned(preplan_sites, preplan_clusters,
-                                ConeClusterPlanner::PlanLevel::kTwoLevel);
-      }
       ++counts->planner;
     }
     return *planner;
@@ -68,8 +55,7 @@ Session::~Session() = default;
 
 Session Session::open(const std::string& spec, Options options) {
   if (is_artifact_path(spec)) {
-    std::shared_ptr<const ArtifactView> artifact =
-        ArtifactCache::global().load(spec);
+    auto artifact = std::make_unique<const ArtifactView>(spec);
     Session session(artifact->restore_circuit(), std::move(options));
     session.adopt_artifact(std::move(artifact));
     return session;
@@ -77,41 +63,16 @@ Session Session::open(const std::string& spec, Options options) {
   return Session(load_netlist(spec), std::move(options));
 }
 
-void Session::adopt_artifact(std::shared_ptr<const ArtifactView> artifact) {
+void Session::adopt_artifact(std::unique_ptr<const ArtifactView> artifact) {
   artifact_fingerprint_ = artifact->fingerprint();
   artifact_ = std::move(artifact);
-  // Compiled view: borrowed zero-copy from the shared mapping — the point
-  // of the artifact. Not counted in BuildCounts: the caching contract's
-  // "0 or 1" counts constructions this session performs, and nothing was
-  // flattened here.
+  // Compiled view: borrowed zero-copy from the mapping — the point of the
+  // artifact. Not counted in BuildCounts: the caching contract's "0 or 1"
+  // counts constructions this session performs, and nothing was flattened
+  // here. The SP table and cluster plan are built from it on first need,
+  // as for every other netlist source.
   compiled_ = std::make_unique<CompiledCircuit>(
       CompiledCircuit::borrow(artifact_->compiled().view()));
-  // The stored SP table is adopted only when it is EXACTLY what this
-  // session would compute: same source, bit-identical source probabilities
-  // (compared as IEEE bit patterns — the file stores those bits verbatim).
-  const SpOptions stored_sp = artifact_->sp_options();
-  const SpOptions want_sp = options_.sp.probabilities;
-  if (options_.sp.source == SpSource::kParkerMcCluskey &&
-      artifact_->sp_is_parker_mccluskey() &&
-      std::bit_cast<std::uint64_t>(stored_sp.input_sp) ==
-          std::bit_cast<std::uint64_t>(want_sp.input_sp) &&
-      std::bit_cast<std::uint64_t>(stored_sp.dff_sp) ==
-          std::bit_cast<std::uint64_t>(want_sp.dff_sp)) {
-    const std::span<const double> table = artifact_->sp_table();
-    sp_ = std::make_unique<SignalProbabilities>(
-        SignalProbabilities{.p1 = {table.begin(), table.end()}});
-  }
-  // The stored whole-circuit plan seeds the planner cache when it is at the
-  // level sweeps plan at; plan() re-plans for any other site subset.
-  if (artifact_->has_plan() &&
-      artifact_->plan_level() == ConeClusterPlanner::PlanLevel::kTwoLevel) {
-    std::vector<NodeId> plan_sites = error_sites(*circuit_);
-    if (plan_sites.size() == artifact_->plan_site_count()) {
-      PlannerCache& cache = planner_cache();
-      cache.preplan_sites = std::move(plan_sites);
-      cache.preplan_clusters = artifact_->plan_clusters();
-    }
-  }
 }
 
 const ShardedEppEngine::Diagnostics* Session::shard_diagnostics()

@@ -13,7 +13,6 @@
 #include <cstring>
 
 #include "src/netlist/gate.hpp"
-#include "src/sim/fault_injection.hpp"
 #include "src/util/crc32.hpp"
 
 namespace sereep {
@@ -26,7 +25,9 @@ namespace {
 static_assert(std::endian::native == std::endian::little,
               ".sca serialization requires a little-endian host");
 
-/// Section ids. Values are the format — never renumber, only append.
+/// Section ids. Values are the format — never renumber, only append. Ids 13
+/// and 16-18 are retired (version 1's SP table and cluster plan): never
+/// reused, and refused as unknown.
 enum SectionId : std::uint32_t {
   kSecNameBlob = 1,      // u8, concatenated node names
   kSecNameOffsets = 2,   // u64, n+1 prefix offsets into the blob
@@ -40,16 +41,10 @@ enum SectionId : std::uint32_t {
   kSecFanoutIds = 10,     // u32
   kSecSinksByRank = 11,   // u32
   kSecConeEstimate = 12,  // f64, n
-  kSecSpTable = 13,       // f64, n
   kSecOutputs = 14,       // u32, primary outputs in marking order
   kSecCircuitName = 15,   // u8
-  kSecPlanOffsets = 16,   // u64, k+1 prefix offsets into plan members
-  kSecPlanMembers = 17,   // u32, site-list indices
-  kSecPlanMass = 18,      // f64, k
 };
-constexpr std::uint32_t kMaxSectionId = 18;
-constexpr std::uint32_t kRequiredSectionCount = 15;  // ids 1..15
-constexpr std::uint8_t kPlanLevelNone = 0xff;
+constexpr std::uint32_t kMaxSectionId = 15;
 
 const char* section_name(std::uint32_t id) {
   switch (id) {
@@ -65,16 +60,13 @@ const char* section_name(std::uint32_t id) {
     case kSecFanoutIds: return "fanout_ids";
     case kSecSinksByRank: return "sinks_by_rank";
     case kSecConeEstimate: return "cone_estimate";
-    case kSecSpTable: return "sp_table";
     case kSecOutputs: return "outputs";
     case kSecCircuitName: return "circuit_name";
-    case kSecPlanOffsets: return "plan_offsets";
-    case kSecPlanMembers: return "plan_members";
-    case kSecPlanMass: return "plan_mass";
     default: return "unknown";
   }
 }
 
+/// 0 for an id this version does not know (0, retired, or past the end).
 std::uint32_t expected_elem_size(std::uint32_t id) {
   switch (id) {
     case kSecNameBlob:
@@ -90,13 +82,9 @@ std::uint32_t expected_elem_size(std::uint32_t id) {
     case kSecFanoutIds:
     case kSecSinksByRank:
     case kSecOutputs:
-    case kSecPlanMembers:
       return 4;
     case kSecNameOffsets:
     case kSecConeEstimate:
-    case kSecSpTable:
-    case kSecPlanOffsets:
-    case kSecPlanMass:
       return 8;
     default:
       return 0;
@@ -149,10 +137,6 @@ struct RawHeader {
   std::uint64_t file_size = 0;
   std::uint32_t section_count = 0;
   std::uint32_t bucket_count = 0;
-  std::uint64_t input_sp_bits = 0;
-  std::uint64_t dff_sp_bits = 0;
-  std::uint8_t sp_source = 0;
-  std::uint8_t plan_level = kPlanLevelNone;
   std::uint32_t file_crc = 0;
   std::uint32_t header_crc = 0;
 };
@@ -192,10 +176,6 @@ RawHeader decode_header(const std::string& path,
   h.file_size = load<std::uint64_t>(p + 24);
   h.section_count = load<std::uint32_t>(p + 32);
   h.bucket_count = load<std::uint32_t>(p + 36);
-  h.input_sp_bits = load<std::uint64_t>(p + 40);
-  h.dff_sp_bits = load<std::uint64_t>(p + 48);
-  h.sp_source = p[56];
-  h.plan_level = p[57];
   h.file_crc = load<std::uint32_t>(p + 60);
   h.header_crc = load<std::uint32_t>(p + 64);
   return h;
@@ -246,15 +226,12 @@ std::vector<ArtifactSectionInfo> artifact_sections(const std::string& path) {
 // ---------------------------------------------------------------------------
 
 CircuitFingerprint write_artifact(const std::string& path,
-                                  const Circuit& circuit,
-                                  const ArtifactWriteOptions& options) {
+                                  const Circuit& circuit) {
   if (!circuit.finalized()) {
     fail_at(path, "cannot serialize an unfinalized circuit");
   }
   const CompiledCircuit compiled(circuit);
   const CompiledCircuit::Parts parts = compiled.view();
-  const SignalProbabilities sp =
-      compiled_parker_mccluskey_sp(compiled, options.sp);
   const CircuitFingerprint fp = circuit_fingerprint(circuit);
   const std::size_t n = circuit.node_count();
 
@@ -268,24 +245,6 @@ CircuitFingerprint write_artifact(const std::string& path,
     name_offsets.push_back(name_blob.size());
   }
 
-  // Optional whole-circuit cluster plan over the canonical site list.
-  std::vector<std::uint64_t> plan_offsets;
-  std::vector<std::uint32_t> plan_members;
-  std::vector<double> plan_mass;
-  if (options.include_plan) {
-    const ConeClusterPlanner planner(compiled);
-    const std::vector<NodeId> sites = error_sites(circuit);
-    const std::vector<ConeCluster> clusters =
-        planner.plan(sites, options.plan_level);
-    plan_offsets.push_back(0);
-    for (const ConeCluster& cluster : clusters) {
-      plan_members.insert(plan_members.end(), cluster.members.begin(),
-                          cluster.members.end());
-      plan_offsets.push_back(plan_members.size());
-      plan_mass.push_back(cluster.mass);
-    }
-  }
-
   struct Sec {
     std::uint32_t id;
     const void* data;
@@ -294,7 +253,7 @@ CircuitFingerprint write_artifact(const std::string& path,
   const auto span_bytes = [](const auto& s) {
     return static_cast<std::uint64_t>(s.size()) * sizeof(s[0]);
   };
-  std::vector<Sec> secs = {
+  const std::vector<Sec> secs = {
       {kSecNameBlob, name_blob.data(), name_blob.size()},
       {kSecNameOffsets, name_offsets.data(), span_bytes(name_offsets)},
       {kSecTypes, parts.types.data(), span_bytes(parts.types)},
@@ -312,17 +271,9 @@ CircuitFingerprint write_artifact(const std::string& path,
        span_bytes(parts.sinks_by_rank)},
       {kSecConeEstimate, parts.cone_estimate.data(),
        span_bytes(parts.cone_estimate)},
-      {kSecSpTable, sp.p1.data(), span_bytes(sp.p1)},
       {kSecOutputs, circuit.outputs().data(), span_bytes(circuit.outputs())},
       {kSecCircuitName, circuit.name().data(), circuit.name().size()},
   };
-  if (options.include_plan) {
-    secs.push_back(
-        {kSecPlanOffsets, plan_offsets.data(), span_bytes(plan_offsets)});
-    secs.push_back(
-        {kSecPlanMembers, plan_members.data(), span_bytes(plan_members)});
-    secs.push_back({kSecPlanMass, plan_mass.data(), span_bytes(plan_mass)});
-  }
 
   // Layout: header, table, 64-byte aligned data sections.
   const std::size_t table_end =
@@ -361,12 +312,7 @@ CircuitFingerprint write_artifact(const std::string& path,
   store<std::uint64_t>(h + 24, file_size);
   store<std::uint32_t>(h + 32, static_cast<std::uint32_t>(secs.size()));
   store<std::uint32_t>(h + 36, parts.bucket_count);
-  store<std::uint64_t>(h + 40, std::bit_cast<std::uint64_t>(options.sp.input_sp));
-  store<std::uint64_t>(h + 48, std::bit_cast<std::uint64_t>(options.sp.dff_sp));
-  h[56] = 0;  // SP source: Parker-McCluskey
-  h[57] = options.include_plan
-              ? static_cast<std::uint8_t>(options.plan_level)
-              : kPlanLevelNone;
+  // Bytes 40-59 stay zero (reserved).
   store<std::uint32_t>(
       h + 60, crc32({file.data() + data_start, file_size - data_start}));
   // Header CRC covers header + table with its own field zeroed.
@@ -438,16 +384,6 @@ ArtifactView::ArtifactView(std::string path) : path_(std::move(path)) {
     const std::span<const std::uint8_t> bytes(base, map_size_);
     const RawHeader h = decode_header(path_, bytes);
     fingerprint_ = h.fp;
-    sp_options_ = {.input_sp = std::bit_cast<double>(h.input_sp_bits),
-                   .dff_sp = std::bit_cast<double>(h.dff_sp_bits)};
-    sp_source_ = h.sp_source;
-    has_plan_ = h.plan_level != kPlanLevelNone;
-    if (has_plan_) {
-      if (h.plan_level > 1) {
-        fail("unknown plan level " + std::to_string(h.plan_level));
-      }
-      plan_level_ = static_cast<ConeClusterPlanner::PlanLevel>(h.plan_level);
-    }
 
     // --- header integrity ------------------------------------------------
     if (h.section_count == 0 || h.section_count > kMaxSectionId) {
@@ -477,7 +413,7 @@ ArtifactView::ArtifactView(std::string path) : path_(std::move(path)) {
     for (std::uint32_t i = 0; i < h.section_count; ++i) {
       const SectionEntry e = decode_entry(
           base + kArtifactHeaderSize + i * kArtifactSectionEntrySize);
-      if (e.id == 0 || e.id > kMaxSectionId) {
+      if (expected_elem_size(e.id) == 0) {
         fail("unknown section id " + std::to_string(e.id));
       }
       const std::string name = std::string("section '") + section_name(e.id);
@@ -497,19 +433,11 @@ ArtifactView::ArtifactView(std::string path) : path_(std::move(path)) {
       present[e.id] = true;
       entries[e.id] = e;
     }
-    for (std::uint32_t id = 1; id <= kRequiredSectionCount; ++id) {
-      if (!present[id]) {
+    for (std::uint32_t id = 1; id <= kMaxSectionId; ++id) {
+      if (expected_elem_size(id) != 0 && !present[id]) {
         fail(std::string("required section '") + section_name(id) +
              "' is missing");
       }
-    }
-    const bool plan_sections = present[kSecPlanOffsets] ||
-                               present[kSecPlanMembers] ||
-                               present[kSecPlanMass];
-    if (plan_sections != has_plan_ ||
-        (has_plan_ && !(present[kSecPlanOffsets] && present[kSecPlanMembers] &&
-                        present[kSecPlanMass]))) {
-      fail("plan sections inconsistent with the header's plan level");
     }
 
     // --- checksums (eager: a corrupt section must never reach a kernel) --
@@ -546,7 +474,6 @@ ArtifactView::ArtifactView(std::string path) : path_(std::move(path)) {
     const auto fanout_ids = span_of(kSecFanoutIds, std::uint32_t{});
     const auto sinks_by_rank = span_of(kSecSinksByRank, std::uint32_t{});
     const auto cone_estimate = span_of(kSecConeEstimate, double{});
-    sp_table_ = span_of(kSecSpTable, double{});
     outputs_ = span_of(kSecOutputs, std::uint32_t{});
     const auto circuit_name = span_of(kSecCircuitName, std::uint8_t{});
     circuit_name_ = {reinterpret_cast<const char*>(circuit_name.data()),
@@ -566,7 +493,6 @@ ArtifactView::ArtifactView(std::string path) : path_(std::move(path)) {
     expect_count(kSecBucketLevel, bucket_level.size(), n);
     expect_count(kSecTopoPos, topo_pos.size(), n);
     expect_count(kSecConeEstimate, cone_estimate.size(), n);
-    expect_count(kSecSpTable, sp_table_.size(), n);
     expect_count(kSecNameOffsets, name_offsets_.size(), n + 1);
     expect_count(kSecFaninOffsets, fanin_offsets.size(), n + 1);
     expect_count(kSecFanoutOffsets, fanout_offsets.size(), n + 1);
@@ -624,10 +550,6 @@ ArtifactView::ArtifactView(std::string path) : path_(std::move(path)) {
       max_bucket = std::max(max_bucket, bucket_level[id]);
       if (!std::isfinite(cone_estimate[id])) {
         fail("section 'cone_estimate' holds a non-finite value at node " +
-             std::to_string(id));
-      }
-      if (!(sp_table_[id] >= 0.0 && sp_table_[id] <= 1.0)) {
-        fail("section 'sp_table' holds an out-of-range probability at node " +
              std::to_string(id));
       }
     }
@@ -688,35 +610,6 @@ ArtifactView::ArtifactView(std::string path) : path_(std::move(path)) {
       }
     }
 
-    if (has_plan_) {
-      plan_offsets_ = span_of(kSecPlanOffsets, std::uint64_t{});
-      plan_members_ = span_of(kSecPlanMembers, std::uint32_t{});
-      plan_mass_ = span_of(kSecPlanMass, double{});
-      if (plan_offsets_.empty() || plan_offsets_.front() != 0 ||
-          plan_offsets_.back() != plan_members_.size() ||
-          plan_mass_.size() != plan_offsets_.size() - 1) {
-        fail("plan sections are inconsistent");
-      }
-      for (std::size_t i = 1; i < plan_offsets_.size(); ++i) {
-        if (plan_offsets_[i] < plan_offsets_[i - 1]) {
-          fail("section 'plan_offsets' is not monotonic");
-        }
-      }
-      const std::size_t m = plan_members_.size();
-      std::vector<std::uint8_t> seen(m, 0);
-      for (std::uint32_t member : plan_members_) {
-        if (member >= m || seen[member]) {
-          fail("section 'plan_members' is not a permutation of the sites");
-        }
-        seen[member] = 1;
-      }
-      for (double mass : plan_mass_) {
-        if (!std::isfinite(mass)) {
-          fail("section 'plan_mass' holds a non-finite value");
-        }
-      }
-    }
-
     // All checks passed: hand the mapped tables to the kernels.
     CompiledCircuit::Parts p;
     p.types = {reinterpret_cast<const GateType*>(types.data()), types.size()};
@@ -742,20 +635,6 @@ ArtifactView::ArtifactView(std::string path) : path_(std::move(path)) {
 
 ArtifactView::~ArtifactView() {
   if (map_addr_ != nullptr) ::munmap(map_addr_, map_size_);
-}
-
-std::vector<ConeCluster> ArtifactView::plan_clusters() const {
-  std::vector<ConeCluster> clusters(
-      has_plan_ ? plan_offsets_.size() - 1 : 0);
-  for (std::size_t k = 0; k < clusters.size(); ++k) {
-    clusters[k].members.assign(
-        plan_members_.begin() +
-            static_cast<std::ptrdiff_t>(plan_offsets_[k]),
-        plan_members_.begin() +
-            static_cast<std::ptrdiff_t>(plan_offsets_[k + 1]));
-    clusters[k].mass = plan_mass_[k];
-  }
-  return clusters;
 }
 
 Circuit ArtifactView::restore_circuit() const {

@@ -1,10 +1,10 @@
 // .sca compiled-circuit artifacts — versioned, checksummed, mmap-loadable.
 //
-// A `.sca` file is the on-disk form of everything a sweep needs before the
-// first site: the CompiledCircuit CSR tables, the node names and output
-// list (enough to restore a node-id-identical Circuit), the
-// Parker-McCluskey SP table as raw IEEE bit patterns, and optionally the
-// ConeClusterPlanner plan. `sereep compile` writes one; Session::open(),
+// A `.sca` file is the on-disk form of the compiled circuit and nothing
+// derived from it: the CompiledCircuit CSR tables plus the node names and
+// output list (enough to restore a node-id-identical Circuit). Every session
+// builds its SP table and cluster plan from those tables the one way a
+// `.bench` session does. `sereep compile` writes one; Session::open(),
 // `sereep worker` and the serve daemon load one in
 // milliseconds instead of re-parsing a netlist and re-flattening it —
 // ROADMAP item 5, and the structural fix for the PR-5 foot-gun that a
@@ -24,17 +24,19 @@
 //   offset 24  u64  total file size in bytes
 //   offset 32  u32  section count
 //   offset 36  u32  CompiledCircuit bucket count
-//   offset 40  u64  SP input_sp as IEEE bits   } the SpOptions the stored
-//   offset 48  u64  SP dff_sp as IEEE bits     } table was computed with
-//   offset 56  u8   SP source (0 = Parker-McCluskey; the only one stored)
-//   offset 57  u8   plan level (0 = Bloom-only, 1 = two-level, 0xff = none)
-//   offset 58  u16  reserved (0)
+//   offset 40  u8[20] reserved, written as 0 (bytes 40-57 held version
+//                   1's SP option bits, SP source and plan level)
 //   offset 60  u32  CRC-32 of [first data byte, file size)
 //   offset 64  u32  CRC-32 of [0, 128 + 32*section_count) with this field 0
 //   ...pad to 128, then section_count 32-byte entries:
 //
 //   { u32 section id, u32 element size, u64 byte offset, u64 byte size,
 //     u32 CRC-32 of the section bytes, u32 reserved }
+//
+// Version 2 requires section ids 1-12, 14 and 15, each exactly once. Ids 13
+// (version 1's SP table) and 16-18 (its cluster plan) are retired, never
+// reused, and refused as unknown; a version 1 file is refused by its version
+// field and must be recompiled.
 //
 // Section data starts at the next 64-byte boundary after the table and every
 // section offset is 64-byte aligned, so each POD array can be handed to the
@@ -55,13 +57,11 @@
 
 #include "src/netlist/circuit.hpp"
 #include "src/netlist/compiled.hpp"
-#include "src/netlist/cone_cluster.hpp"
-#include "src/sigprob/signal_prob.hpp"
 
 namespace sereep {
 
 inline constexpr std::uint32_t kArtifactMagic = 0x31'41'43'53;  // "SCA1"
-inline constexpr std::uint16_t kArtifactVersion = 1;
+inline constexpr std::uint16_t kArtifactVersion = 2;
 inline constexpr std::uint16_t kArtifactEndianMark = 0x00FF;
 inline constexpr std::size_t kArtifactHeaderSize = 128;
 inline constexpr std::size_t kArtifactSectionEntrySize = 32;
@@ -82,31 +82,17 @@ class ArtifactError : public std::runtime_error {
   return spec.ends_with(".sca");
 }
 
-/// What write_artifact bakes into the file beyond the circuit itself.
-struct ArtifactWriteOptions {
-  /// Source probabilities for the stored Parker-McCluskey SP table. A
-  /// session opened with different SP settings ignores the stored table and
-  /// recomputes — storing these bits is what makes that check exact.
-  SpOptions sp;
-  /// Store the whole-circuit cluster plan (planner output over
-  /// error_sites()) so sessions skip the planning pass too.
-  bool include_plan = true;
-  ConeClusterPlanner::PlanLevel plan_level =
-      ConeClusterPlanner::PlanLevel::kTwoLevel;
-};
-
 /// Compiles `circuit` (must be finalized) and writes the artifact to `path`
 /// atomically (temp file + rename — a crashed writer never leaves a
 /// half-written .sca behind). Returns the circuit's fingerprint, which the
 /// file header also records. Throws ArtifactError on I/O failure.
 CircuitFingerprint write_artifact(const std::string& path,
-                                  const Circuit& circuit,
-                                  const ArtifactWriteOptions& options = {});
+                                  const Circuit& circuit);
 
 /// Reads just the fingerprint from an artifact header — the cheap identity
-/// probe ArtifactCache and the serve session cache use (no mmap,
-/// no section validation; magic/endian/version are still checked). Throws
-/// ArtifactError if the file is not a readable .sca header.
+/// probe the serve session cache keys on (no mmap, no section validation;
+/// magic/endian/version are still checked). Throws ArtifactError if the
+/// file is not a readable .sca header.
 [[nodiscard]] CircuitFingerprint peek_artifact_fingerprint(
     const std::string& path);
 
@@ -125,10 +111,11 @@ struct ArtifactSectionInfo {
 
 /// A validated, mmapped artifact. Construction maps the file read-only and
 /// runs the full check pass (CRCs + structural invariants); every accessor
-/// afterwards is a pointer into the mapping. Immutable and thread-safe to
-/// share; the serve daemon holds one instance per distinct artifact
-/// (ArtifactCache) across all concurrent sessions, and a TCP worker host maps
-/// its one .sca directly for every connection child it forks.
+/// afterwards is a pointer into the mapping. Immutable and thread-safe.
+/// Each Session opened from a .sca maps its own view of the file it names
+/// at open time (a file rewritten later is a new inode and leaves the view
+/// intact; read-only mappings of one file share its page-cache pages), and
+/// a TCP worker host maps its one .sca for every connection child it forks.
 class ArtifactView {
  public:
   /// Maps and validates. Throws ArtifactError with a diagnostic naming the
@@ -156,32 +143,6 @@ class ArtifactView {
     return *compiled_;
   }
 
-  /// The stored SP table (one IEEE double per node, in the mapping).
-  [[nodiscard]] std::span<const double> sp_table() const noexcept {
-    return sp_table_;
-  }
-  /// The SpOptions the stored table was computed with, bit-exact.
-  [[nodiscard]] SpOptions sp_options() const noexcept { return sp_options_; }
-  /// True iff the stored table is a Parker-McCluskey table (the only source
-  /// v1 writes — a future version byte can extend this).
-  [[nodiscard]] bool sp_is_parker_mccluskey() const noexcept {
-    return sp_source_ == 0;
-  }
-
-  [[nodiscard]] bool has_plan() const noexcept { return has_plan_; }
-  /// Valid only when has_plan().
-  [[nodiscard]] ConeClusterPlanner::PlanLevel plan_level() const noexcept {
-    return plan_level_;
-  }
-  /// Number of sites the stored plan covers (each exactly once) — must
-  /// match the consumer's site list length before the plan can be reused.
-  [[nodiscard]] std::size_t plan_site_count() const noexcept {
-    return plan_members_.size();
-  }
-  /// Decodes the stored plan into planner output form (member indices into
-  /// the site list the plan was computed over: error_sites() order).
-  [[nodiscard]] std::vector<ConeCluster> plan_clusters() const;
-
   /// Rebuilds the full Circuit (names, adjacency in stored order, output
   /// marking order) — node-id-identical to the circuit that was compiled,
   /// revalidated by Circuit::restore + finalize. This is the slow(er) path
@@ -198,20 +159,11 @@ class ArtifactView {
 
   CircuitFingerprint fingerprint_;
   std::string_view circuit_name_;
-  SpOptions sp_options_;
-  std::uint8_t sp_source_ = 0;
-  bool has_plan_ = false;
-  ConeClusterPlanner::PlanLevel plan_level_ =
-      ConeClusterPlanner::PlanLevel::kTwoLevel;
 
   // Spans into the mapping (set during validation).
   std::span<const std::uint8_t> name_blob_;
   std::span<const std::uint64_t> name_offsets_;
   std::span<const std::uint32_t> outputs_;
-  std::span<const double> sp_table_;
-  std::span<const std::uint64_t> plan_offsets_;
-  std::span<const std::uint32_t> plan_members_;
-  std::span<const double> plan_mass_;
 
   std::unique_ptr<const CompiledCircuit> compiled_;
 };

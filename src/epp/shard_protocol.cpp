@@ -154,10 +154,6 @@ bool read_all(int fd, std::uint8_t* data, std::size_t size,
 
 }  // namespace
 
-std::uint32_t shard_crc32(std::span<const std::uint8_t> data) {
-  return crc32(data);  // the repo-wide CRC-32 (src/util/crc32.hpp)
-}
-
 std::vector<std::uint8_t> encode_job_prefix(const ShardJob& job) {
   std::vector<std::uint8_t> out;
   out.reserve(40 + (job.sp.size() + job.latch_weights.size()) * 8);
@@ -248,7 +244,7 @@ std::uint64_t decode_done(std::span<const std::uint8_t> payload) {
   return total;
 }
 
-std::vector<std::uint8_t> encode_hello(const NetlistFingerprint& fp) {
+std::vector<std::uint8_t> encode_hello(const CircuitFingerprint& fp) {
   std::vector<std::uint8_t> out;
   ByteWriter w(out);
   w.u64(fp.nodes);
@@ -256,9 +252,9 @@ std::vector<std::uint8_t> encode_hello(const NetlistFingerprint& fp) {
   return out;
 }
 
-NetlistFingerprint decode_hello(std::span<const std::uint8_t> payload) {
+CircuitFingerprint decode_hello(std::span<const std::uint8_t> payload) {
   ByteReader r(payload);
-  NetlistFingerprint fp;
+  CircuitFingerprint fp;
   fp.nodes = r.u64();
   fp.digest = r.u64();
   r.expect_end();
@@ -282,7 +278,7 @@ void write_shard_frame(int fd, ShardFrameType type,
   w.u16(kShardProtocolVersion);
   w.u16(static_cast<std::uint16_t>(type));
   w.u64(payload.size());
-  w.u32(shard_crc32(payload));
+  w.u32(crc32(payload));
   send_all(fd, header.data(), header.size());
   send_all(fd, payload.data(), payload.size());
 }
@@ -319,7 +315,7 @@ std::optional<ShardFrame> read_shard_frame(int fd, int timeout_ms,
   if (size > 0 && !read_all(fd, frame.payload.data(), size, timeout_ms)) {
     throw std::runtime_error("shard protocol: unexpected EOF mid-frame");
   }
-  if (shard_crc32(frame.payload) != crc) {
+  if (crc32(frame.payload) != crc) {
     throw std::runtime_error(
         "shard protocol: payload CRC mismatch (corrupted frame)");
   }

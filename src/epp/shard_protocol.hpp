@@ -112,23 +112,6 @@ enum class ShardFrameType : std::uint16_t {
   kRowBatch = 10,  ///< worker -> parent: SiteRow entries — v6
 };
 
-/// CRC-32 (IEEE 802.3 / zlib polynomial, reflected) of `data` — the value
-/// the frame header carries for its payload. Exposed so tests and fuzzers
-/// can build valid frames by hand (and flip exactly the CRC bytes).
-[[nodiscard]] std::uint32_t shard_crc32(std::span<const std::uint8_t> data);
-
-/// Identity of a loaded netlist — the canonical CircuitFingerprint
-/// (src/netlist/compiled.hpp), which is also what a .sca artifact records
-/// in its header: one digest algorithm across the wire protocol, the
-/// artifact format, and the serve daemon's session cache key.
-using NetlistFingerprint = CircuitFingerprint;
-
-/// Fingerprints a finalized circuit (FNV-1a over the node table).
-[[nodiscard]] inline NetlistFingerprint netlist_fingerprint(
-    const Circuit& circuit) {
-  return circuit_fingerprint(circuit);
-}
-
 /// One decoded frame.
 struct ShardFrame {
   ShardFrameType type = ShardFrameType::kError;
@@ -148,7 +131,7 @@ struct ShardJob {
   /// The PARENT circuit's fingerprint: the worker rejects its own load on a
   /// mismatch (diagnostic naming both) instead of streaming wrong-site
   /// rows.
-  NetlistFingerprint fingerprint;
+  CircuitFingerprint fingerprint;
   std::vector<double> sp;       ///< per-node P(1), indexed by NodeId
   /// The parent's per-node latch weights (LatchingModel::weights, indexed
   /// by NodeId), so workers need no SER model of their own.
@@ -188,8 +171,8 @@ void append_job_dispatch(std::vector<std::uint8_t>& payload,
 
 /// kHello payload: the worker's loaded-netlist fingerprint.
 [[nodiscard]] std::vector<std::uint8_t> encode_hello(
-    const NetlistFingerprint& fp);
-[[nodiscard]] NetlistFingerprint decode_hello(
+    const CircuitFingerprint& fp);
+[[nodiscard]] CircuitFingerprint decode_hello(
     std::span<const std::uint8_t> payload);
 
 /// kProgress payload: cumulative streamed-row count (same u64 shape as

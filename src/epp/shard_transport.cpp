@@ -79,7 +79,7 @@ ShardFleet::ShardFleet(const ShardOptions& shard, const Circuit& circuit,
   try {
     dir.emplace();
     artifact = dir->path() + "/circuit.sca";
-    write_artifact(artifact, circuit, {.sp = {}, .include_plan = false});
+    write_artifact(artifact, circuit);
   } catch (const std::exception& e) {
     for (std::size_t i = 0; i < local_workers; ++i) {
       endpoints_.push_back(
@@ -166,13 +166,13 @@ int run_tcp_worker(const std::string& netlist_spec,
     // other spec is parsed and flattened here, once.
     std::optional<ArtifactView> artifact;
     std::optional<CompiledCircuit> flattened;
-    NetlistFingerprint fingerprint;
+    CircuitFingerprint fingerprint;
     if (is_artifact_path(netlist_spec)) {
       artifact.emplace(netlist_spec);
       fingerprint = artifact->fingerprint();
     } else {
       const Circuit circuit = load_netlist(netlist_spec);
-      fingerprint = netlist_fingerprint(circuit);
+      fingerprint = circuit_fingerprint(circuit);
       flattened.emplace(circuit);
     }
     const CompiledCircuit& compiled =

@@ -46,7 +46,7 @@ struct DrainOutcome {
 DrainOutcome drain_attempt(int fd, int timeout_ms,
                            std::span<const NodeId> expected,
                            std::span<const std::uint32_t> slots,
-                           const NetlistFingerprint& parent_fp,
+                           const CircuitFingerprint& parent_fp,
                            const Circuit& circuit, const SeuRateModel& seu,
                            std::span<NodeSer> out) {
   DrainOutcome r;
@@ -65,7 +65,7 @@ DrainOutcome drain_attempt(int fd, int timeout_ms,
           // Liveness only — receiving it already reset the deadline clock.
           break;
         case ShardFrameType::kHello: {
-          const NetlistFingerprint fp = decode_hello(frame->payload);
+          const CircuitFingerprint fp = decode_hello(frame->payload);
           if (!(fp == parent_fp)) {
             r.fingerprint_conflict = true;
             r.error = std::string(kFingerprintMismatchMark) +
@@ -159,7 +159,7 @@ void backoff_sleep(const ShardRetryOptions& retry, unsigned failures) {
 ShardedEppEngine::ShardedEppEngine(const EngineContext& context)
     : BatchedEngine(context),
       shard_(context.shard),
-      fingerprint_(netlist_fingerprint(*context.circuit)) {}
+      fingerprint_(circuit_fingerprint(*context.circuit)) {}
 
 void ShardedEppEngine::begin_sweep() {
   const std::size_t sweeps = diagnostics_.sweeps + 1;
@@ -353,7 +353,7 @@ std::vector<NodeSer> ShardedEppEngine::run_sharded(
 // ---- the worker side -------------------------------------------------------
 
 int run_shard_worker(const CompiledCircuit& compiled,
-                     const NetlistFingerprint& fingerprint, int fd) {
+                     const CircuitFingerprint& fingerprint, int fd) {
   const auto send_error = [fd](const std::string& message) {
     try {
       const std::vector<std::uint8_t> payload(message.begin(), message.end());

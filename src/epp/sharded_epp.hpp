@@ -135,7 +135,7 @@ class ShardedEppEngine final : public BatchedEngine {
   ShardOptions shard_;
   /// The parent circuit's identity — sent in every job so workers reject a
   /// divergent load, and checked against every kHello echo.
-  NetlistFingerprint fingerprint_;
+  CircuitFingerprint fingerprint_;
   Diagnostics diagnostics_;
 };
 
@@ -153,6 +153,6 @@ class ShardedEppEngine final : public BatchedEngine {
 /// "the retry worker" deterministically; "exit" dies right after the job
 /// read, before any response (the parent sees EOF before any frame).
 int run_shard_worker(const CompiledCircuit& compiled,
-                     const NetlistFingerprint& fingerprint, int fd);
+                     const CircuitFingerprint& fingerprint, int fd);
 
 }  // namespace sereep

@@ -119,22 +119,8 @@ ConeClusterPlanner::ConeClusterPlanner(const CompiledCircuit& circuit)
   }
 }
 
-void ConeClusterPlanner::set_preplanned(std::vector<NodeId> sites,
-                                        std::vector<ConeCluster> clusters,
-                                        PlanLevel level) {
-  preplan_sites_ = std::move(sites);
-  preplan_clusters_ = std::move(clusters);
-  preplan_level_ = level;
-  has_preplan_ = true;
-}
-
-std::vector<ConeCluster> ConeClusterPlanner::plan(std::span<const NodeId> sites,
-                                                  PlanLevel level) const {
-  if (has_preplan_ && level == preplan_level_ &&
-      std::equal(sites.begin(), sites.end(), preplan_sites_.begin(),
-                 preplan_sites_.end())) {
-    return preplan_clusters_;
-  }
+std::vector<ConeCluster> ConeClusterPlanner::plan(
+    std::span<const NodeId> sites) const {
   // Scratch-memory cap: the batched engine allocates one lane-plane entry
   // per (merged-cone slot, member site), and the merged cone is bounded both
   // by the sum of the member cone estimates (disjoint worst case — Bloom
@@ -207,44 +193,42 @@ std::vector<ConeCluster> ConeClusterPlanner::plan(std::span<const NodeId> sites,
   // dominator-sink key (unique first-crossed sink, else nearest reachable
   // sink) is the same node; pack those runs together. Only sink-free cones
   // (key == kInvalidNode) are guaranteed to stay singleton.
-  if (level == PlanLevel::kTwoLevel) {
-    std::vector<std::uint32_t> lone;  // site indices from singleton clusters
-    std::erase_if(clusters, [&](const ConeCluster& c) {
-      if (c.members.size() != 1 ||
-          dominator_sink(sites[c.members[0]]) == kInvalidNode) {
-        return false;
-      }
-      lone.push_back(c.members[0]);
-      return true;
-    });
-    std::sort(lone.begin(), lone.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                const NodeId da = dominator_sink(sites[a]);
-                const NodeId db = dominator_sink(sites[b]);
-                if (da != db) {
-                  if (circuit_.topo_pos(da) != circuit_.topo_pos(db)) {
-                    return circuit_.topo_pos(da) < circuit_.topo_pos(db);
-                  }
-                  return da < db;
-                }
-                if (circuit_.topo_pos(sites[a]) != circuit_.topo_pos(sites[b])) {
-                  return circuit_.topo_pos(sites[a]) <
-                         circuit_.topo_pos(sites[b]);
-                }
-                return sites[a] < sites[b];
-              });
-    NodeId open_dom = kInvalidNode;
-    for (std::uint32_t idx : lone) {
-      const NodeId d = dominator_sink(sites[idx]);
-      const double est = capped_estimate(sites[idx]);
-      if (clusters.empty() || d != open_dom || !fits(clusters.back(), est)) {
-        clusters.emplace_back();
-        open_dom = d;
-      }
-      ConeCluster& cur = clusters.back();
-      cur.members.push_back(idx);
-      cur.mass += est;
+  std::vector<std::uint32_t> lone;  // site indices from singleton clusters
+  std::erase_if(clusters, [&](const ConeCluster& c) {
+    if (c.members.size() != 1 ||
+        dominator_sink(sites[c.members[0]]) == kInvalidNode) {
+      return false;
     }
+    lone.push_back(c.members[0]);
+    return true;
+  });
+  std::sort(lone.begin(), lone.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              const NodeId da = dominator_sink(sites[a]);
+              const NodeId db = dominator_sink(sites[b]);
+              if (da != db) {
+                if (circuit_.topo_pos(da) != circuit_.topo_pos(db)) {
+                  return circuit_.topo_pos(da) < circuit_.topo_pos(db);
+                }
+                return da < db;
+              }
+              if (circuit_.topo_pos(sites[a]) != circuit_.topo_pos(sites[b])) {
+                return circuit_.topo_pos(sites[a]) <
+                       circuit_.topo_pos(sites[b]);
+              }
+              return sites[a] < sites[b];
+            });
+  NodeId open_dom = kInvalidNode;
+  for (std::uint32_t idx : lone) {
+    const NodeId d = dominator_sink(sites[idx]);
+    const double est = capped_estimate(sites[idx]);
+    if (clusters.empty() || d != open_dom || !fits(clusters.back(), est)) {
+      clusters.emplace_back();
+      open_dom = d;
+    }
+    ConeCluster& cur = clusters.back();
+    cur.members.push_back(idx);
+    cur.mass += est;
   }
 
   // Biggest first: the parallel sweep drains heavy clusters before the tail

@@ -68,37 +68,14 @@ class ConeClusterPlanner {
   /// the batched engine's per-node membership mask.
   static constexpr std::size_t kMaxLanes = 64;
 
-  /// Signature levels plan() can use (see file comment). kTwoLevel — the
-  /// default — additionally regroups Bloom-pass singletons by their
-  /// immediate-dominator sink; kBloomOnly is kept for A/B cluster-quality
-  /// stats (bench_micro_kernels reports both).
-  enum class PlanLevel { kBloomOnly, kTwoLevel };
-
   explicit ConeClusterPlanner(const CompiledCircuit& circuit);
 
-  /// Groups `sites` into clusters of <= kMaxLanes members each. Every site
-  /// appears in exactly one cluster; clusters are returned in descending
-  /// mass order (ties broken by first member index). `sites` must not
-  /// contain duplicates.
-  [[nodiscard]] std::vector<ConeCluster> plan(std::span<const NodeId> sites,
-                                              PlanLevel level) const;
-
-  /// Same, at kTwoLevel — the form every sweep uses. Either level is
-  /// correct (grouping never affects results, only sharing).
+  /// Groups `sites` into clusters of <= kMaxLanes members each, by both
+  /// grouping levels (see file comment). Every site appears in exactly one
+  /// cluster; clusters are returned in descending mass order (ties broken
+  /// by first member index). `sites` must not contain duplicates.
   [[nodiscard]] std::vector<ConeCluster> plan(
-      std::span<const NodeId> sites) const {
-    return plan(sites, PlanLevel::kTwoLevel);
-  }
-
-  /// Installs a precomputed plan (from a .sca artifact): plan(sites, level)
-  /// returns a copy of `clusters` instead of re-planning whenever it is
-  /// called with exactly this site list and level. Safe because the planner
-  /// is deterministic — a stored plan for the same circuit, sites and level
-  /// is byte-identical to what plan() would compute — and any other query
-  /// (a shard's subset, a different level) falls through to the real
-  /// planner untouched.
-  void set_preplanned(std::vector<NodeId> sites,
-                      std::vector<ConeCluster> clusters, PlanLevel level);
+      std::span<const NodeId> sites) const;
 
   /// The 64-bit Bloom signature of the reachable-sink set of `id`'s output
   /// cone. Equal cones have equal signatures; distinct signatures imply the
@@ -118,10 +95,6 @@ class ConeClusterPlanner {
   const CompiledCircuit& circuit_;
   std::vector<std::uint64_t> sig_;
   std::vector<NodeId> dom_;
-  std::vector<NodeId> preplan_sites_;
-  std::vector<ConeCluster> preplan_clusters_;
-  PlanLevel preplan_level_ = PlanLevel::kTwoLevel;
-  bool has_preplan_ = false;
 };
 
 }  // namespace sereep

@@ -127,9 +127,9 @@ class SessionCache {
  private:
   /// Artifact specs cache by CONTENT, not by path: the .sca header's
   /// fingerprint is the identity, so two paths to the same compiled circuit
-  /// share one hot Session (and its mmapped artifact, via the
-  /// ArtifactCache underneath Session::open). An unreadable artifact falls
-  /// back to the spec string — the open below produces the real diagnostic.
+  /// share one hot Session, and a path rewritten with another circuit is a
+  /// miss that opens the new file. An unreadable artifact falls back to the
+  /// spec string — the open below produces the real diagnostic.
   static std::string cache_key(const std::string& spec) {
     if (!is_artifact_path(spec)) return spec;
     try {

@@ -3,8 +3,9 @@
 // (src/epp/shard_protocol.hpp) and the .sca artifact format's per-section +
 // whole-file checksums (src/artifact/compiled_artifact.hpp) both name this
 // function, so a value computed by either side verifies against the other
-// and tests can forge/flip exactly the checksum bytes. Software tables only
-// (slicing-by-8) — no zlib dependency.
+// and tests can forge/flip exactly the checksum bytes. Slicing-by-8 tables,
+// with carry-less-multiply folding for long inputs on x86 CPUs that have
+// PCLMUL — no zlib dependency.
 #pragma once
 
 #include <cstdint>

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "src/artifact/compiled_artifact.hpp"
 #include "src/netlist/benchmarks.hpp"
 #include "src/netlist/generator.hpp"
+#include "src/util/crc32.hpp"
 
 namespace sereep {
 namespace {
@@ -75,8 +77,8 @@ std::string expect_rejected(const std::string& path) {
   return {};
 }
 
-/// One intact reference artifact per suite run (s953-sized, with a plan, so
-/// every section id 1..18 is present and non-trivial).
+/// One intact reference artifact per suite run (s953-sized, so every
+/// section of the format is present and non-trivial).
 const std::vector<std::uint8_t>& golden_bytes() {
   static const std::vector<std::uint8_t>* bytes = [] {
     const std::string path = temp_path("golden");
@@ -129,13 +131,12 @@ TEST(ArtifactCorruption, MissingFileRejectedWithPath) {
 
 TEST(ArtifactCorruption, ByteFlipInEverySectionNamesTheSection) {
   // The headline diagnostic contract: damage inside section X is reported
-  // as section X, by name, so an operator knows whether the circuit
-  // structure, the SP table, or just the optional plan is toast.
+  // as section X, by name, so an operator knows which table is toast.
   const std::vector<std::uint8_t>& good = golden_bytes();
   ScopedFile f(temp_path("flip"));
   write_bytes(f.path, good);
   const std::vector<ArtifactSectionInfo> sections = artifact_sections(f.path);
-  ASSERT_GE(sections.size(), 15u);
+  ASSERT_GE(sections.size(), 14u);
   for (const ArtifactSectionInfo& sec : sections) {
     ASSERT_GT(sec.size, 0u) << sec.name;
     for (const std::uint64_t where :
@@ -184,13 +185,52 @@ TEST(ArtifactCorruption, FutureVersionRejectedByName) {
   write_bytes(f.path, bad);
   const std::string what = expect_rejected(f.path);
   EXPECT_NE(what.find("version 42"), std::string::npos) << what;
-  EXPECT_NE(what.find("version 1"), std::string::npos)
+  EXPECT_NE(what.find("version 2"), std::string::npos)
       << "the message should say what this build CAN read: " << what;
 }
 
+TEST(ArtifactCorruption, PreviousVersionRejectedByName) {
+  // A version 1 file carried an SP table and a cluster plan this build no
+  // longer reads; it is refused by its version field, naming both versions,
+  // so the user knows to recompile it.
+  std::vector<std::uint8_t> bad = golden_bytes();
+  bad[4] = 1;
+  bad[5] = 0;
+  ScopedFile f(temp_path("oldversion"));
+  write_bytes(f.path, bad);
+  const std::string what = expect_rejected(f.path);
+  EXPECT_NE(what.find("version 1"), std::string::npos) << what;
+  EXPECT_NE(what.find("version 2"), std::string::npos) << what;
+}
+
+TEST(ArtifactCorruption, RetiredSectionIdRejectedAsUnknown) {
+  // Ids 13 and 16-18 (version 1's SP table and plan) are never reused. A
+  // table entry renamed to one, with a header CRC that still verifies, is
+  // refused by the section-id check itself.
+  const std::vector<std::uint8_t>& good = golden_bytes();
+  std::uint32_t section_count = 0;
+  std::memcpy(&section_count, good.data() + 32, sizeof section_count);
+  const std::size_t table_end =
+      kArtifactHeaderSize + section_count * kArtifactSectionEntrySize;
+  ScopedFile f(temp_path("retired"));
+  for (const std::uint32_t id : {13u, 16u, 17u, 18u}) {
+    std::vector<std::uint8_t> bad = good;
+    std::memcpy(bad.data() + kArtifactHeaderSize, &id, sizeof id);
+    const std::uint32_t zero = 0;
+    std::memcpy(bad.data() + 64, &zero, sizeof zero);
+    const std::uint32_t crc = crc32({bad.data(), table_end});
+    std::memcpy(bad.data() + 64, &crc, sizeof crc);
+    write_bytes(f.path, bad);
+    const std::string what = expect_rejected(f.path);
+    EXPECT_NE(what.find("unknown section id " + std::to_string(id)),
+              std::string::npos)
+        << what;
+  }
+}
+
 TEST(ArtifactCorruption, TamperedHeaderFieldsCaughtByHeaderCrc) {
-  // Every load-bearing header field — node count, fingerprint, file size,
-  // section count, bucket count, SP bits — is under the header CRC; no
+  // Every header field — node count, fingerprint, file size, section count,
+  // bucket count, the reserved bytes 40-59 — is under the header CRC; no
   // single-byte tamper may survive.
   const std::vector<std::uint8_t>& good = golden_bytes();
   ScopedFile f(temp_path("header"));
@@ -264,7 +304,7 @@ TEST(ArtifactCorruption, SeededRandomFlipsNeverCrash) {
 TEST(ArtifactCorruption, SectionListCoversTheFormat) {
   // artifact_sections is the corruption tests' targeting map — pin that it
   // names the load-bearing sections so the flip loop above really visits
-  // the circuit structure, the SP table and the plan.
+  // the names, the CSR adjacency and the topological order.
   const std::vector<std::uint8_t>& good = golden_bytes();
   ScopedFile f(temp_path("sections"));
   write_bytes(f.path, good);
@@ -275,8 +315,8 @@ TEST(ArtifactCorruption, SectionListCoversTheFormat) {
     }
     return false;
   };
-  for (const char* name : {"name_blob", "fanin_ids", "fanout_ids",
-                           "sp_table", "topo_pos", "plan_members"}) {
+  for (const char* name :
+       {"name_blob", "fanin_ids", "fanout_ids", "topo_pos", "outputs"}) {
     EXPECT_TRUE(has(name)) << name;
   }
   for (const ArtifactSectionInfo& s : sections) {

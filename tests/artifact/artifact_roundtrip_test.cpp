@@ -1,32 +1,31 @@
 // .sca artifact round-trip — write, mmap-load, and prove NOTHING changed.
 //
 // The artifact exists so that workers and the serve daemon can skip the
-// parse + flatten + SP + plan pipeline, so the whole value of the format
-// rests on one claim: an artifact-loaded session is INDISTINGUISHABLE from
-// the session that would have been built from the source netlist. These
-// tests pin that claim at every level — raw CompiledCircuit tables
-// element-identical, SP doubles bit-identical (memcmp of IEEE patterns, not
-// EXPECT_DOUBLE_EQ), the restored Circuit node-id-identical (same topo
-// order, same fanout ORDER — the LIFO tie-break the bit-for-bit engine
-// contract depends on), and finally the canonical CSV/harden text renderings
-// byte-equal across every engine and shard count.
+// parse + flatten pipeline, so the whole value of the format rests on one
+// claim: an artifact-loaded session is INDISTINGUISHABLE from the session
+// that would have been built from the source netlist. These tests pin that
+// claim at every level — raw CompiledCircuit tables element-identical
+// (memcmp, so doubles compare as IEEE patterns, not EXPECT_DOUBLE_EQ), the
+// restored Circuit node-id-identical (same topo order, same fanout ORDER —
+// the LIFO tie-break the bit-for-bit engine contract depends on), and
+// finally the canonical CSV/harden text renderings byte-equal across every
+// engine and shard count. A session reads the file as it is when it opens:
+// a rewritten path opens the new circuit.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "sereep/sereep.hpp"
-#include "src/artifact/artifact_cache.hpp"
 #include "src/artifact/compiled_artifact.hpp"
-#include "src/netlist/bench_io.hpp"
 #include "src/netlist/benchmarks.hpp"
 #include "src/netlist/generator.hpp"
-#include "src/sigprob/signal_prob.hpp"
-#include "src/sim/fault_injection.hpp"
 
 namespace sereep {
 namespace {
@@ -88,64 +87,6 @@ TEST(ArtifactRoundTrip, CompiledTablesElementIdentical) {
   }
 }
 
-TEST(ArtifactRoundTrip, SpTableBitIdentical) {
-  const Circuit circuit = generate_circuit(iscas89_profile("s953"), 7);
-  ScopedFile f(temp_sca("sp"));
-  ArtifactWriteOptions opt;
-  opt.sp.input_sp = 0.3;  // non-default, so a default-recompute would differ
-  opt.sp.dff_sp = 0.625;
-  write_artifact(f.path, circuit, opt);
-
-  const ArtifactView view(f.path);
-  const SignalProbabilities want =
-      compiled_parker_mccluskey_sp(CompiledCircuit(circuit), opt.sp);
-  ASSERT_EQ(view.sp_table().size(), want.p1.size());
-  // Bit patterns, not values: the artifact stores IEEE doubles verbatim and
-  // the session adopts them without recomputation, so even a 1-ulp drift
-  // here would break the bit-for-bit engine contract downstream.
-  EXPECT_EQ(std::memcmp(view.sp_table().data(), want.p1.data(),
-                        want.p1.size() * sizeof(double)),
-            0);
-  EXPECT_TRUE(view.sp_is_parker_mccluskey());
-  EXPECT_EQ(view.sp_options().input_sp, 0.3);
-  EXPECT_EQ(view.sp_options().dff_sp, 0.625);
-}
-
-TEST(ArtifactRoundTrip, StoredPlanMatchesPlannerOutput) {
-  const Circuit circuit = generate_circuit(iscas89_profile("s953"), 11);
-  ScopedFile f(temp_sca("plan"));
-  write_artifact(f.path, circuit);
-
-  const ArtifactView view(f.path);
-  ASSERT_TRUE(view.has_plan());
-  EXPECT_EQ(view.plan_level(), ConeClusterPlanner::PlanLevel::kTwoLevel);
-
-  const std::vector<NodeId> sites = error_sites(circuit);
-  EXPECT_EQ(view.plan_site_count(), sites.size());
-  const CompiledCircuit compiled(circuit);
-  ConeClusterPlanner planner(compiled);
-  const std::vector<ConeCluster> want =
-      planner.plan(sites, ConeClusterPlanner::PlanLevel::kTwoLevel);
-  const std::vector<ConeCluster> got = view.plan_clusters();
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].members, want[i].members) << i;
-    EXPECT_EQ(got[i].mass, want[i].mass) << i;
-  }
-}
-
-TEST(ArtifactRoundTrip, NoPlanOptionOmitsPlanSections) {
-  ScopedFile f(temp_sca("noplan"));
-  ArtifactWriteOptions opt;
-  opt.include_plan = false;
-  write_artifact(f.path, make_s27(), opt);
-  const ArtifactView view(f.path);
-  EXPECT_FALSE(view.has_plan());
-  EXPECT_EQ(view.plan_site_count(), 0u);
-  // The circuit side is unaffected.
-  expect_compiled_identical(CompiledCircuit(make_s27()), view.compiled());
-}
-
 // ---- circuit restoration ---------------------------------------------------
 
 TEST(ArtifactRoundTrip, RestoredCircuitIsNodeIdIdentical) {
@@ -187,7 +128,7 @@ TEST(ArtifactRoundTrip, PeekMatchesFullLoad) {
 
 // ---- Session integration ---------------------------------------------------
 
-TEST(ArtifactSession, RecordsFingerprintAndSkipsRebuilds) {
+TEST(ArtifactSession, RecordsFingerprintAndBorrowsCompiledView) {
   ScopedFile f(temp_sca("counts"));
   const CircuitFingerprint written = write_artifact(f.path, make_s27());
 
@@ -196,20 +137,23 @@ TEST(ArtifactSession, RecordsFingerprintAndSkipsRebuilds) {
   EXPECT_TRUE(*session.artifact_fingerprint() == written);
   (void)session.sweep();
   (void)session.ser();
-  // The compiled view was borrowed from the mapping and the SP table adopted
-  // bit-exactly (default options match the write defaults): neither was
-  // BUILT, which is the whole point of shipping them in the file.
+  // The compiled view was borrowed from the mapping, never BUILT — the
+  // whole point of the file. The SP table and cluster plan are derived from
+  // it once, as for every other netlist source.
   EXPECT_EQ(session.build_counts().compiled, 0u);
-  EXPECT_EQ(session.build_counts().sp, 0u);
+  EXPECT_EQ(session.build_counts().sp, 1u);
+  EXPECT_EQ(session.build_counts().planner, 1u);
 
   // A non-artifact session has no artifact identity.
   Session plain = Session::open("s27");
   EXPECT_FALSE(plain.artifact_fingerprint().has_value());
 }
 
-TEST(ArtifactSession, StoredSpIgnoredWhenOptionsDiffer) {
-  ScopedFile f(temp_sca("spmiss"));
-  write_artifact(f.path, make_s27());  // stored with input_sp = 0.5
+TEST(ArtifactSession, NonDefaultSpOptionsMatchSourceSession) {
+  // The file holds no SP option: an artifact session under non-default
+  // source probabilities renders the from-source session's bytes.
+  ScopedFile f(temp_sca("spopts"));
+  write_artifact(f.path, make_s27());
 
   Options opt;
   opt.sp.probabilities.input_sp = 0.25;
@@ -217,13 +161,34 @@ TEST(ArtifactSession, StoredSpIgnoredWhenOptionsDiffer) {
   (void)session.sweep();
   EXPECT_EQ(session.build_counts().compiled, 0u) << "compiled view is"
                                                     " option-independent";
-  EXPECT_EQ(session.build_counts().sp, 1u)
-      << "a stored table computed with different source probabilities must "
-         "be recomputed, never silently adopted";
+  EXPECT_EQ(session.build_counts().sp, 1u);
 
-  // And the recomputed numbers match a from-source session bit-for-bit.
   Session want = Session::open("s27", opt);
   EXPECT_EQ(session.sweep_csv(), want.sweep_csv());
+}
+
+TEST(ArtifactSession, RewrittenPathOpensTheNewCircuit) {
+  // write_artifact renames a new file over the path, so a live session of
+  // the old file keeps a valid mapping of the old inode. Opening the path
+  // again must read the file as it is now: the new circuit, never the
+  // still-mapped old one.
+  ScopedFile f(temp_sca("rewrite"));
+  write_artifact(f.path, make_c17());
+  Session old_session = Session::open(f.path);
+  ASSERT_EQ(old_session.circuit().node_count(), 11u);
+
+  const CircuitFingerprint s27 = write_artifact(f.path, make_s27());
+  Session session = Session::open(f.path);
+  ASSERT_TRUE(session.artifact_fingerprint().has_value());
+  EXPECT_TRUE(*session.artifact_fingerprint() == s27);
+  std::ifstream golden(std::string(SEREEP_SOURCE_DIR) +
+                       "/tests/data/sweep_s27.golden.csv");
+  std::ostringstream want;
+  want << golden.rdbuf();
+  EXPECT_EQ(session.sweep_csv(), want.str());
+  EXPECT_EQ(load_netlist(f.path).node_count(), 17u);
+  // The old session still answers for the circuit it opened.
+  EXPECT_EQ(old_session.circuit().node_count(), 11u);
 }
 
 TEST(ArtifactSession, ByteIdenticalRenderingsAcrossEngines) {

@@ -46,6 +46,7 @@
 #include "src/epp/sharded_epp.hpp"
 #include "src/netlist/bench_io.hpp"
 #include "src/netlist/generator.hpp"
+#include "src/util/crc32.hpp"
 #include "src/util/subprocess.hpp"
 #include "tests/epp/site_epp_testutil.hpp"
 
@@ -185,7 +186,7 @@ std::vector<std::uint8_t> frame_bytes(std::uint16_t version,
   put(version, 2);
   put(static_cast<std::uint16_t>(type), 2);
   put(payload.size(), 8);
-  put(shard_crc32(payload), 4);
+  put(crc32(payload), 4);
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
@@ -212,7 +213,7 @@ TEST(ShardProtocol, OlderFramesReadButPreV7JobsAreRefused) {
 
   const Circuit c17 = make_c17();
   ShardJob job;
-  job.fingerprint = netlist_fingerprint(c17);
+  job.fingerprint = circuit_fingerprint(c17);
   job.sp.assign(c17.node_count(), 0.5);
   job.sites = {0};
   // The worker's one connection: parent end sv[0], worker end sv[1].
@@ -236,7 +237,7 @@ TEST(ShardProtocol, OlderFramesReadButPreV7JobsAreRefused) {
 }
 
 TEST(ShardProtocol, HelloAndProgressRoundTrip) {
-  const NetlistFingerprint fp{.nodes = 123, .digest = 0xdeadbeefcafebabe};
+  const CircuitFingerprint fp{.nodes = 123, .digest = 0xdeadbeefcafebabe};
   EXPECT_EQ(decode_hello(encode_hello(fp)), fp);
   EXPECT_EQ(decode_progress(encode_progress(77)), 77u);
   EXPECT_EQ(decode_done(encode_done(12345)), 12345u);
@@ -250,10 +251,10 @@ TEST(ShardProtocol, FingerprintsIdentifyCircuits) {
   // different circuits -> different fingerprints (what the handshake
   // rejects). to_string is the diagnostic surface, so it must carry the
   // node count.
-  EXPECT_EQ(netlist_fingerprint(make_c17()), netlist_fingerprint(make_c17()));
-  EXPECT_FALSE(netlist_fingerprint(make_c17()) ==
-               netlist_fingerprint(make_s27()));
-  const std::string text = to_string(netlist_fingerprint(make_c17()));
+  EXPECT_EQ(circuit_fingerprint(make_c17()), circuit_fingerprint(make_c17()));
+  EXPECT_FALSE(circuit_fingerprint(make_c17()) ==
+               circuit_fingerprint(make_s27()));
+  const std::string text = to_string(circuit_fingerprint(make_c17()));
   EXPECT_NE(text.find("nodes"), std::string::npos) << text;
   EXPECT_NE(text.find("0x"), std::string::npos) << text;
 }
@@ -407,11 +408,11 @@ TEST(ShardProtocol, Crc32MatchesKnownVector) {
   // The classic check value: CRC-32("123456789") = 0xcbf43926. Pins the
   // polynomial and reflection conventions so both ends always agree.
   const std::string check = "123456789";
-  EXPECT_EQ(shard_crc32(std::span(
+  EXPECT_EQ(crc32(std::span(
                 reinterpret_cast<const std::uint8_t*>(check.data()),
                 check.size())),
             0xcbf43926u);
-  EXPECT_EQ(shard_crc32({}), 0u);
+  EXPECT_EQ(crc32({}), 0u);
 }
 
 TEST(ShardProtocol, OversizedDeclaredLengthRespectsCallerBound) {

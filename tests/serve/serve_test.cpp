@@ -25,8 +25,10 @@
 #include <vector>
 
 #include "sereep/sereep.hpp"
+#include "src/artifact/compiled_artifact.hpp"
 #include "src/epp/shard_protocol.hpp"
 #include "src/netlist/bench_io.hpp"
+#include "src/netlist/benchmarks.hpp"
 #include "src/netlist/generator.hpp"
 #include "src/serve/serve_protocol.hpp"
 #include "src/util/net.hpp"
@@ -177,6 +179,30 @@ TEST(Serve, LruEvictionAtOneSessionStaysCorrect) {
                   s27.sweep_csv(), "s27 evicts c17");
   expect_response(client, make_request(ServeRequestKind::kSweepCsv, "c17"),
                   c17.sweep_csv(), "c17 rebuilt after eviction");
+}
+
+TEST(Serve, RewrittenArtifactAnswersTheNewCircuit) {
+  // A .sca path rewritten with another circuit while the daemon holds a
+  // session of the old file: the next request keys on the new file's
+  // fingerprint and must answer the new circuit's committed golden bytes,
+  // never the old circuit's.
+  const std::string path = ::testing::TempDir() + "sereep_serve_rewrite_" +
+                           std::to_string(::getpid()) + ".sca";
+  const auto golden = [](const char* name) {
+    std::ifstream f(std::string(SEREEP_SOURCE_DIR) + "/tests/data/" + name);
+    std::ostringstream bytes;
+    bytes << f.rdbuf();
+    return bytes.str();
+  };
+  ServeDaemon daemon = start_serve();
+  Client client(daemon.port);
+  write_artifact(path, make_c17());
+  expect_response(client, make_request(ServeRequestKind::kSweepCsv, path),
+                  golden("sweep_c17.golden.csv"), "c17 artifact");
+  write_artifact(path, make_s27());
+  expect_response(client, make_request(ServeRequestKind::kSweepCsv, path),
+                  golden("sweep_s27.golden.csv"), "rewritten with s27");
+  std::remove(path.c_str());
 }
 
 TEST(Serve, ConcurrentClientsGetIndependentCorrectAnswers) {

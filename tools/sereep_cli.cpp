@@ -2,8 +2,7 @@
 //
 //   sereep stats   <netlist>                     circuit statistics
 //   sereep convert <in> <out>                    .bench <-> .v by extension
-//   sereep compile <netlist> [-o out.sca] [--no-plan]
-//                                                compiled .sca artifact
+//   sereep compile <netlist> [-o out.sca]        compiled .sca artifact
 //   sereep sp      <netlist> [--engine=pm|mc|seq] [--vectors=N] [--top=N]
 //   sereep epp     <netlist> --node=NAME [--engine=E] [--verify] [--vectors=N]
 //                                                per-node EPP detail
@@ -577,8 +576,8 @@ int cmd_gen(const bench::Flags& flags) {
   return 0;
 }
 
-/// `sereep compile <netlist> -o file.sca`: pay the parse + flatten + SP +
-/// plan cost once and persist the result as a versioned, checksummed,
+/// `sereep compile <netlist> -o file.sca`: pay the parse + flatten cost once
+/// and persist the compiled circuit as a versioned, checksummed,
 /// mmap-loadable artifact (src/artifact/compiled_artifact.hpp). Every place
 /// that takes a netlist spec — sweep/ser/harden, `sereep worker`, the serve
 /// daemon — accepts the .sca path and loads it back in milliseconds with
@@ -625,10 +624,7 @@ int cmd_compile(int argc, char** argv, const bench::Flags& flags) {
     return 2;
   }
   const Stopwatch sw;
-  const Circuit circuit = load_netlist(spec);
-  ArtifactWriteOptions options;
-  options.include_plan = !flags.has("no-plan");
-  const CircuitFingerprint fp = write_artifact(out, circuit, options);
+  const CircuitFingerprint fp = write_artifact(out, load_netlist(spec));
   struct stat st = {};
   const long bytes = ::stat(out.c_str(), &st) == 0 ? st.st_size : 0;
   std::printf("compiled %s -> %s (%ld bytes, %.1f ms)\nfingerprint: %s\n",
@@ -889,7 +885,7 @@ void usage() {
       "gen|engines|worker|serve|client> ...\n"
       "  stats   <netlist>\n"
       "  convert <in> <out>\n"
-      "  compile <netlist> [-o out.sca] [--no-plan]\n"
+      "  compile <netlist> [-o out.sca]\n"
       "  sp      <netlist> [--engine=pm|mc|seq] [--vectors=N] [--top=N]\n"
       "  epp     <netlist> --node=NAME [--engine=E] [--verify] [--vectors=N]\n"
       "  sweep   <netlist> [--engine=E] [--threads=N] [--shards=N] [--top=N]\n"
